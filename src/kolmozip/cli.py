@@ -46,6 +46,11 @@ def _write_atomic(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            # mkstemp creates the file 0600; give it the mode a plain
+            # open() would, as cp and gzip do
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -169,7 +169,7 @@ class RangeEncoder:
         self.low = 0
         self.range_ = _MASK32
         self.emitted = bytearray()
-        self._cache = 0
+        self._cache_byte = 0
         self._pending = 1  # phantom leading byte
         self._finished = False
 
@@ -190,11 +190,11 @@ class RangeEncoder:
         low = self.low
         if low < 0xFF000000 or low > _MASK32:
             carry = low >> 32
-            self.emitted.append((self._cache + carry) & 0xFF)
+            self.emitted.append((self._cache_byte + carry) & 0xFF)
             if self._pending > 1:
                 self.emitted.extend(bytes([(0xFF + carry) & 0xFF]) * (self._pending - 1))
             self._pending = 0
-            self._cache = (low >> 24) & 0xFF
+            self._cache_byte = (low >> 24) & 0xFF
         self._pending += 1
         self.low = (low << 8) & _MASK32
 
@@ -259,11 +259,6 @@ class RangeDecoder:
         return sym
 
 
-def symbol_cost_bits(table: CumulativeTable, sym: int) -> float:
-    """Ideal cost of one symbol under its quantized width: -log2(width/2^16)."""
-    return PROB_BITS - math.log2(table.width(sym))
-
-
 # --- exact rational interval arithmetic ---------------------------------
 
 
@@ -294,19 +289,6 @@ def ideal_refine(interval: IdealInterval, dist: Distribution, sym: int) -> Ideal
     span = interval.width
     lo = interval.lo + before / total * span
     return IdealInterval(lo, lo + weights[sym] / total * span)
-
-
-def ideal_locate(
-    interval: IdealInterval, dist: Distribution, value: Fraction
-) -> tuple[int, IdealInterval]:
-    """Inverse of ideal_refine: find the cell containing `value`."""
-    if not interval.lo <= value < interval.hi:
-        raise ValueError("value outside interval")
-    for sym in range(len(dist.weights)):
-        cell = ideal_refine(interval, dist, sym)
-        if cell.lo <= value < cell.hi:
-            return sym, cell
-    raise AssertionError("cells cover the interval; unreachable")
 
 
 def shortest_binary_in_interval(interval: IdealInterval) -> str:

@@ -124,26 +124,6 @@ class KcEstimate:
     ceiling_bits: int
 
 
-def enumerate_programs(max_ops: int) -> Iterator[TinyProgram]:
-    """All programs with at most max_ops instructions, by (length, lex)."""
-    stack: list[tuple[int, ...]] = [()]
-    for length in range(max_ops + 1):
-        if length == 0:
-            yield TinyProgram(())
-            continue
-        # odometer in base 8, most-significant first = lexicographic
-        ops = [0] * length
-        while True:
-            yield TinyProgram(tuple(ops))
-            i = length - 1
-            while i >= 0 and ops[i] == 7:
-                ops[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            ops[i] += 1
-
-
 def phi(t: int, x: str, y: str = "") -> KcEstimate:
     """Budget-t approximation of the conditional complexity of x given y.
 
@@ -249,10 +229,6 @@ def pair_encode(x: str, y: str) -> str:
     """<x,y> = prefix_encode(x) ++ y; uniquely decodable concatenation."""
     _check_bits(y, "y")
     return prefix_encode(x) + y
-
-
-def pair_decode(bits: str) -> tuple[str, str]:
-    return prefix_decode(bits)
 
 
 def bits_of(value: int) -> str:

@@ -80,15 +80,26 @@ class SessionStats:
         return self.payload_bits / self.n_tokens if self.n_tokens else 0.0
 
 
-def _prime(pred, context: bytes) -> None:
-    # training without coding: the model sees the context but no bits flow
+def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
+    """The training loop encoder and decoder share; only `code` differs.
+
+    The predictor first trains on context (no bits flow), then, for each
+    of n tokens: predict, quantize, code(table, i) -> token, update.  The
+    encoder's `code` writes the i-th input byte, the decoder's reads one,
+    so both sides see the same tables.  Returns the per-token state
+    digests when audit is set.
+    """
     for tok in context:
-        pred.predict_weights()
         pred.update(tok)
-
-
-def _static_table(pred) -> CumulativeTable | None:
-    return quantize_weights(pred.predict_weights()) if pred.is_static else None
+    static = quantize_weights(pred.predict_weights()) if pred.is_static else None
+    predict, update = pred.predict_weights, pred.update
+    digests: list[bytes] = []
+    for i in range(n):
+        tok = code(quantize_weights(predict()) if static is None else static, i)
+        update(tok)
+        if audit:
+            digests.append(pred.digest())
+    return digests
 
 
 def _session(
@@ -96,21 +107,17 @@ def _session(
 ) -> tuple[CompressedArtifact, SessionStats]:
     if len(data) >= MAX_INPUT:
         raise ValueError("input too long for the 48-bit token counter")
-    pred = make_predictor(config)
-    _prime(pred, context)
     encoder = RangeEncoder()
     widths = np.empty(len(data), dtype=np.int64)
-    digests: list[bytes] = []
-    static = _static_table(pred)
-    predict, update = pred.predict_weights, pred.update
-    encode = encoder.encode_symbol
-    for i, tok in enumerate(data):
-        table = static or quantize_weights(predict())
+    encode_symbol = encoder.encode_symbol
+
+    def encode(table: CumulativeTable, i: int) -> int:
+        tok = data[i]
         widths[i] = table.cum[tok + 1] - table.cum[tok]
-        encode(table, tok)
-        update(tok)
-        if audit:
-            digests.append(pred.digest())
+        encode_symbol(table, tok)
+        return tok
+
+    digests = _replay(make_predictor(config), context, len(data), encode, audit)
     payload = encoder.finish()
     stats = SessionStats(
         token_bits=PROB_BITS - np.log2(widths) if len(data) else np.zeros(0),
@@ -135,8 +142,8 @@ def compress_conditional(
 
     Only len(context) enters the artifact; decoding requires the caller
     to present the identical context.  Wrong context bytes of the right
-    length decode to garbage or exhaust the payload early — the format
-    carries no integrity check.
+    length decode to garbage, exhaust the payload early or leave payload
+    bytes unread — the format carries no integrity check.
     """
     return _session(target, config, context, audit)
 
@@ -146,28 +153,29 @@ def decompress(
 ):
     """Reconstruct the exact input by replaying training on decoded tokens.
 
-    Returns bytes, or (bytes, digests) when audit is set.
+    Returns bytes, or (bytes, digests) when audit is set.  A payload that
+    runs out raises TruncatedStreamError; one with bytes left over after
+    the d tokens raises FormatError.
     """
     if len(context) != artifact.context_length:
         raise FormatError(
             f"artifact was coded against {artifact.context_length} context "
             f"bytes, got {len(context)}"
         )
-    pred = make_predictor(artifact.config)
-    _prime(pred, context)
     decoder = RangeDecoder(artifact.payload)
     out = bytearray()
-    digests: list[bytes] = []
-    static = _static_table(pred)
-    predict, update = pred.predict_weights, pred.update
-    decode, append = decoder.decode_symbol, out.append
-    for _ in range(artifact.d):
-        table = static or quantize_weights(predict())
-        tok = decode(table)
+    decode_symbol, append = decoder.decode_symbol, out.append
+
+    def decode(table: CumulativeTable, i: int) -> int:
+        tok = decode_symbol(table)
         append(tok)
-        update(tok)
-        if audit:
-            digests.append(pred.digest())
+        return tok
+
+    digests = _replay(make_predictor(artifact.config), context, artifact.d, decode, audit)
+    # a valid stream of d tokens ends exactly at the last payload byte
+    unread = len(artifact.payload) - decoder.cursor
+    if unread:
+        raise FormatError(f"{unread} payload bytes left over after {artifact.d} tokens")
     data = bytes(out)
     return (data, digests) if audit else data
 

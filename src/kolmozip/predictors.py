@@ -2,10 +2,12 @@
 
 All three share one duck-typed surface:
 
-    predict() -> Distribution     pure; weights for the next byte
+    predict_weights() -> ndarray  weights for the next byte, one per byte
+                                  value; read-only, valid until update()
     update(token)                 advance state by one observed byte
     digest() -> bytes             16-byte canonical hash of all state
     token_position                number of tokens consumed so far
+    is_static                     True when predict_weights() never changes
 
 The per-token protocol is always predict -> code -> update, and every
 predictor is built from its config alone, so an encoder and a decoder
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .coder import Distribution
 from .rng import Lcg64, mix64
 
 KIND_UNIFORM = "uniform"
@@ -43,6 +44,7 @@ DEFAULT_LEARNING_RATE = ONE // 8  # 0.125 in Q16.16; stable across widths 8..256
 _WEIGHT_CLIP = 8 * ONE  # saturate parameters to [-8.0, 8.0]
 
 
+ALPHABET = 256  # every predictor codes bytes
 _COUNT_LIMIT = 1 << 16  # halve a context when any count reaches this
 _MAX_LEARNING_RATE = 1 << 20  # 16.0; keeps lr * grad inside int64
 
@@ -145,30 +147,28 @@ def _digest(config: PredictorConfig, position: int, state: bytes) -> bytes:
     return h.digest()
 
 
+# the all-ones row: uniform's only prediction and freq's unseen context
+_ONES_ROW = np.ones(ALPHABET, dtype=np.int32)
+_ONES_ROW.flags.writeable = False
+
+
 class UniformPredictor:
-    """Fixed 1/alphabet distribution; the do-nothing baseline."""
+    """Fixed 1/256 distribution; the do-nothing baseline."""
 
     is_static = True
 
-    def __init__(self, config: PredictorConfig, alphabet_size: int = 256) -> None:
+    def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.token_position = 0
-        self._dist = Distribution(np.ones(alphabet_size, dtype=np.int64))
-
-    def predict(self) -> Distribution:
-        return self._dist
 
     def predict_weights(self) -> np.ndarray:
-        return np.asarray(self._dist.weights)
+        return _ONES_ROW
 
     def update(self, token: int) -> None:
         self.token_position += 1
 
     def digest(self) -> bytes:
         return _digest(self.config, self.token_position, b"")
-
-
-_ONES_ROWS: dict[int, np.ndarray] = {}  # shared fresh-context rows, never mutated
 
 
 class FreqPredictor:
@@ -185,10 +185,9 @@ class FreqPredictor:
 
     is_static = False
 
-    def __init__(self, config: PredictorConfig, alphabet_size: int = 256) -> None:
+    def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.order = config.order
-        self.alphabet_size = alphabet_size
         self.token_position = 0
         self._counts: dict[bytes, np.ndarray] = {}
         self._recent = bytearray()
@@ -197,24 +196,14 @@ class FreqPredictor:
         key = bytes(self._recent)
         row = self._counts.get(key)
         if row is None and create:
-            row = np.ones(self.alphabet_size, dtype=np.int32)
+            row = np.ones(ALPHABET, dtype=np.int32)
             self._counts[key] = row
         return row
 
-    def predict(self) -> Distribution:
-        row = self._row(create=False)
-        if row is None:
-            return Distribution(np.ones(self.alphabet_size, dtype=np.int32))
-        return Distribution(row.copy())
-
     def predict_weights(self) -> np.ndarray:
-        # read-only view for the coding loop; unseen context = virtual ones row
+        # the live count row of the context; an unseen context reads as ones
         row = self._row(create=False)
-        if row is None:
-            return _ONES_ROWS.setdefault(
-                self.alphabet_size, np.ones(self.alphabet_size, dtype=np.int32)
-            )
-        return row
+        return _ONES_ROW if row is None else row
 
     def update(self, token: int) -> None:
         row = self._row(create=True)
@@ -242,7 +231,11 @@ def _iroot(x: int, k: int) -> int:
         raise ValueError("x >= 0 and k >= 1 required")
     if x < 2:
         return x
-    r = 1 << (x.bit_length() // k + 1)
+    # Newton descends to the floor root from any start at or above it; the
+    # float bound x < 2^b => root < 2^(b/k) is padded by 2^-40 (more than
+    # the float's rounding) and is used while 2^(b/k) is well inside range
+    b = x.bit_length()
+    r = int(2.0 ** (b / k) * (1 + 2.0**-40)) + 1 if b < 1000 * k else 1 << (b // k + 1)
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:
@@ -281,33 +274,38 @@ class NeuralPredictor:
     Digest state payload: emb, b1, w2, b2 as little-endian int64 in that
     order, then the retained context bytes.
 
-    The forward pass and the update run in the C step kernel (kernel.py)
-    when it loads; the ``_numpy`` methods are its byte-identical reference.
+    The forward pass for the current context (``_pre``, ``_hidden``,
+    ``_weights``) is always up to date: it is computed on construction and
+    by every update.  It runs, with the update, in the C step kernel
+    (kernel.py) when that loads; the ``_numpy`` methods are its
+    byte-identical reference.
     """
 
     is_static = False
-    _KERNEL_FIELDS = ("_kernel", "_net", "_net_arrays", "_net_addr", "_buf_addr", "_buf_views")
+    # rebuilt by __setstate__: the kernel binding and the forward pass
+    _DERIVED_FIELDS = (
+        "_kernel", "_net", "_net_arrays", "_net_addr", "_buf_addr", "_pre", "_hidden", "_weights"
+    )
 
-    def __init__(self, config: PredictorConfig, alphabet_size: int = 256) -> None:
+    def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.k = config.context
         self.w = config.width
-        self.alphabet_size = alphabet_size
         self.lr = config.learning_rate
         self.token_position = 0
         self._recent = bytearray()
-        self._cache: tuple | None = None  # (position, pre, hidden, weights)
         self._width_shift = (self.w - 1).bit_length()
 
         stream = Lcg64(mix64(config.seed, 0x4E455552))
         emb_scale = (ONE << 8) // (2 * math.isqrt(self.k << 16))
         w2_scale = (ONE << 8) // (2 * math.isqrt(self.w << 16))
-        self.emb = self._draw(stream, (self.k, alphabet_size, self.w), emb_scale)
+        self.emb = self._draw(stream, (self.k, ALPHABET, self.w), emb_scale)
         self.b1 = np.zeros(self.w, dtype=np.int64)
-        self.w2 = self._draw(stream, (self.w, alphabet_size), w2_scale)
-        self.b2 = np.zeros(alphabet_size, dtype=np.int64)
+        self.w2 = self._draw(stream, (self.w, ALPHABET), w2_scale)
+        self.b2 = np.zeros(ALPHABET, dtype=np.int64)
 
         self._bind_kernel()
+        self._forward()
 
     @staticmethod
     def _draw(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
@@ -323,7 +321,8 @@ class NeuralPredictor:
 
         The kernel works in place on emb, b1, w2 and b2, which are therefore
         never rebound, and keeps the current forward pass (pre | hidden |
-        weights) in one buffer of its own.
+        weights) in one buffer of its own, which _pre, _hidden and _weights
+        view.
         """
         self._kernel = kernel.load()
         if self._kernel is None:
@@ -336,7 +335,7 @@ class NeuralPredictor:
             _SOFTMAX_TABLE.ctypes.data,
             len(_SOFTMAX_TABLE),
             self.k,
-            self.alphabet_size,
+            ALPHABET,
             self.w,
             self.lr,
             self._width_shift,
@@ -344,31 +343,30 @@ class NeuralPredictor:
         )
         self._net_arrays = (self.emb, self.b1, self.w2, self.b2)  # alive as long as _net
         self._net_addr = ctypes.addressof(self._net)
-        buf = np.empty(2 * self.w + self.alphabet_size, dtype=np.int64)
+        buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
         self._buf_addr = buf.ctypes.data
-        self._buf_views = (buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :])
+        self._pre, self._hidden, self._weights = buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :]
 
     def __getstate__(self) -> dict:
         # the binding holds raw addresses of this instance's arrays; a copy
-        # binds its own, and recomputes the forward pass on demand
-        state = {k: v for k, v in self.__dict__.items() if k not in self._KERNEL_FIELDS}
-        state["_cache"] = None
-        return state
+        # binds its own and computes its own forward pass
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._bind_kernel()
+        self._forward()
 
-    def _forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pre, hidden, weights) for the current context."""
+    def _forward(self) -> None:
+        """Compute the forward pass for the current context."""
         if self._kernel is None:
-            return self._forward_numpy()
+            self._pre, self._hidden, self._weights = self._forward_numpy()
+            return
         self._check(
             self._kernel.kz_net_forward(
                 self._net_addr, int.from_bytes(self._recent, "little"), len(self._recent), self._buf_addr
             )
         )
-        return self._buf_views
 
     def _forward_numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         recent = self._recent
@@ -390,23 +388,14 @@ class NeuralPredictor:
         weights = _SOFTMAX_TABLE.take(gap)
         return pre, hidden, weights
 
-    def predict(self) -> Distribution:
-        if self._cache is None or self._cache[0] != self.token_position:
-            self._cache = (self.token_position, *self._forward())
-        return Distribution(self._cache[3].copy())
-
     def predict_weights(self) -> np.ndarray:
         # read-only view, valid until the next update(), which consumes the
         # same forward pass
-        if self._cache is None or self._cache[0] != self.token_position:
-            self._cache = (self.token_position, *self._forward())
-        return self._cache[3]
+        return self._weights
 
     def _error_signal(self, token: int) -> np.ndarray:
         """d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16."""
-        if self._cache is None or self._cache[0] != self.token_position:
-            self._cache = (self.token_position, *self._forward())
-        weights = self._cache[3]
+        weights = self._weights
         total = int(weights.sum())
         p_hat = (weights * ONE) // total  # nonnegative; plain // truncates
         p_hat[token] -= ONE
@@ -414,16 +403,12 @@ class NeuralPredictor:
 
     def final_layer_gradient(self, token: int) -> np.ndarray:
         """Exact integer d(loss)/d(w2) in Q32.32, before learning-rate scaling."""
-        dlog = self._error_signal(token)
-        hidden = self._cache[2]
-        return np.outer(hidden, dlog)
+        return np.outer(self._hidden, self._error_signal(token))
 
     def update(self, token: int) -> None:
         if self._kernel is None:
             self._update_numpy(token)
-        else:
-            if self._cache is None or self._cache[0] != self.token_position:
-                self._cache = (self.token_position, *self._forward())
+        else:  # the step also leaves the next position's forward pass in the buffer
             self._check(
                 self._kernel.kz_net_step(
                     self._net_addr,
@@ -437,8 +422,8 @@ class NeuralPredictor:
         if len(self._recent) > self.k:
             del self._recent[0]
         self.token_position += 1
-        # kz_net_step leaves the next position's forward pass in the buffer
-        self._cache = None if self._kernel is None else (self.token_position, *self._buf_views)
+        if self._kernel is None:
+            self._forward()
 
     def _check(self, rc: int) -> None:
         if rc == kernel.NO_MEMORY:
@@ -446,12 +431,12 @@ class NeuralPredictor:
         if rc:
             raise ValueError(
                 f"neural step rejected its input (code {rc}): a token or context byte "
-                f"outside the alphabet of {self.alphabet_size}, or a corrupted forward pass"
+                f"outside 0..{ALPHABET - 1}, or a corrupted forward pass"
             )
 
     def _update_numpy(self, token: int) -> None:
         dlog = self._error_signal(token)
-        _, pre, hidden, _ = self._cache
+        pre, hidden = self._pre, self._hidden
         lr = self.lr
         clip = _WEIGHT_CLIP
 
@@ -493,11 +478,11 @@ class NeuralPredictor:
         return _digest(self.config, self.token_position, state + bytes(self._recent))
 
 
-def make_predictor(config: PredictorConfig, alphabet_size: int = 256):
+def make_predictor(config: PredictorConfig):
     """Build a fresh predictor in its deterministic initial state."""
     cls = {
         KIND_UNIFORM: UniformPredictor,
         KIND_FREQ: FreqPredictor,
         KIND_NEURAL: NeuralPredictor,
     }[config.kind]
-    return cls(config, alphabet_size)
+    return cls(config)

@@ -8,7 +8,6 @@ compression experiments.
 
 from __future__ import annotations
 
-import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -216,20 +215,3 @@ def read_worksheet(fh: BinaryIO) -> list[WorksheetRecord]:
 def worksheet_stream(records: list[WorksheetRecord]) -> bytes:
     """Concatenated k+m+r bytes — the corpus as one compressible blob."""
     return b"".join(rec.k + rec.m + rec.r for rec in records)
-
-
-def entropy_check_bits(spec: MarkovSpec, data: bytes) -> float:
-    """Mean -log2 true transition probability: empirical entropy estimator."""
-    rows: dict[tuple[int, ...], np.ndarray] = {}
-    k = spec.order
-    context: tuple[int, ...] = ()
-    total = 0.0
-    for sym in data:
-        probs = rows.get(context)
-        if probs is None:
-            w = transition_weights(spec, context)
-            probs = rows[context] = w / w.sum()
-        total -= math.log2(probs[sym])
-        if k:
-            context = (context + (sym,))[-k:]
-    return total / len(data)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
 from kolmozip.cli import main
+from kolmozip.pipeline import CompressedArtifact, deserialize, serialize
 from kolmozip.rng import Lcg64
 from kolmozip.sources import read_worksheet
 
@@ -91,6 +94,30 @@ def test_truncated_artifact_exits_2_without_partial_output(tmp_path, sample, cap
     out = tmp_path / "s.out"
     code, _, _ = run(capsys, "decompress", str(art), str(out))
     assert code == 2 and not out.exists()
+
+
+def test_payload_with_an_appended_byte_exits_2(tmp_path, sample, capsys):
+    art = tmp_path / "s.kz"
+    run(capsys, "compress", str(sample), str(art), "--model", "freq:1")
+    a = deserialize(art.read_bytes())
+    art.write_bytes(serialize(CompressedArtifact(a.config, a.d, 0, a.payload + b"\x00")))
+    out = tmp_path / "s.out"
+    code, records, err = run(capsys, "decompress", str(art), str(out))
+    assert code == 2 and records == [] and "left over" in err
+    assert not out.exists()
+
+
+def test_outputs_get_the_umask_default_mode(tmp_path, sample, capsys):
+    art, out, gen = tmp_path / "s.kz", tmp_path / "s.out", tmp_path / "g.bin"
+    old = os.umask(0o022)
+    try:
+        assert run(capsys, "compress", str(sample), str(art), "--model", "uniform")[0] == 0
+        assert run(capsys, "decompress", str(art), str(out))[0] == 0
+        assert run(capsys, "gen", "worksheet", str(gen), "--count", "3")[0] == 0
+    finally:
+        os.umask(old)
+    for path in (art, out, gen):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
 
 
 def test_usage_errors_exit_1(tmp_path, sample, capsys):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmozip.coder import (
+    PROB_BITS,
     PROB_SCALE,
     CumulativeTable,
     Distribution,
@@ -24,11 +25,9 @@ from kolmozip.coder import (
     RangeEncoder,
     UNIT_INTERVAL,
     _quantize_numpy,
-    ideal_locate,
     ideal_refine,
     quantize_distribution,
     shortest_binary_in_interval,
-    symbol_cost_bits,
 )
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.rng import Lcg64
@@ -51,6 +50,24 @@ def oracle_largest_remainder(weights) -> list[int]:
     for i in ranked[:leftover]:
         floors[i] += 1
     return [f + 1 for f in floors]
+
+
+def symbol_cost_bits(table: CumulativeTable, sym: int) -> float:
+    """Ideal cost of one symbol under its quantized width: -log2(width/2^16)."""
+    return PROB_BITS - math.log2(table.width(sym))
+
+
+def ideal_locate(
+    interval: IdealInterval, dist: Distribution, value: Fraction
+) -> tuple[int, IdealInterval]:
+    """Inverse of ideal_refine: find the cell containing `value`."""
+    if not interval.lo <= value < interval.hi:
+        raise ValueError("value outside interval")
+    for sym in range(len(dist.weights)):
+        cell = ideal_refine(interval, dist, sym)
+        if cell.lo <= value < cell.hi:
+            return sym, cell
+    raise AssertionError("cells cover the interval; unreachable")
 
 
 def oracle_shortest_binary(lo: Fraction, hi: Fraction, max_len: int = 24) -> str:

@@ -82,34 +82,34 @@ def test_quantize_kernel_rejects_what_would_break_its_buffers():
 # --- neural step ---------------------------------------------------------------
 
 
-def _numpy_twin(config: PredictorConfig, alphabet_size: int, monkeypatch) -> NeuralPredictor:
+def _numpy_twin(config: PredictorConfig, monkeypatch) -> NeuralPredictor:
     with monkeypatch.context() as m:
         m.setattr(kernel, "load", lambda: None)
-        return NeuralPredictor(config, alphabet_size)
+        return NeuralPredictor(config)
 
 
 @needs_kernel
 @pytest.mark.parametrize(
-    "context, width, lr, seed, alphabet, steps",
+    "context, width, lr, seed, symbols, steps",
     [
         (8, 256, 1 << 20, 0, 256, 120),  # the documented extremes
         (8, 256, 1 << 20, 1, 256, 120),
         (1, 8, 1, 2, 256, 400),
-        (3, 16, 1 << 13, 3, 5, 400),  # an alphabet other than bytes
+        (3, 16, 1 << 13, 3, 5, 400),  # a stream of five byte values
     ],
 )
 def test_neural_kernel_matches_numpy_step_by_step(
-    context, width, lr, seed, alphabet, steps, monkeypatch
+    context, width, lr, seed, symbols, steps, monkeypatch
 ):
     config = PredictorConfig("neural", context=context, width=width, seed=seed, learning_rate=lr)
-    fast = NeuralPredictor(config, alphabet)
-    ref = _numpy_twin(config, alphabet, monkeypatch)
+    fast = NeuralPredictor(config)
+    ref = _numpy_twin(config, monkeypatch)
     assert fast._kernel is not None and ref._kernel is None
     rng = Lcg64(100 + seed)
     tok = 0
     for step in range(steps):
         # sticky stream: the net learns, saturates and gets surprised
-        tok = tok if rng.below(4) else rng.below(alphabet)
+        tok = tok if rng.below(4) else rng.below(symbols)
         assert np.array_equal(fast.predict_weights(), ref.predict_weights()), step
         fast.update(tok)
         ref.update(tok)
@@ -122,10 +122,10 @@ def test_neural_kernel_matches_numpy_step_by_step(
 
 @needs_kernel
 def test_neural_kernel_rejects_tokens_outside_the_alphabet():
-    p = NeuralPredictor(PredictorConfig("neural", context=2, width=8), alphabet_size=4)
-    p.update(3)
+    p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
+    p.update(255)
     before = p.digest()
-    for bad in (4, -1):
+    for bad in (256, -1):
         with pytest.raises(ValueError):
             p.update(bad)
     assert p.digest() == before

@@ -173,6 +173,19 @@ def test_truncated_payload_raises_cleanly():
         decompress(clipped)
 
 
+@pytest.mark.parametrize("config", [UNIFORM, FREQ2, NEURAL], ids=str)
+def test_payload_bytes_left_over_or_missing_are_rejected(config):
+    data = lcg_bytes(6, 700)
+    artifact, _ = compress(data, config)
+    for junk in (b"\x00", b"\x00\x01\x02"):
+        padded = CompressedArtifact(config, artifact.d, 0, artifact.payload + junk)
+        with pytest.raises(FormatError, match="left over"):
+            decompress(deserialize(serialize(padded)))
+    clipped = CompressedArtifact(config, artifact.d, 0, artifact.payload[:-1])
+    with pytest.raises(TruncatedStreamError):
+        decompress(clipped)
+
+
 def test_header_size_independent_of_parameter_count():
     data = b"independence day" * 32
     sizes = set()
