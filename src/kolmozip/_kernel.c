@@ -1,8 +1,13 @@
 /*
- * Integer step kernel: C mirrors of the per-byte numpy paths.
+ * Integer step kernel: a CPython extension mirroring the per-byte numpy paths.
  *
- *   kz_quantize_i64 / kz_quantize_i32   coder.quantize_weights (_quantize_numpy)
- *   kz_net_forward / kz_net_step        NeuralPredictor's forward pass and update
+ *   quantize(weights, cum)           coder.quantize_weights (_quantize_numpy)
+ *   net(...) -> capsule              one NeuralPredictor's arrays and constants
+ *   net_forward(net, recent)         NeuralPredictor's forward pass
+ *   net_step(net, recent, token)     NeuralPredictor's update, then the next
+ *                                    forward pass
+ *   locate(cum, target)              RangeDecoder's symbol search
+ *                                    (np.searchsorted(cum, target, "right") - 1)
  *
  * Every function reproduces its numpy reference bit for bit; the numpy code
  * stays in the package as the reference and as the path taken when this file
@@ -14,10 +19,15 @@
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free.
  *
- * Functions return 0 on success and a positive code on rejected input; every
- * buffer a function needs beyond its arguments is its own, so calls from
- * different threads never share scratch.
+ * Arrays arrive through the buffer protocol.  Each function checks the
+ * itemsize, format, contiguity and length of what it is given and raises
+ * ValueError (MemoryError when scratch cannot be had) before it touches any
+ * state.  The GIL is held throughout, so a net's scratch is never shared by
+ * two running calls.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -26,14 +36,6 @@
 #define PROB_SCALE 65536
 #define ONE 65536                      /* Q16.16 unit */
 #define QUANT_TOTAL_LIMIT (INT64_C(1) << 46)
-
-enum {
-    KZ_OK = 0,
-    KZ_TOTAL_TOO_LARGE = 1,
-    KZ_BAD_WEIGHTS = 2,
-    KZ_BAD_SIZE = 3,
-    KZ_NO_MEMORY = 4,
-};
 
 static inline int64_t floor_shift(int64_t x, int s)
 {
@@ -45,6 +47,45 @@ static inline int64_t floor_shift(int64_t x, int s)
 static inline int64_t clamp(int64_t x, int64_t limit)
 {
     return x > limit ? limit : (x < -limit ? -limit : x);
+}
+
+/* --- buffers ----------------------------------------------------------- */
+
+/* Acquire obj as a C-contiguous array of native signed integers whose item
+ * size is one of size_a/size_b (pass the same size twice for one); on
+ * success *n holds the element count.  Returns 0, or -1 with an exception
+ * set and no buffer held. */
+static int get_ints(PyObject *obj, Py_buffer *view, Py_ssize_t size_a, Py_ssize_t size_b,
+                    int writable, const char *name, Py_ssize_t *n)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    const char *f = view->format ? view->format : "B";
+    if (*f == '@')
+        f++;
+    const char *why = NULL;
+    if ((view->itemsize != size_a && view->itemsize != size_b) || f[1] != '\0' ||
+        (f[0] != 'i' && f[0] != 'l' && f[0] != 'q'))
+        why = size_a == size_b ? "must be int64" : "must be int32 or int64";
+    else if (!PyBuffer_IsContiguous(view, 'C'))
+        why = "must be C-contiguous";
+    else if (writable && view->readonly)
+        why = "must be writable";
+    if (why) {
+        PyErr_Format(PyExc_ValueError, "%s %s", name, why);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    *n = view->len / view->itemsize;
+    return 0;
+}
+
+static int check_nargs(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", fn, want, nargs);
+    return -1;
 }
 
 /* --- quantization ------------------------------------------------------ */
@@ -104,19 +145,20 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
  * w*free/total, then the leftover slots go to the largest composite keys
  * (remainder << 16) + (m-1-i), i.e. largest remainder with ties to the lower
  * index.  The keys are distinct, so the winners are exactly the keys at or
- * above the one of rank m-leftover. */
-static int quantize(int64_t *scratch, int64_t m, int64_t *cum)
+ * above the one of rank m-leftover.  Returns NULL or the error message. */
+static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
 {
+    static const char bad_weights[] = "weights must be nonnegative with one positive";
     int64_t total = 0;
     for (int64_t i = 0; i < m; i++) {
         int64_t x = scratch[i];
         if (x < 0)
-            return KZ_BAD_WEIGHTS;
+            return bad_weights;
         if (x >= QUANT_TOTAL_LIMIT || (total += x) >= QUANT_TOTAL_LIMIT)
-            return KZ_TOTAL_TOO_LARGE;
+            return "weight total too large; rescale below 2^46";
     }
     if (total == 0)
-        return KZ_BAD_WEIGHTS;
+        return bad_weights;
 
     const int64_t free_slots = PROB_SCALE - m;
     int64_t *key = scratch, *sel = scratch + m, *base = cum + 1;
@@ -129,7 +171,7 @@ static int quantize(int64_t *scratch, int64_t m, int64_t *cum)
     }
     int64_t leftover = free_slots - assigned; /* in [0, m) for valid input */
     if (leftover < 0 || leftover >= m)
-        return KZ_BAD_WEIGHTS;
+        return bad_weights;
     if (leftover) {
         for (int64_t i = 0; i < m; i++)
             sel[i] = key[i] = (key[i] << 16) + (m - 1 - i);
@@ -140,72 +182,228 @@ static int quantize(int64_t *scratch, int64_t m, int64_t *cum)
     cum[0] = 0;
     for (int64_t i = 0; i < m; i++)
         cum[i + 1] = cum[i] + base[i] + 1;
-    return KZ_OK;
+    return NULL;
 }
 
-#define QUANTIZE_ENTRY(name, type)                                            \
-    int name(const type *weights, int64_t m, int64_t *cum)                    \
-    {                                                                         \
-        if (m < 2 || m > PROB_SCALE)                                          \
-            return KZ_BAD_SIZE;                                               \
-        int64_t *scratch = malloc(2 * (size_t)m * sizeof *scratch);           \
-        if (!scratch)                                                         \
-            return KZ_NO_MEMORY;                                              \
-        for (int64_t i = 0; i < m; i++)                                       \
-            scratch[i] = weights[i];                                          \
-        int rc = quantize(scratch, m, cum);                                   \
-        free(scratch);                                                        \
-        return rc;                                                            \
+/* quantize(weights, cum): weights int32 or int64 of length m in [2, 2^16];
+ * cum int64 of length m + 1, filled with the cumulative table. */
+static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("quantize", nargs, 2) < 0)
+        return NULL;
+    Py_buffer wv, cv;
+    Py_ssize_t m, n_cum;
+    if (get_ints(args[0], &wv, 4, 8, 0, "weights", &m) < 0)
+        return NULL;
+    if (get_ints(args[1], &cv, 8, 8, 1, "cum", &n_cum) < 0) {
+        PyBuffer_Release(&wv);
+        return NULL;
     }
+    PyObject *result = NULL;
+    int64_t *scratch = NULL;
+    if (m < 2 || m > PROB_SCALE) {
+        PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
+        goto done;
+    }
+    if (n_cum != m + 1) {
+        PyErr_SetString(PyExc_ValueError, "cum must hold one more entry than weights");
+        goto done;
+    }
+    scratch = PyMem_Malloc(2 * (size_t)m * sizeof *scratch);
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (wv.itemsize == 4)
+        for (Py_ssize_t i = 0; i < m; i++)
+            scratch[i] = ((const int32_t *)wv.buf)[i];
+    else
+        memcpy(scratch, wv.buf, (size_t)m * sizeof *scratch);
+    const char *error = quantize_scratch(scratch, m, cv.buf);
+    if (error)
+        PyErr_SetString(PyExc_ValueError, error);
+    else
+        result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(scratch);
+    PyBuffer_Release(&cv);
+    PyBuffer_Release(&wv);
+    return result;
+}
 
-QUANTIZE_ENTRY(kz_quantize_i64, int64_t)
-QUANTIZE_ENTRY(kz_quantize_i32, int32_t)
+/* locate(cum, target): the i with cum[i] <= target < cum[i+1], for a
+ * strictly increasing int64 cum and cum[0] <= target < cum[-1]. */
+static PyObject *kz_locate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("locate", nargs, 2) < 0)
+        return NULL;
+    long long target = PyLong_AsLongLong(args[1]);
+    if (target == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer cv;
+    Py_ssize_t n;
+    if (get_ints(args[0], &cv, 8, 8, 0, "cum", &n) < 0)
+        return NULL;
+    const int64_t *cum = cv.buf;
+    if (n < 2 || target < cum[0] || target >= cum[n - 1]) {
+        PyBuffer_Release(&cv);
+        PyErr_SetString(PyExc_ValueError, "locate needs cum[0] <= target < cum[-1]");
+        return NULL;
+    }
+    /* invariant: cum[lo] <= target < cum[hi] */
+    Py_ssize_t lo = 0, hi = n - 1;
+    while (hi - lo > 1) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (cum[mid] <= target)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    PyBuffer_Release(&cv);
+    return PyLong_FromSsize_t(lo);
+}
 
 /* --- neural predictor -------------------------------------------------- */
 
-/* Pointers into a NeuralPredictor's own arrays plus its constants; laid out
- * exactly as the ctypes Structure in kernel.py. */
+enum { EMB, B1, W2, B2, SOFTMAX, BUF, N_ARRAYS };
+
+/* One NeuralPredictor's arrays (held, so they outlive the predictor's own
+ * references) plus its constants and scratch. */
 typedef struct {
+    Py_buffer views[N_ARRAYS];
     int64_t *emb;           /* k x a x w */
     int64_t *b1;            /* w */
     int64_t *w2;            /* w x a */
     int64_t *b2;            /* a */
     const int64_t *softmax; /* softmax_len entries */
+    int64_t *buf;           /* the current forward pass: pre[w] | hidden[w] | weights[a] */
     int64_t softmax_len;
     int64_t k, a, w;
     int64_t lr, width_shift, clip;
+    int64_t *dlog;          /* scratch: a error-signal entries, then w hidden steps */
+    unsigned char *context; /* scratch: k + 1 bytes */
 } kz_net;
 
-/* recent packs the n retained context bytes little-endian (byte i is the
- * i-th oldest); it sits at embedding position k - n + i. */
-static int check_context(const kz_net *net, uint64_t recent, int64_t n)
+static const char NET_CAPSULE[] = "kolmozip._kernel.net";
+
+static void net_free(kz_net *net)
 {
-    if (n < 0 || n > net->k || n > 8)
-        return KZ_BAD_SIZE;
-    for (int64_t i = 0; i < n; i++)
-        if ((int64_t)((recent >> (8 * i)) & 0xFF) >= net->a)
-            return KZ_BAD_SIZE;
-    return KZ_OK;
+    for (int i = 0; i < N_ARRAYS; i++)
+        if (net->views[i].obj)
+            PyBuffer_Release(&net->views[i]);
+    PyMem_Free(net->dlog);
+    PyMem_Free(net->context);
+    PyMem_Free(net);
 }
 
-static inline int64_t *emb_row(const kz_net *net, uint64_t recent, int64_t n, int64_t i)
+static void net_capsule_free(PyObject *capsule)
 {
-    int64_t byte = (int64_t)((recent >> (8 * i)) & 0xFF);
-    return net->emb + ((net->k - n + i) * net->a + byte) * net->w;
+    net_free(PyCapsule_GetPointer(capsule, NET_CAPSULE));
 }
 
-/* out = pre[w] | hidden[w] | weights[a]: NeuralPredictor._forward */
-int kz_net_forward(const kz_net *net, uint64_t recent, int64_t n, int64_t *out)
+/* net(emb, b1, w2, b2, softmax, buf, lr, width_shift, clip) -> capsule */
+static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int rc = check_context(net, recent, n);
-    if (rc)
-        return rc;
+    (void)module;
+    static const char *names[N_ARRAYS] = {"emb", "b1", "w2", "b2", "softmax", "buf"};
+    if (check_nargs("net", nargs, N_ARRAYS + 3) < 0)
+        return NULL;
+    int64_t consts[3];
+    for (int i = 0; i < 3; i++) {
+        consts[i] = PyLong_AsLongLong(args[N_ARRAYS + i]);
+        if (consts[i] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    kz_net *net = PyMem_Calloc(1, sizeof *net);
+    if (!net)
+        return PyErr_NoMemory();
+    Py_ssize_t len[N_ARRAYS];
+    for (int i = 0; i < N_ARRAYS; i++) {
+        if (get_ints(args[i], &net->views[i], 8, 8, i != SOFTMAX, names[i], &len[i]) < 0) {
+            net_free(net);
+            return NULL;
+        }
+    }
+    net->emb = net->views[EMB].buf;
+    net->b1 = net->views[B1].buf;
+    net->w2 = net->views[W2].buf;
+    net->b2 = net->views[B2].buf;
+    net->softmax = net->views[SOFTMAX].buf;
+    net->buf = net->views[BUF].buf;
+    net->softmax_len = len[SOFTMAX];
+    net->a = len[B2];
+    net->w = len[B1];
+    net->k = net->a && net->w ? len[EMB] / (net->a * net->w) : 0;
+    net->lr = consts[0];
+    net->width_shift = consts[1];
+    net->clip = consts[2];
+    if (net->a < 1 || net->a > 256 || net->w < 1 || net->k < 1 ||
+        len[EMB] != net->k * net->a * net->w || len[W2] != net->w * net->a ||
+        len[BUF] != 2 * net->w + net->a || net->softmax_len < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "net arrays disagree: want emb k*a*w, b1 w, w2 w*a, b2 a (<= 256), "
+                        "buf 2*w + a and a nonempty softmax table");
+        net_free(net);
+        return NULL;
+    }
+    if (net->width_shift < 0 || net->width_shift > 31) {
+        PyErr_SetString(PyExc_ValueError, "width_shift must be in [0, 31]");
+        net_free(net);
+        return NULL;
+    }
+    net->dlog = PyMem_Malloc((size_t)(net->a + net->w) * sizeof *net->dlog);
+    net->context = PyMem_Malloc((size_t)net->k + 1);
+    if (!net->dlog || !net->context) {
+        net_free(net);
+        return PyErr_NoMemory();
+    }
+    PyObject *capsule = PyCapsule_New(net, NET_CAPSULE, net_capsule_free);
+    if (!capsule)
+        net_free(net);
+    return capsule;
+}
+
+/* The context bytes, oldest first: acquired from a bytes-like object and
+ * checked against the net (at most k bytes, each a symbol of the alphabet). */
+static int get_context(const kz_net *net, PyObject *obj, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
+        return -1;
+    const unsigned char *bytes = view->buf;
+    int ok = view->len <= net->k;
+    for (Py_ssize_t i = 0; ok && i < view->len; i++)
+        ok = bytes[i] < net->a;
+    if (!ok) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError,
+                        "context longer than the net's, or a byte outside its alphabet");
+        return -1;
+    }
+    return 0;
+}
+
+static kz_net *get_net(PyObject *capsule)
+{
+    return PyCapsule_GetPointer(capsule, NET_CAPSULE);
+}
+
+/* byte i of the n context bytes sits at embedding position k - n + i */
+static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int64_t n, int64_t i)
+{
+    return net->emb + ((net->k - n + i) * net->a + ctx[i]) * net->w;
+}
+
+/* buf = pre | hidden | weights for context ctx[0..n): NeuralPredictor._forward */
+static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
+{
     const int64_t w = net->w, a = net->a;
-    int64_t *pre = out, *hidden = out + w, *logits = out + 2 * w;
+    int64_t *pre = net->buf, *hidden = pre + w, *logits = pre + 2 * w;
 
     memcpy(pre, net->b1, (size_t)w * sizeof *pre);
     for (int64_t i = 0; i < n; i++) {
-        const int64_t *row = emb_row(net, recent, n, i);
+        const int64_t *row = emb_row(net, ctx, n, i);
         for (int64_t j = 0; j < w; j++)
             pre[j] += row[j];
     }
@@ -224,40 +422,75 @@ int kz_net_forward(const kz_net *net, uint64_t recent, int64_t n, int64_t *out)
         if (logits[s] > top)
             top = logits[s];
     }
-    const int64_t last = net->softmax_len - 1;
+    /* the gap is >= 0 unless the parameters were driven far past the clip;
+     * read as unsigned, any wrapped gap still lands inside the table */
+    const uint64_t last = (uint64_t)net->softmax_len - 1;
     for (int64_t s = 0; s < a; s++) {
-        int64_t gap = (top - logits[s]) >> 8; /* gap >= 0 */
+        uint64_t gap = (uint64_t)((top - logits[s]) >> 8);
         logits[s] = net->softmax[gap < last ? gap : last];
     }
-    return KZ_OK;
 }
 
-/* One NeuralPredictor.update: the gradient step on the forward pass held in
- * buf (the layout kz_net_forward writes, for context recent/n), then the
- * forward pass for the advanced context written back into buf, so the next
- * prediction needs no call of its own.  The predictor keeps its own copy of
- * the context; the rule here is the same: append the token, keep the last k. */
-int kz_net_step(const kz_net *net, uint64_t recent, int64_t n, int64_t token, int64_t *buf)
+/* net_forward(net, recent): the forward pass for context recent into buf */
+static PyObject *kz_net_forward(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int rc = check_context(net, recent, n);
-    if (rc)
-        return rc;
+    (void)module;
+    if (check_nargs("net_forward", nargs, 2) < 0)
+        return NULL;
+    kz_net *net = get_net(args[0]);
+    Py_buffer ctx;
+    if (!net || get_context(net, args[1], &ctx) < 0)
+        return NULL;
+    forward(net, ctx.buf, ctx.len);
+    PyBuffer_Release(&ctx);
+    Py_RETURN_NONE;
+}
+
+/* net_step(net, recent, token): one NeuralPredictor.update.  The gradient
+ * step on the forward pass held in buf (the one for context recent), then
+ * the forward pass for the advanced context written back into buf, so the
+ * next prediction needs no call of its own.  The predictor keeps its own
+ * copy of the context; the rule here is the same: append the token, keep
+ * the last k. */
+static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("net_step", nargs, 3) < 0)
+        return NULL;
+    kz_net *net = get_net(args[0]);
+    if (!net)
+        return NULL;
+    long long token = PyLong_AsLongLong(args[2]);
+    if (token == -1 && PyErr_Occurred())
+        return NULL;
+    if (token < 0 || token >= net->a) {
+        PyErr_Format(PyExc_ValueError, "token %lld outside the alphabet [0, %lld)", token,
+                     (long long)net->a);
+        return NULL;
+    }
+    Py_buffer ctx_view;
+    if (get_context(net, args[1], &ctx_view) < 0)
+        return NULL;
+    const unsigned char *ctx = ctx_view.buf;
+    const int64_t n = ctx_view.len;
     const int64_t w = net->w, a = net->a, lr = net->lr, clip = net->clip;
-    if (token < 0 || token >= a)
-        return KZ_BAD_SIZE;
-    const int64_t *pre = buf, *hidden = buf + w, *weights = buf + 2 * w;
+    const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
 
     int64_t total = 0;
     for (int64_t s = 0; s < a; s++) {
-        if (weights[s] < 0)
-            return KZ_BAD_WEIGHTS;
+        if (weights[s] < 0) {
+            total = 0;
+            break;
+        }
         total += weights[s];
     }
-    if (total == 0)
-        return KZ_BAD_WEIGHTS;
-    int64_t *dlog = malloc((size_t)(a + w) * sizeof *dlog), *dpre = dlog + a;
-    if (!dlog)
-        return KZ_NO_MEMORY;
+    if (total <= 0) {
+        PyBuffer_Release(&ctx_view);
+        PyErr_SetString(PyExc_ValueError, "corrupted forward pass: weights must be "
+                                          "nonnegative with one positive");
+        return NULL;
+    }
+    int64_t *dlog = net->dlog, *dpre = dlog + a;
     /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16 */
     for (int64_t s = 0; s < a; s++)
         dlog[s] = weights[s] * ONE / total;
@@ -288,17 +521,45 @@ int kz_net_step(const kz_net *net, uint64_t recent, int64_t n, int64_t token, in
     for (int64_t j = 0; j < w; j++)
         net->b1[j] = clamp(net->b1[j] - dpre[j], clip);
     for (int64_t i = 0; i < n; i++) {
-        int64_t *row = emb_row(net, recent, n, i);
+        int64_t *row = emb_row(net, ctx, n, i);
         for (int64_t j = 0; j < w; j++)
             row[j] = clamp(row[j] - dpre[j], clip);
     }
-    free(dlog);
 
-    if (n < net->k) {
-        recent |= (uint64_t)token << (8 * n);
-        n++;
-    } else {
-        recent = (recent >> 8) | (uint64_t)token << (8 * (n - 1));
-    }
-    return kz_net_forward(net, recent, n, buf);
+    /* the advanced context: recent + token, its last k bytes */
+    memcpy(net->context, ctx, (size_t)n);
+    net->context[n] = (unsigned char)token;
+    PyBuffer_Release(&ctx_view);
+    const int64_t drop = n < net->k ? 0 : 1;
+    forward(net, net->context + drop, n + 1 - drop);
+    Py_RETURN_NONE;
+}
+
+/* --- module ------------------------------------------------------------ */
+
+static PyMethodDef kz_methods[] = {
+    {"quantize", (PyCFunction)(void (*)(void))kz_quantize, METH_FASTCALL,
+     "quantize(weights, cum): fill cum with the quantized cumulative table"},
+    {"locate", (PyCFunction)(void (*)(void))kz_locate, METH_FASTCALL,
+     "locate(cum, target) -> the symbol whose interval holds target"},
+    {"net", (PyCFunction)(void (*)(void))kz_net_new, METH_FASTCALL,
+     "net(emb, b1, w2, b2, softmax, buf, lr, width_shift, clip) -> capsule"},
+    {"net_forward", (PyCFunction)(void (*)(void))kz_net_forward, METH_FASTCALL,
+     "net_forward(net, recent): the forward pass for context recent into buf"},
+    {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
+     "net_step(net, recent, token): update on token, then the next forward pass"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kz_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "kolmozip's integer step kernel",
+    .m_size = 0,
+    .m_methods = kz_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModuleDef_Init(&kz_module);
 }

@@ -29,6 +29,8 @@ MAX_ALPHABET = PROB_SCALE
 _RENORM = 1 << 24  # renormalize while range < 2^24
 _MASK32 = 0xFFFFFFFF
 _FLUSH_BYTES = 5  # tail bytes emitted by finish()
+# the weight dtypes the kernel's quantize reads as they are (int32, int64)
+_KERNEL_WEIGHTS = np.dtype(np.int32).char + np.dtype(np.int64).char
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,6 @@ class CumulativeTable:
         return np.diff(self.cum)
 
 
-_QUANTIZE_ERRORS = {
-    kernel.TOTAL_TOO_LARGE: "weight total too large; rescale below 2^46",
-    kernel.BAD_WEIGHTS: "weights must be nonnegative with one positive",
-    kernel.BAD_SIZE: f"alphabet size outside [2, {MAX_ALPHABET}]",
-}
-
-
 def quantize_weights(weights: np.ndarray) -> CumulativeTable:
     """Trusted fast path: int64 (or int32) weights straight to a cumulative table.
 
@@ -96,23 +91,13 @@ def quantize_weights(weights: np.ndarray) -> CumulativeTable:
     one is loaded and _quantize_numpy, its byte-identical reference,
     otherwise.
     """
-    lib = kernel.load()
-    if lib is None:
+    ext = kernel.load()
+    if ext is None:
         return _quantize_numpy(weights)
-    if weights.dtype == np.int32:
-        fn = lib.kz_quantize_i32
-    else:
-        fn = lib.kz_quantize_i64
-        if weights.dtype != np.int64:
-            weights = weights.astype(np.int64)
-    if not weights.flags.c_contiguous:
-        weights = np.ascontiguousarray(weights)
+    if weights.dtype.char not in _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
+        weights = np.ascontiguousarray(weights, dtype=np.int64)
     cum = np.empty(weights.size + 1, dtype=np.int64)
-    rc = fn(weights.ctypes.data, weights.size, cum.ctypes.data)
-    if rc:
-        if rc == kernel.NO_MEMORY:
-            raise MemoryError("quantize scratch")
-        raise ValueError(_QUANTIZE_ERRORS[rc])
+    ext.quantize(weights, cum)
     return CumulativeTable(cum, _trusted=True)
 
 
@@ -128,7 +113,7 @@ def _quantize_numpy(weights: np.ndarray) -> CumulativeTable:
     m = w.size
     total = int(w.sum())
     if total >= 1 << 46:  # keeps weight*free and remainder<<16 inside int64
-        raise ValueError(_QUANTIZE_ERRORS[kernel.TOTAL_TOO_LARGE])
+        raise ValueError("weight total too large; rescale below 2^46")
     free = PROB_SCALE - m  # one slot per symbol is reserved up front
     base, key = np.divmod(w * free, total)  # key <- remainders < 2^46
     leftover = free - int(base.sum())
@@ -232,6 +217,8 @@ class RangeDecoder:
         for _ in range(4):
             code = (code << 8) | self._next_byte()
         self.code = code
+        ext = kernel.load()
+        self._locate = _locate_numpy if ext is None else ext.locate
 
     def _next_byte(self) -> int:
         if self.cursor >= len(self.payload):
@@ -248,7 +235,7 @@ class RangeDecoder:
         target = (((self.code + 1) << PROB_BITS) - 1) // r
         if target >= PROB_SCALE:  # only reachable on corrupted payloads
             target = PROB_SCALE - 1
-        sym = int(np.searchsorted(cum, target, side="right")) - 1
+        sym = self._locate(cum, target)
         lo = (r * int(cum[sym])) >> PROB_BITS
         hi = (r * int(cum[sym + 1])) >> PROB_BITS
         self.code -= lo
@@ -257,6 +244,11 @@ class RangeDecoder:
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
             self.range_ <<= 8
         return sym
+
+
+def _locate_numpy(cum: np.ndarray, target: int) -> int:
+    """Reference for the kernel's locate: the symbol whose interval holds target."""
+    return int(np.searchsorted(cum, target, side="right")) - 1
 
 
 # --- exact rational interval arithmetic ---------------------------------

@@ -1,19 +1,21 @@
-"""Build and load the C step kernel (``_kernel.c``) through ctypes.
+"""Build and load the C step kernel (``_kernel.c``), a CPython extension.
 
 The kernel mirrors, byte for byte, the numpy code of the per-byte step:
-``coder.quantize_weights`` and ``NeuralPredictor``'s forward pass and update.
-The numpy code stays the reference, and it runs whenever ``load()`` returns
-None.  There is no extension build step: the first ``load()`` in a process
-compiles the source with the system ``cc`` into a per-user cache
-(``$XDG_CACHE_HOME/kolmozip``, else ``~/.cache/kolmozip``), under a name
-keyed by the hash of the source, flags and platform, and later calls and
-processes reuse that file.
+``coder.quantize_weights``, ``RangeDecoder``'s symbol search and
+``NeuralPredictor``'s forward pass and update.  The numpy code stays the
+reference, and it runs whenever ``load()`` returns None.  There is no
+extension build step: the first ``load()`` in a process compiles the source
+with the system ``cc`` against the interpreter's headers into a per-user
+cache (``$XDG_CACHE_HOME/kolmozip``, else ``~/.cache/kolmozip``), under a
+name keyed by the hash of the source, flags, include directory, extension
+suffix and platform, and later calls and processes reuse that file.
 
 - No ``cc`` on PATH: ``load()`` returns None without a word.
-- A compiler that fails, or a cache that cannot be written or loaded: one
-  RuntimeWarning naming the error, then None.
+- A compiler that fails (for instance without the Python headers), or a
+  cache that cannot be written or loaded: one RuntimeWarning naming the
+  error, then None.
 
-The library is compiled to a temporary file in the cache directory and
+The module is compiled to a temporary file in the cache directory and
 published with ``os.replace``, so concurrent processes (CLI invocations,
 pool workers, fresh interpreters) never load a half-written file.  Nothing
 is ever written next to the source.
@@ -22,56 +24,26 @@ is ever written next to the source.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # -fwrapv: signed overflow wraps exactly like numpy's int64 arithmetic
 _FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv")
 _BUILD_TIMEOUT_S = 120
-
-# nonzero return codes shared with _kernel.c
-TOTAL_TOO_LARGE = 1
-BAD_WEIGHTS = 2
-BAD_SIZE = 3
-NO_MEMORY = 4
-
-
-class Net(ctypes.Structure):
-    """Mirror of ``kz_net``: pointers into a NeuralPredictor's arrays plus its constants."""
-
-    _fields_ = [
-        ("emb", ctypes.c_void_p),
-        ("b1", ctypes.c_void_p),
-        ("w2", ctypes.c_void_p),
-        ("b2", ctypes.c_void_p),
-        ("softmax", ctypes.c_void_p),
-        ("softmax_len", ctypes.c_int64),
-        ("k", ctypes.c_int64),
-        ("a", ctypes.c_int64),
-        ("w", ctypes.c_int64),
-        ("lr", ctypes.c_int64),
-        ("width_shift", ctypes.c_int64),
-        ("clip", ctypes.c_int64),
-    ]
-
-
-_PTR, _I64, _U64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-_SIGNATURES = {
-    "kz_quantize_i64": (_PTR, _I64, _PTR),
-    "kz_quantize_i32": (_PTR, _I64, _PTR),
-    "kz_net_forward": (_PTR, _U64, _I64, _PTR),
-    "kz_net_step": (_PTR, _U64, _I64, _I64, _PTR),
-}
+_MODULE = "kolmozip._kernel"  # PyInit__kernel in the source
 
 
 def _cache_dir() -> Path:
@@ -85,15 +57,21 @@ def _find_compiler() -> str | None:
     return shutil.which("cc")
 
 
+def _include_dirs() -> tuple[str, ...]:
+    paths = sysconfig.get_paths()
+    return tuple(dict.fromkeys((paths["include"], paths["platinclude"])))
+
+
 def _compile(compiler: str, source: bytes, target: Path) -> None:
     """Compile source to target via a temporary file in the same directory."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=target.suffix)
     os.close(fd)
     try:
         # the source goes in on stdin, so what is compiled is what was hashed
+        includes = [f"-I{path}" for path in _include_dirs()]
         done = subprocess.run(
-            [compiler, *_FLAGS, "-x", "c", "-", "-o", tmp],
+            [compiler, *_FLAGS, *includes, "-x", "c", "-", "-o", tmp],
             input=source,
             capture_output=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -108,32 +86,30 @@ def _compile(compiler: str, source: bytes, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _bind(path: Path) -> ctypes.CDLL:
-    lib = ctypes.CDLL(str(path))
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
-    return lib
+def _import(path: Path) -> ModuleType:
+    # loaded straight from the cache file, never entered in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
 
 
-def build_and_load() -> ctypes.CDLL | None:
+def build_and_load() -> ModuleType | None:
     """Compile (unless cached) and load the kernel; None if that is not possible."""
     compiler = _find_compiler()
     if compiler is None:
         return None
     try:
         source = SOURCE.read_bytes()
-        key = hashlib.sha256(
-            b"\0".join(
-                (source, " ".join(_FLAGS).encode(), sys.platform.encode(), platform.machine().encode())
-            )
-        ).hexdigest()[:20]
-        target = _cache_dir() / f"kernel-{key}.so"
+        suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+        build = (" ".join(_FLAGS), *_include_dirs(), suffix, sys.platform, platform.machine())
+        key = hashlib.sha256(b"\0".join((source, *(s.encode() for s in build)))).hexdigest()[:20]
+        target = _cache_dir() / f"kernel-{key}{suffix}"
         if not target.is_file():
             _compile(compiler, source, target)
-        return _bind(target)
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        return _import(target)
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
         warnings.warn(
             f"kolmozip: C step kernel unavailable ({exc}); using the numpy reference path",
             RuntimeWarning,
@@ -143,6 +119,6 @@ def build_and_load() -> ctypes.CDLL | None:
 
 
 @functools.cache
-def load() -> ctypes.CDLL | None:
-    """The process's kernel library, built on first use, or None."""
+def load() -> ModuleType | None:
+    """The process's kernel module, built on first use, or None."""
     return build_and_load()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +32,30 @@ from .coder import (
     RangeEncoder,
     quantize_weights,
 )
-from .errors import FormatError
+from .errors import FormatError, SettingError
 from .predictors import PredictorConfig, make_predictor
 
 MAGIC = b"KZV1"
 VERSION = 1
 MAX_INPUT = 1 << 48
+
+
+def _max_tokens(payload_len: int) -> int:
+    """The most tokens a payload of payload_len bytes can decode to.
+
+    Every table has 256 symbols, each at least one slot wide, so no symbol
+    is wider than w = 2^16 - 255.  Coding a symbol takes the range r from
+    (r*hi >> 16) - (r*lo >> 16) < r*w/2^16 + 1, and r >= 2^24 before every
+    symbol, so each symbol shrinks the range by a factor below
+    f = (256 w + 1)/2^24 = 1 - 65279/2^24.  The range starts below 2^32,
+    ends at or above 2^24, and grows 2^8 with each renormalisation byte;
+    a valid payload holds payload_len - 5 of those, the other 5 being the
+    coder's flush.  Hence d * log2(1/f) < 8 + 8 (payload_len - 5), and as
+    log2(1/f) > (65279/2^24) log2(e) > (65279/2^24) * 1.4426,
+    d < 8 (payload_len - 4) 2^24 / (65279 * 1.4426): about 1425 tokens per
+    byte.
+    """
+    return max(payload_len - 4, 0) * (8 << 24) * 10_000 // (65279 * 14426)
 
 
 @dataclass(frozen=True)
@@ -252,6 +269,8 @@ def deserialize(blob: bytes) -> CompressedArtifact:
         raise FormatError("truncated payload")
     if pos + payload_len < len(blob):
         raise FormatError("trailing bytes after payload")
+    if d >= MAX_INPUT or d > _max_tokens(payload_len):
+        raise FormatError(f"token count {d} is more than a {payload_len}-byte payload can carry")
     return CompressedArtifact(config, d, context_length, blob[pos : pos + payload_len])
 
 
@@ -273,13 +292,21 @@ def _ladder_entry(args: tuple[bytes, PredictorConfig]) -> dict:
 def scaling_ladder(data: bytes, configs: list[PredictorConfig]) -> list[dict]:
     """Compress one corpus under each config; report in config order.
 
-    KOLMOZIP_THREADS caps worker processes; richer models of the same
-    family are expected (not enforced) to appear later in the list.
+    KOLMOZIP_THREADS (an integer; unset or empty means one per CPU) caps
+    worker processes; richer models of the same family are expected (not
+    enforced) to appear later in the list.
     """
     jobs = [(data, cfg) for cfg in configs]
-    limit = int(os.environ.get("KOLMOZIP_THREADS", os.cpu_count() or 1))
+    threads = os.environ.get("KOLMOZIP_THREADS") or os.cpu_count() or 1
+    try:
+        limit = int(threads)
+    except ValueError:
+        raise SettingError(f"KOLMOZIP_THREADS must be an integer, not {threads!r}") from None
     workers = max(1, min(limit, len(configs)))
     if workers == 1:
         return [_ladder_entry(job) for job in jobs]
+    # imported here: the pool pulls in multiprocessing, which nothing else needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_ladder_entry, jobs))

@@ -22,7 +22,6 @@ on each class.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import math
 import struct
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .rng import Lcg64, mix64
+from .rng import INCREMENT, MULTIPLIER, Lcg64, mix64
 
 KIND_UNIFORM = "uniform"
 KIND_FREQ = "freq"
@@ -45,6 +44,7 @@ _WEIGHT_CLIP = 8 * ONE  # saturate parameters to [-8.0, 8.0]
 
 
 ALPHABET = 256  # every predictor codes bytes
+_MASK64 = (1 << 64) - 1
 _COUNT_LIMIT = 1 << 16  # halve a context when any count reaches this
 _MAX_LEARNING_RATE = 1 << 20  # 16.0; keeps lr * grad inside int64
 
@@ -283,9 +283,7 @@ class NeuralPredictor:
 
     is_static = False
     # rebuilt by __setstate__: the kernel binding and the forward pass
-    _DERIVED_FIELDS = (
-        "_kernel", "_net", "_net_arrays", "_net_addr", "_buf_addr", "_pre", "_hidden", "_weights"
-    )
+    _DERIVED_FIELDS = ("_kernel", "_net", "_pre", "_hidden", "_weights")
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
@@ -309,42 +307,52 @@ class NeuralPredictor:
 
     @staticmethod
     def _draw(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
-        n = int(np.prod(shape))
-        flat = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            u = (stream.next_u64() >> 48) - 32768  # uniform in [-32768, 32767]
-            flat[i] = (u * scale) // 32768 if u >= 0 else -((-u * scale) // 32768)
-        return flat.reshape(shape)
+        """One LCG draw per parameter, row-major, scaled sign-symmetrically.
+
+        The states the draws read are computed in blocks by jump-ahead:
+        n steps of x -> a*x + c are x -> A*x + C with (A, C) squared per
+        doubling of n, and uint64 arithmetic wraps mod 2^64 as the LCG does.
+        The stream is left where one next_u64() per parameter leaves it.
+        """
+        n = math.prod(shape)
+        states = np.empty(n, dtype=np.uint64)
+        states[0] = stream.next_u64()
+        jump_mul, jump_add = MULTIPLIER, INCREMENT  # a jump of `done` steps
+        done = 1
+        while done < n:
+            block = states[done : 2 * done]
+            np.multiply(states[: len(block)], np.uint64(jump_mul), out=block)
+            block += np.uint64(jump_add)
+            jump_mul, jump_add = jump_mul * jump_mul & _MASK64, (jump_mul + 1) * jump_add & _MASK64
+            done += len(block)
+        stream.state = int(states[-1])
+        u = (states >> np.uint64(48)).astype(np.int64) - 32768  # uniform in [-32768, 32767]
+        mag = np.abs(u) * scale // 32768
+        return np.where(u < 0, -mag, mag).reshape(shape)
 
     def _bind_kernel(self) -> None:
-        """Point the C kernel, when one loads, at this instance's arrays.
+        """Hand the C kernel, when one loads, this instance's arrays.
 
         The kernel works in place on emb, b1, w2 and b2, which are therefore
         never rebound, and keeps the current forward pass (pre | hidden |
         weights) in one buffer of its own, which _pre, _hidden and _weights
-        view.
+        view.  The net capsule holds references to all of them.
         """
         self._kernel = kernel.load()
         if self._kernel is None:
             return
-        self._net = kernel.Net(
-            self.emb.ctypes.data,
-            self.b1.ctypes.data,
-            self.w2.ctypes.data,
-            self.b2.ctypes.data,
-            _SOFTMAX_TABLE.ctypes.data,
-            len(_SOFTMAX_TABLE),
-            self.k,
-            ALPHABET,
-            self.w,
+        buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
+        self._net = self._kernel.net(
+            self.emb,
+            self.b1,
+            self.w2,
+            self.b2,
+            _SOFTMAX_TABLE,
+            buf,
             self.lr,
             self._width_shift,
             _WEIGHT_CLIP,
         )
-        self._net_arrays = (self.emb, self.b1, self.w2, self.b2)  # alive as long as _net
-        self._net_addr = ctypes.addressof(self._net)
-        buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
-        self._buf_addr = buf.ctypes.data
         self._pre, self._hidden, self._weights = buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :]
 
     def __getstate__(self) -> dict:
@@ -361,12 +369,8 @@ class NeuralPredictor:
         """Compute the forward pass for the current context."""
         if self._kernel is None:
             self._pre, self._hidden, self._weights = self._forward_numpy()
-            return
-        self._check(
-            self._kernel.kz_net_forward(
-                self._net_addr, int.from_bytes(self._recent, "little"), len(self._recent), self._buf_addr
-            )
-        )
+        else:
+            self._kernel.net_forward(self._net, self._recent)
 
     def _forward_numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         recent = self._recent
@@ -409,30 +413,13 @@ class NeuralPredictor:
         if self._kernel is None:
             self._update_numpy(token)
         else:  # the step also leaves the next position's forward pass in the buffer
-            self._check(
-                self._kernel.kz_net_step(
-                    self._net_addr,
-                    int.from_bytes(self._recent, "little"),
-                    len(self._recent),
-                    token,
-                    self._buf_addr,
-                )
-            )
+            self._kernel.net_step(self._net, self._recent, token)
         self._recent.append(token)
         if len(self._recent) > self.k:
             del self._recent[0]
         self.token_position += 1
         if self._kernel is None:
             self._forward()
-
-    def _check(self, rc: int) -> None:
-        if rc == kernel.NO_MEMORY:
-            raise MemoryError("neural step scratch")
-        if rc:
-            raise ValueError(
-                f"neural step rejected its input (code {rc}): a token or context byte "
-                f"outside 0..{ALPHABET - 1}, or a corrupted forward pass"
-            )
 
     def _update_numpy(self, token: int) -> None:
         dlog = self._error_signal(token)

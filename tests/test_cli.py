@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kolmozip
 from kolmozip.cli import main
 from kolmozip.pipeline import CompressedArtifact, deserialize, serialize
 from kolmozip.rng import Lcg64
@@ -160,6 +164,24 @@ def test_ladder_reports_in_config_order(tmp_path, sample, capsys):
     assert code == 0
     assert [r["config"] for r in records] == ["uniform", "freq:0", "freq:1"]
     assert abs(records[0]["bpb"] - 8.0) < 0.1
+
+
+def test_ladder_with_a_malformed_thread_count_exits_2(sample, capsys, monkeypatch):
+    monkeypatch.setenv("KOLMOZIP_THREADS", "two")
+    code, records, err = run(capsys, "ladder", str(sample), "--models", "freq:0,freq:1")
+    assert code == 2 and records == []
+    assert err.count("\n") == 1 and "KOLMOZIP_THREADS" in err and "'two'" in err
+
+
+def test_cli_import_loads_neither_the_kernel_nor_a_process_pool():
+    code = (
+        "import sys, kolmozip.cli; from kolmozip import kernel; "
+        "assert kernel.load.cache_info().currsize == 0, 'kernel loaded'; "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kolmozip.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_ladder_splits_neural_specs_despite_inner_comma(tmp_path, sample, capsys):

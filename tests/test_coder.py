@@ -37,9 +37,23 @@ from kolmozip.rng import Lcg64
 
 
 def oracle_largest_remainder(weights) -> list[int]:
-    """Exact-rational apportionment of 2^16: floor 1 each, largest remainder,
-    ties to the lower index.  Kept deliberately naive and separate from the
-    production path."""
+    """Exact apportionment of 2^16: floor 1 each, largest remainder, ties to
+    the lower index.  Kept deliberately naive and separate from the
+    production path.  Every quota w*free/total shares the denominator
+    total, so its floor and fractional part are the integer divmod."""
+    m = len(weights)
+    total = sum(weights)
+    free = PROB_SCALE - m
+    floors, remainders = zip(*(divmod(w * free, total) for w in weights))
+    widths = [f + 1 for f in floors]
+    ranked = sorted(range(m), key=lambda i: (-remainders[i], i))
+    for i in ranked[: free - sum(floors)]:
+        widths[i] += 1
+    return widths
+
+
+def oracle_largest_remainder_fractions(weights) -> list[int]:
+    """The same apportionment on exact rationals, as first written."""
     m = len(weights)
     total = sum(weights)
     free = PROB_SCALE - m
@@ -127,6 +141,16 @@ def test_quantize_matches_oracle(weights):
     assert list(_quantize_numpy(np.array(weights, dtype=np.int64)).widths()) == want
     assert sum(got) == PROB_SCALE
     assert min(got) >= 1
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=1 << 40), min_size=2, max_size=300).filter(
+        lambda w: sum(w) > 0
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_oracle_matches_the_rational_one(weights):
+    assert oracle_largest_remainder(weights) == oracle_largest_remainder_fractions(weights)
 
 
 def test_quantize_scale_invariant():

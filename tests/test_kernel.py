@@ -1,26 +1,29 @@
 """The C step kernel against its numpy reference, and the kernel build.
 
 Every kernel function must reproduce the numpy path it replaces bit for
-bit: the same cumulative tables, the same neural weights after every step,
-the same artifacts.  The build must be safe to run concurrently and must
+bit: the same cumulative tables, the same decoded symbols, the same neural
+weights after every step, the same artifacts.  It must reject arrays it
+cannot read safely.  The build must be safe to run concurrently and must
 degrade to the numpy path when no compiler is there or the compiler fails.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kolmozip import kernel
-from kolmozip.coder import PROB_SCALE, _quantize_numpy, quantize_weights
+from kolmozip.coder import PROB_SCALE, _locate_numpy, _quantize_numpy, quantize_weights
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
 from kolmozip.predictors import NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
@@ -74,9 +77,56 @@ def test_quantize_kernel_rejects_what_would_break_its_buffers():
         quantize_weights(np.array([3, -1, 2], dtype=np.int64))
     with pytest.raises(ValueError):
         quantize_weights(np.zeros(4, dtype=np.int64))
-    # a strided view is copied before its address is handed over
+    # a strided view is copied before it is handed over
     strided = np.arange(1, 21, dtype=np.int64)[::2]
     assert np.array_equal(quantize_weights(strided).cum, _quantize_numpy(strided).cum)
+
+
+@needs_kernel
+def test_kernel_checks_the_arrays_it_is_given():
+    ext = kernel.load()
+    row = np.arange(1, 257, dtype=np.int64)
+    cum = np.empty(257, dtype=np.int64)
+    read_only = cum.copy()
+    read_only.flags.writeable = False
+    bad_calls = [
+        (ext.quantize, row, np.empty(256, dtype=np.int64)),  # cum too short
+        (ext.quantize, row, np.empty(257, dtype=np.int32)),  # cum of the wrong dtype
+        (ext.quantize, row, read_only),
+        (ext.quantize, row, np.empty(514, dtype=np.int64)[::2]),  # strided cum
+        (ext.quantize, row[::2], np.empty(129, dtype=np.int64)),  # strided weights
+        (ext.quantize, row.astype(np.uint64), cum),
+        (ext.quantize, row.astype(np.int16), cum),
+        (ext.quantize, row.astype(np.float64), cum),
+        (ext.locate, quantize_weights(row).cum.astype(np.int32), 5),
+        (ext.locate, np.zeros(1, dtype=np.int64), 0),  # no symbol at all
+        (ext.locate, quantize_weights(row).cum, PROB_SCALE),  # target past the table
+        (ext.locate, quantize_weights(row).cum, -1),
+    ]
+    for fn, *args in bad_calls:
+        with pytest.raises(ValueError):
+            fn(*args)
+    ext.quantize(row, cum)
+    assert np.array_equal(cum, _quantize_numpy(row).cum)
+
+
+# --- symbol search ----------------------------------------------------------------
+
+
+@needs_kernel
+def test_locate_matches_searchsorted():
+    locate = kernel.load().locate
+    rng = Lcg64(11)
+    for m in (2, 3, 256, 4096, PROB_SCALE):
+        for _ in range(5):
+            cum = quantize_weights(np.array([1 + rng.below(9) ** rng.below(8) for _ in range(m)])).cum
+            # symbol boundaries and their left neighbours (a sample of them
+            # for wide tables), random targets, and the target a corrupted
+            # payload is clamped to (2^16 - 1)
+            edges = np.concatenate([cum[:-1], cum[1:-1] - 1])[:: 1 + m // 1000]
+            targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200)), PROB_SCALE - 1]
+            for t in targets:
+                assert locate(cum, t) == _locate_numpy(cum, t), (m, t)
 
 
 # --- neural step ---------------------------------------------------------------
@@ -128,7 +178,30 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet():
     for bad in (256, -1):
         with pytest.raises(ValueError):
             p.update(bad)
+    with pytest.raises(ValueError):  # a context longer than the net's
+        p._kernel.net_step(p._net, b"abc", 1)
+    with pytest.raises(ValueError):
+        p._kernel.net_forward(p._net, b"abc")
     assert p.digest() == before
+
+
+@needs_kernel
+def test_net_capsule_keeps_its_arrays_alive(monkeypatch):
+    config = PredictorConfig("neural", context=2, width=8, seed=5)
+    p = NeuralPredictor(config)
+    ext, net = p._kernel, p._net
+    held = [weakref.ref(a) for a in (p.emb, p.b1, p.w2, p.b2, p._weights.base)]
+    del p
+    gc.collect()
+    assert all(r() is not None for r in held)
+    ext.net_step(net, bytearray(), 9)  # steps arrays only the capsule still holds
+    twin = _numpy_twin(config, monkeypatch)
+    twin.update(9)
+    want = (twin.emb, twin.b1, twin.w2, twin.b2, np.concatenate([twin._pre, twin._hidden, twin._weights]))
+    assert all(np.array_equal(r(), w) for r, w in zip(held, want))
+    del net
+    gc.collect()
+    assert all(r() is None for r in held)  # released with the capsule
 
 
 # --- whole artifacts -------------------------------------------------------------

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kolmozip import pipeline
 from kolmozip.coder import PROB_SCALE
 from kolmozip.errors import FormatError, TruncatedStreamError
 from kolmozip.pipeline import (
+    MAX_INPUT,
     CompressedArtifact,
+    _max_tokens,
     compress,
     compress_conditional,
     decompress,
@@ -184,6 +187,33 @@ def test_payload_bytes_left_over_or_missing_are_rejected(config):
     clipped = CompressedArtifact(config, artifact.d, 0, artifact.payload[:-1])
     with pytest.raises(TruncatedStreamError):
         decompress(clipped)
+
+
+def test_forged_token_count_is_rejected_before_decoding(monkeypatch):
+    artifact, _ = compress(b"abc", FREQ0)
+
+    def forged(d: int) -> bytes:
+        return serialize(CompressedArtifact(FREQ0, d, 0, artifact.payload))
+
+    limit = _max_tokens(len(artifact.payload))
+    assert deserialize(forged(limit)).d == limit
+    for d in (limit + 1, MAX_INPUT, (1 << 63) - 1):
+        with pytest.raises(FormatError, match="token count"):
+            deserialize(forged(d))
+    # the 48-bit counter bounds d even where the payload would allow more
+    monkeypatch.setattr(pipeline, "_max_tokens", lambda n: 1 << 62)
+    assert deserialize(forged(MAX_INPUT - 1)).d == MAX_INPUT - 1
+    with pytest.raises(FormatError, match="token count"):
+        deserialize(forged(MAX_INPUT))
+
+
+def test_long_constant_stream_round_trips_under_the_token_bound():
+    # the cheapest bytes freq:0 codes: within a small factor of the bound
+    data = b"\x07" * (1 << 17)
+    artifact, _ = compress(data, FREQ0)
+    limit = _max_tokens(len(artifact.payload))
+    assert limit // 6 < len(data) <= limit
+    assert decompress(deserialize(serialize(artifact))) == data
 
 
 def test_header_size_independent_of_parameter_count():

@@ -7,6 +7,7 @@ compared with the implementation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,32 @@ def test_neural_predict_then_update_matches_plain_update():
         a.update(tok)
         b.update(tok)  # decoder already called predict internally; same math
     assert a.digest() == b.digest()
+
+
+def draw_scalar(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
+    """Oracle for NeuralPredictor._draw: one LCG call per parameter."""
+    n = math.prod(shape)
+    flat = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        u = (stream.next_u64() >> 48) - 32768  # uniform in [-32768, 32767]
+        flat[i] = (u * scale) // 32768 if u >= 0 else -((-u * scale) // 32768)
+    return flat.reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "shape, scale",
+    [
+        ((1, 256, 8), 32768),  # neural:1,8 embeddings
+        ((8, 256, 256), 11586),  # neural:8,256 embeddings
+        ((256, 256), 2048),  # neural:*,256 output layer
+    ],
+)
+def test_block_draw_matches_the_scalar_loop(shape, scale):
+    for seed in (0, 7, (1 << 64) - 1):
+        fast, slow = Lcg64(seed), Lcg64(seed)
+        assert np.array_equal(NeuralPredictor._draw(fast, shape, scale), draw_scalar(slow, shape, scale))
+        assert fast.state == slow.state  # the next draw (w2 after emb) is unchanged
+        assert fast.next_u64() == slow.next_u64()
 
 
 def test_neural_seed_changes_init():
