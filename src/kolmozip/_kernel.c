@@ -1,7 +1,7 @@
 /*
- * Integer step kernel: a CPython extension mirroring the per-byte numpy paths.
+ * Integer step kernel: a CPython extension, twin of _kernel_numpy.py.
  *
- *   quantize(weights, cum)           coder.quantize_weights (_quantize_numpy)
+ *   quantize(weights, cum)           coder.quantize_weights
  *   net(...) -> capsule              one NeuralPredictor's arrays and constants
  *   net_forward(net, recent)         NeuralPredictor's forward pass
  *   net_step(net, recent, token)     NeuralPredictor's update, then the next
@@ -9,9 +9,9 @@
  *   locate(cum, target)              RangeDecoder's symbol search
  *                                    (np.searchsorted(cum, target, "right") - 1)
  *
- * Every function reproduces its numpy reference bit for bit; the numpy code
- * stays in the package as the reference and as the path taken when this file
- * cannot be compiled.  Rules that keep the two identical:
+ * Every function reproduces its twin bit for bit.  kernel.load() never returns
+ * None: it returns this module, or the twin (the reference the tests hold this
+ * one to) when this file cannot be compiled.  Rules that keep the two identical:
  *
  *   - all state arithmetic is on int64; the loader compiles with -fwrapv, so
  *     an overflow wraps exactly as numpy's fixed-width integers do;
@@ -141,7 +141,7 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
 }
 
 /* scratch[0..m) holds the weights on entry; scratch has room for 2m values.
- * Mirrors coder._quantize_numpy: one slot per symbol up front, floors of
+ * Mirrors _kernel_numpy.quantize: one slot per symbol up front, floors of
  * w*free/total, then the leftover slots go to the largest composite keys
  * (remainder << 16) + (m-1-i), i.e. largest remainder with ties to the lower
  * index.  The keys are distinct, so the winners are exactly the keys at or
@@ -395,7 +395,7 @@ static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int6
     return net->emb + ((net->k - n + i) * net->a + ctx[i]) * net->w;
 }
 
-/* buf = pre | hidden | weights for context ctx[0..n): NeuralPredictor._forward */
+/* buf = pre | hidden | weights for context ctx[0..n): _kernel_numpy._forward */
 static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
 {
     const int64_t w = net->w, a = net->a;
@@ -422,12 +422,12 @@ static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
         if (logits[s] > top)
             top = logits[s];
     }
-    /* the gap is >= 0 unless the parameters were driven far past the clip;
-     * read as unsigned, any wrapped gap still lands inside the table */
-    const uint64_t last = (uint64_t)net->softmax_len - 1;
+    /* the gap is >= 0 unless parameters driven far past the clip wrapped it;
+     * outside the table it reads the nearer end, as take(mode="clip") does */
+    const int64_t last = net->softmax_len - 1;
     for (int64_t s = 0; s < a; s++) {
-        uint64_t gap = (uint64_t)((top - logits[s]) >> 8);
-        logits[s] = net->softmax[gap < last ? gap : last];
+        int64_t gap = floor_shift(top - logits[s], 8);
+        logits[s] = net->softmax[gap < 0 ? 0 : (gap < last ? gap : last)];
     }
 }
 

@@ -59,77 +59,22 @@ class Distribution:
         return len(self.weights)
 
 
-class CumulativeTable:
-    """Strictly increasing cumulative bounds cum[0]=0 .. cum[m]=2^16."""
-
-    __slots__ = ("cum",)
-
-    def __init__(self, cum: np.ndarray, _trusted: bool = False) -> None:
-        if not _trusted:  # trusted callers hand over a fresh int64 array
-            cum = np.asarray(cum, dtype=np.int64)
-            if cum[0] != 0 or cum[-1] != PROB_SCALE:
-                raise ValueError("cumulative table must span [0, 2^16]")
-            if (np.diff(cum) <= 0).any():
-                raise ValueError("every symbol needs a nonzero width")
-        self.cum = cum
-
-    def __len__(self) -> int:
-        return len(self.cum) - 1
-
-    def width(self, sym: int) -> int:
-        return int(self.cum[sym + 1] - self.cum[sym])
-
-    def widths(self) -> np.ndarray:
-        return np.diff(self.cum)
-
-
-def quantize_weights(weights: np.ndarray) -> CumulativeTable:
+def quantize_weights(weights: np.ndarray) -> np.ndarray:
     """Trusted fast path: int64 (or int32) weights straight to a cumulative table.
 
-    Callers guarantee shape/positivity (predictors do by construction);
-    use quantize_distribution for validated input.  Runs the C kernel when
-    one is loaded and _quantize_numpy, its byte-identical reference,
-    otherwise.
+    A table is the int64 array cum, strictly increasing from cum[0] = 0 to
+    cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  Callers
+    guarantee shape/positivity (predictors do by construction); use
+    quantize_distribution for validated input.
     """
-    ext = kernel.load()
-    if ext is None:
-        return _quantize_numpy(weights)
     if weights.dtype.char not in _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
         weights = np.ascontiguousarray(weights, dtype=np.int64)
     cum = np.empty(weights.size + 1, dtype=np.int64)
-    ext.quantize(weights, cum)
-    return CumulativeTable(cum, _trusted=True)
+    kernel.load().quantize(weights, cum)
+    return cum
 
 
-def _quantize_numpy(weights: np.ndarray) -> CumulativeTable:
-    """Reference for quantize_weights, in numpy.
-
-    The largest-remainder winners are picked with argpartition on the
-    composite key (remainder << 16) + (m-1-index): keys are all distinct,
-    so the selected SET is unique — equal remainders resolve to the lower
-    symbol index — even though argpartition itself imposes no order.
-    """
-    w = weights if weights.dtype == np.int64 else weights.astype(np.int64)
-    m = w.size
-    total = int(w.sum())
-    if total >= 1 << 46:  # keeps weight*free and remainder<<16 inside int64
-        raise ValueError("weight total too large; rescale below 2^46")
-    free = PROB_SCALE - m  # one slot per symbol is reserved up front
-    base, key = np.divmod(w * free, total)  # key <- remainders < 2^46
-    leftover = free - int(base.sum())
-    if leftover:
-        key <<= 16
-        key += np.arange(m - 1, -1, -1, dtype=np.int64)
-        top = np.argpartition(key, m - leftover)[m - leftover :]
-        base[top] += 1
-    base += 1
-    cum = np.empty(m + 1, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(base, out=cum[1:])
-    return CumulativeTable(cum, _trusted=True)
-
-
-def quantize_distribution(dist: Distribution) -> CumulativeTable:
+def quantize_distribution(dist: Distribution) -> np.ndarray:
     """Apportion 2^16 across symbols: floor of 1 each, then largest remainder.
 
     Remainder ties go to the lower symbol index.  Pure integer arithmetic,
@@ -158,10 +103,9 @@ class RangeEncoder:
         self._pending = 1  # phantom leading byte
         self._finished = False
 
-    def encode_symbol(self, table: CumulativeTable, sym: int) -> None:
+    def encode_symbol(self, cum: np.ndarray, sym: int) -> None:
         if self._finished:
             raise ValueError("encoder already finished")
-        cum = table.cum
         r = self.range_
         lo = (r * int(cum[sym])) >> PROB_BITS
         hi = (r * int(cum[sym + 1])) >> PROB_BITS
@@ -217,8 +161,7 @@ class RangeDecoder:
         for _ in range(4):
             code = (code << 8) | self._next_byte()
         self.code = code
-        ext = kernel.load()
-        self._locate = _locate_numpy if ext is None else ext.locate
+        self._locate = kernel.load().locate
 
     def _next_byte(self) -> int:
         if self.cursor >= len(self.payload):
@@ -229,8 +172,7 @@ class RangeDecoder:
         self.cursor += 1
         return b
 
-    def decode_symbol(self, table: CumulativeTable) -> int:
-        cum = table.cum
+    def decode_symbol(self, cum: np.ndarray) -> int:
         r = self.range_
         target = (((self.code + 1) << PROB_BITS) - 1) // r
         if target >= PROB_SCALE:  # only reachable on corrupted payloads
@@ -244,11 +186,6 @@ class RangeDecoder:
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
             self.range_ <<= 8
         return sym
-
-
-def _locate_numpy(cum: np.ndarray, target: int) -> int:
-    """Reference for the kernel's locate: the symbol whose interval holds target."""
-    return int(np.searchsorted(cum, target, side="right")) - 1
 
 
 # --- exact rational interval arithmetic ---------------------------------

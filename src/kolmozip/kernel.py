@@ -1,19 +1,19 @@
-"""Build and load the C step kernel (``_kernel.c``), a CPython extension.
+"""The per-byte step module: the C extension (``_kernel.c``) or its numpy twin.
 
-The kernel mirrors, byte for byte, the numpy code of the per-byte step:
-``coder.quantize_weights``, ``RangeDecoder``'s symbol search and
-``NeuralPredictor``'s forward pass and update.  The numpy code stays the
-reference, and it runs whenever ``load()`` returns None.  There is no
-extension build step: the first ``load()`` in a process compiles the source
-with the system ``cc`` against the interpreter's headers into a per-user
-cache (``$XDG_CACHE_HOME/kolmozip``, else ``~/.cache/kolmozip``), under a
-name keyed by the hash of the source, flags, include directory, extension
-suffix and platform, and later calls and processes reuse that file.
+``load()`` never returns None: it returns the extension or, when that
+cannot be built, ``_kernel_numpy``, which exports the same functions with
+the same errors and is the reference the extension is tested against.
+There is no extension build step: the first ``load()`` in a process
+compiles the source with the system ``cc`` against the interpreter's
+headers into a per-user cache (``$XDG_CACHE_HOME/kolmozip``, else
+``~/.cache/kolmozip``), under a name keyed by the hash of the source,
+flags, include directory, extension suffix and platform, and later calls
+and processes reuse that file.
 
-- No ``cc`` on PATH: ``load()`` returns None without a word.
+- No ``cc`` on PATH: the twin, without a word.
 - A compiler that fails (for instance without the Python headers), or a
   cache that cannot be written or loaded: one RuntimeWarning naming the
-  error, then None.
+  error, then the twin.
 
 The module is compiled to a temporary file in the cache directory and
 published with ``os.replace``, so concurrent processes (CLI invocations,
@@ -111,7 +111,7 @@ def build_and_load() -> ModuleType | None:
         return _import(target)
     except (OSError, ImportError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"kolmozip: C step kernel unavailable ({exc}); using the numpy reference path",
+            f"kolmozip: C step kernel unavailable ({exc}); using its numpy twin",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -119,6 +119,6 @@ def build_and_load() -> ModuleType | None:
 
 
 @functools.cache
-def load() -> ModuleType | None:
-    """The process's kernel module, built on first use, or None."""
-    return build_and_load()
+def load() -> ModuleType:
+    """The process's step module: the extension, built on first use, else the twin."""
+    return build_and_load() or importlib.import_module("._kernel_numpy", __package__)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .coder import (
     PROB_BITS,
-    CumulativeTable,
     RangeDecoder,
     RangeEncoder,
     quantize_weights,
@@ -101,7 +100,7 @@ def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
     """The training loop encoder and decoder share; only `code` differs.
 
     The predictor first trains on context (no bits flow), then, for each
-    of n tokens: predict, quantize, code(table, i) -> token, update.  The
+    of n tokens: predict, quantize, code(cum, i) -> token, update.  The
     encoder's `code` writes the i-th input byte, the decoder's reads one,
     so both sides see the same tables.  Returns the per-token state
     digests when audit is set.
@@ -128,10 +127,10 @@ def _session(
     widths = np.empty(len(data), dtype=np.int64)
     encode_symbol = encoder.encode_symbol
 
-    def encode(table: CumulativeTable, i: int) -> int:
+    def encode(cum: np.ndarray, i: int) -> int:
         tok = data[i]
-        widths[i] = table.cum[tok + 1] - table.cum[tok]
-        encode_symbol(table, tok)
+        widths[i] = cum[tok + 1] - cum[tok]
+        encode_symbol(cum, tok)
         return tok
 
     digests = _replay(make_predictor(config), context, len(data), encode, audit)
@@ -183,8 +182,8 @@ def decompress(
     out = bytearray()
     decode_symbol, append = decoder.decode_symbol, out.append
 
-    def decode(table: CumulativeTable, i: int) -> int:
-        tok = decode_symbol(table)
+    def decode(cum: np.ndarray, i: int) -> int:
+        tok = decode_symbol(cum)
         append(tok)
         return tok
 

@@ -276,9 +276,8 @@ class NeuralPredictor:
 
     The forward pass for the current context (``_pre``, ``_hidden``,
     ``_weights``) is always up to date: it is computed on construction and
-    by every update.  It runs, with the update, in the C step kernel
-    (kernel.py) when that loads; the ``_numpy`` methods are its
-    byte-identical reference.
+    by every update.  Both run in the step module kernel.load() returns:
+    the C extension, or its numpy twin.
     """
 
     is_static = False
@@ -303,7 +302,6 @@ class NeuralPredictor:
         self.b2 = np.zeros(ALPHABET, dtype=np.int64)
 
         self._bind_kernel()
-        self._forward()
 
     @staticmethod
     def _draw(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
@@ -331,16 +329,13 @@ class NeuralPredictor:
         return np.where(u < 0, -mag, mag).reshape(shape)
 
     def _bind_kernel(self) -> None:
-        """Hand the C kernel, when one loads, this instance's arrays.
+        """Bind this instance's arrays to the step module; run the forward pass.
 
-        The kernel works in place on emb, b1, w2 and b2, which are therefore
-        never rebound, and keeps the current forward pass (pre | hidden |
-        weights) in one buffer of its own, which _pre, _hidden and _weights
-        view.  The net capsule holds references to all of them.
+        The step module (kernel.py) works in place on emb, b1, w2 and b2,
+        which are never rebound, and on the buffer pre | hidden | weights
+        (the forward pass), which _pre, _hidden and _weights view.
         """
         self._kernel = kernel.load()
-        if self._kernel is None:
-            return
         buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
         self._net = self._kernel.net(
             self.emb,
@@ -354,109 +349,29 @@ class NeuralPredictor:
             _WEIGHT_CLIP,
         )
         self._pre, self._hidden, self._weights = buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :]
+        self._kernel.net_forward(self._net, self._recent)
 
     def __getstate__(self) -> dict:
-        # the binding holds raw addresses of this instance's arrays; a copy
-        # binds its own and computes its own forward pass
+        # the binding holds this instance's arrays; a copy binds its own and
+        # computes its own forward pass
         return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._bind_kernel()
-        self._forward()
-
-    def _forward(self) -> None:
-        """Compute the forward pass for the current context."""
-        if self._kernel is None:
-            self._pre, self._hidden, self._weights = self._forward_numpy()
-        else:
-            self._kernel.net_forward(self._net, self._recent)
-
-    def _forward_numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        recent = self._recent
-        if recent:
-            start = self.k - len(recent)
-            pre = self.emb[start, recent[0]] + self.b1
-            for i in range(1, len(recent)):
-                pre += self.emb[start + i, recent[i]]
-        else:
-            pre = self.b1.copy()
-        hidden = np.minimum(pre, ONE)
-        np.maximum(hidden, -ONE, out=hidden)
-        logits = hidden @ self.w2  # |h| <= 2^16, |w2| <= 2^19, W <= 256: fits int64
-        logits >>= 16  # arithmetic shift: floor scaling, Q32.32 -> Q16.16
-        logits += self.b2
-        gap = np.subtract(logits.max(), logits, out=logits)  # >= 0, Q16.16
-        gap >>= 8
-        np.minimum(gap, len(_SOFTMAX_TABLE) - 1, out=gap)
-        weights = _SOFTMAX_TABLE.take(gap)
-        return pre, hidden, weights
 
     def predict_weights(self) -> np.ndarray:
         # read-only view, valid until the next update(), which consumes the
         # same forward pass
         return self._weights
 
-    def _error_signal(self, token: int) -> np.ndarray:
-        """d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16."""
-        weights = self._weights
-        total = int(weights.sum())
-        p_hat = (weights * ONE) // total  # nonnegative; plain // truncates
-        p_hat[token] -= ONE
-        return p_hat
-
-    def final_layer_gradient(self, token: int) -> np.ndarray:
-        """Exact integer d(loss)/d(w2) in Q32.32, before learning-rate scaling."""
-        return np.outer(self._hidden, self._error_signal(token))
-
     def update(self, token: int) -> None:
-        if self._kernel is None:
-            self._update_numpy(token)
-        else:  # the step also leaves the next position's forward pass in the buffer
-            self._kernel.net_step(self._net, self._recent, token)
+        # the step also leaves the next position's forward pass in the buffer
+        self._kernel.net_step(self._net, self._recent, token)
         self._recent.append(token)
         if len(self._recent) > self.k:
             del self._recent[0]
         self.token_position += 1
-        if self._kernel is None:
-            self._forward()
-
-    def _update_numpy(self, token: int) -> None:
-        dlog = self._error_signal(token)
-        pre, hidden = self._pre, self._hidden
-        lr = self.lr
-        clip = _WEIGHT_CLIP
-
-        # backprop through the (pre-update) output layer, zeroed where the
-        # hard clamp saturated (hidden == pre exactly where unclamped)
-        dpre = self.w2 @ dlog
-        dpre >>= 16
-        dpre *= hidden == pre
-
-        # output layer: step shift grows with log2(width) so the per-logit
-        # movement sum_j h_j*dw2[j,s] stays width-invariant
-        step2 = (hidden * lr)[:, None] * dlog  # |h*lr*dlog| < 2^52
-        step2 >>= 32 + self._width_shift
-        self.w2 -= step2
-        np.minimum(self.w2, clip, out=self.w2)
-        np.maximum(self.w2, -clip, out=self.w2)
-        step = lr * dlog
-        step >>= 16
-        self.b2 -= step
-        np.minimum(self.b2, clip, out=self.b2)
-        np.maximum(self.b2, -clip, out=self.b2)
-
-        step1 = lr * dpre
-        step1 >>= 16
-        self.b1 -= step1
-        np.minimum(self.b1, clip, out=self.b1)
-        np.maximum(self.b1, -clip, out=self.b1)
-        k_avail = len(self._recent)
-        for i, b in enumerate(self._recent):
-            row = self.emb[self.k - k_avail + i, b]
-            row -= step1
-            np.minimum(row, clip, out=row)
-            np.maximum(row, -clip, out=row)
 
     def digest(self) -> bytes:
         state = b"".join(

@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kolmozip import _kernel_numpy
 from kolmozip.coder import (
     PROB_BITS,
     PROB_SCALE,
-    CumulativeTable,
     Distribution,
     IdealInterval,
     RangeDecoder,
     RangeEncoder,
     UNIT_INTERVAL,
-    _quantize_numpy,
     ideal_refine,
     quantize_distribution,
     shortest_binary_in_interval,
@@ -66,9 +65,17 @@ def oracle_largest_remainder_fractions(weights) -> list[int]:
     return [f + 1 for f in floors]
 
 
-def symbol_cost_bits(table: CumulativeTable, sym: int) -> float:
+def twin_quantize(weights) -> np.ndarray:
+    """The numpy twin's table for weights, whichever step module loads."""
+    weights = np.ascontiguousarray(weights, dtype=np.int64)
+    cum = np.empty(weights.size + 1, dtype=np.int64)
+    _kernel_numpy.quantize(weights, cum)
+    return cum
+
+
+def symbol_cost_bits(cum: np.ndarray, sym: int) -> float:
     """Ideal cost of one symbol under its quantized width: -log2(width/2^16)."""
-    return PROB_BITS - math.log2(table.width(sym))
+    return PROB_BITS - math.log2(int(cum[sym + 1] - cum[sym]))
 
 
 def ideal_locate(
@@ -107,20 +114,20 @@ def roundtrip(tables, symbols):
 
 
 def test_quantize_uniform_256():
-    table = quantize_distribution(Distribution(np.ones(256, dtype=np.int64)))
-    assert (table.widths() == 256).all()
-    assert table.cum[0] == 0 and table.cum[-1] == PROB_SCALE
+    cum = quantize_distribution(Distribution(np.ones(256, dtype=np.int64)))
+    assert (np.diff(cum) == 256).all()
+    assert cum[0] == 0 and cum[-1] == PROB_SCALE
 
 
 def test_quantize_zero_weights_get_floor():
-    table = quantize_distribution(Distribution([1, 0, 0]))
-    assert list(table.widths()) == [65534, 1, 1]
+    cum = quantize_distribution(Distribution([1, 0, 0]))
+    assert list(np.diff(cum)) == [65534, 1, 1]
 
 
 def test_quantize_largest_remainder_example():
     # weights 3,3,2,1,2: quotas over 65531 leave remainders (1,3,8,4,8)/11;
     # the two +1s go to indices 2 and 4 (largest remainder, lower index first)
-    widths = list(quantize_distribution(Distribution([3, 3, 2, 1, 2])).widths())
+    widths = list(np.diff(quantize_distribution(Distribution([3, 3, 2, 1, 2]))))
     assert widths == oracle_largest_remainder([3, 3, 2, 1, 2])
     assert widths == [17873, 17873, 11916, 5958, 11916]  # frozen from the oracle
     assert sum(widths) == PROB_SCALE
@@ -133,12 +140,12 @@ def test_quantize_largest_remainder_example():
 )
 @settings(max_examples=200, deadline=None)
 def test_quantize_matches_oracle(weights):
-    # the public path runs the C kernel where one loads; _quantize_numpy is
-    # the numpy reference it must equal, and the fallback without a compiler
+    # the public path runs the C extension where one loads; its numpy twin
+    # is the reference it must equal, and what runs without a compiler
     want = oracle_largest_remainder(weights)
-    got = list(quantize_distribution(Distribution(weights)).widths())
+    got = list(np.diff(quantize_distribution(Distribution(weights))))
     assert got == want
-    assert list(_quantize_numpy(np.array(weights, dtype=np.int64)).widths()) == want
+    assert list(np.diff(twin_quantize(weights))) == want
     assert sum(got) == PROB_SCALE
     assert min(got) >= 1
 
@@ -156,7 +163,7 @@ def test_integer_oracle_matches_the_rational_one(weights):
 def test_quantize_scale_invariant():
     a = quantize_distribution(Distribution([3, 3, 2, 1, 2]))
     b = quantize_distribution(Distribution([6, 6, 4, 2, 4]))
-    assert (a.cum == b.cum).all()
+    assert (a == b).all()
 
 
 def test_alphabet_bounds_rejected():
@@ -165,8 +172,8 @@ def test_alphabet_bounds_rejected():
     with pytest.raises(ValueError):
         Distribution(np.ones(PROB_SCALE + 1, dtype=np.int64))
     # 2^16 symbols is the largest legal alphabet: every width is exactly 1
-    table = quantize_distribution(Distribution(np.ones(PROB_SCALE, dtype=np.int64)))
-    assert (table.widths() == 1).all()
+    cum = quantize_distribution(Distribution(np.ones(PROB_SCALE, dtype=np.int64)))
+    assert (np.diff(cum) == 1).all()
 
 
 def test_quantize_rejects_non_integer_weights():
@@ -177,7 +184,7 @@ def test_quantize_rejects_non_integer_weights():
 # --- range coder ---------------------------------------------------------
 
 
-def uniform_table(m: int) -> CumulativeTable:
+def uniform_table(m: int) -> np.ndarray:
     return quantize_distribution(Distribution(np.ones(m, dtype=np.int64)))
 
 

@@ -1,18 +1,21 @@
-"""The C step kernel against its numpy reference, and the kernel build.
+"""The C step kernel against its numpy twin, and the kernel build.
 
-Every kernel function must reproduce the numpy path it replaces bit for
-bit: the same cumulative tables, the same decoded symbols, the same neural
-weights after every step, the same artifacts.  It must reject arrays it
-cannot read safely.  The build must be safe to run concurrently and must
-degrade to the numpy path when no compiler is there or the compiler fails.
+Every function of the extension must reproduce its twin in
+``_kernel_numpy`` bit for bit: the same cumulative tables, the same decoded
+symbols, the same neural weights after every step, the same artifacts.  Both
+must export the same functions and reject the same input before touching
+state.  The build must be safe to run concurrently and must degrade to the
+twin when no compiler is there or the compiler fails.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -22,22 +25,58 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kolmozip import kernel
-from kolmozip.coder import PROB_SCALE, _locate_numpy, _quantize_numpy, quantize_weights
+from kolmozip import _kernel_numpy, kernel
+from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
 from kolmozip.predictors import NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
-from test_coder import oracle_largest_remainder
+from test_coder import oracle_largest_remainder, twin_quantize
+from test_predictors import final_layer_gradient
 
-needs_kernel = pytest.mark.skipif(kernel.load() is None, reason="the C kernel did not build here")
+needs_kernel = pytest.mark.skipif(
+    kernel.load() is _kernel_numpy, reason="the C extension did not build here"
+)
 needs_compiler = pytest.mark.skipif(kernel._find_compiler() is None, reason="no C compiler on PATH")
+# the step modules this process can run: the extension where it builds, the twin always
+STEP_MODULES = {"extension": kernel.load(), "numpy": _kernel_numpy}
+
+
+@pytest.fixture(params=list(STEP_MODULES))
+def step(request, monkeypatch):
+    """Each step module in turn, pinned as what kernel.load() returns."""
+    module = STEP_MODULES[request.param]
+    if request.param == "extension" and module is _kernel_numpy:
+        pytest.skip("the C extension did not build here")
+    monkeypatch.setattr(kernel, "load", lambda: module)
+    return module
+
+
+def pin_twin(monkeypatch) -> None:
+    monkeypatch.setattr(kernel, "load", lambda: _kernel_numpy)
 
 
 @needs_compiler
 def test_kernel_loads_where_a_compiler_is_present():
-    assert kernel.load() is not None
+    assert kernel.load() is not _kernel_numpy
+
+
+def _functions(module) -> set[str]:
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isbuiltin(obj))
+    }
+
+
+def test_extension_and_twin_export_the_same_functions():
+    # the method table of the source, so a function added to _kernel.c
+    # without a twin fails even where the extension cannot be built
+    table = set(re.findall(r'^\s*\{"(\w+)", ', kernel.SOURCE.read_text(), re.MULTILINE))
+    assert _functions(_kernel_numpy) == table == {"quantize", "locate", "net", "net_forward", "net_step"}
+    if kernel.load() is not _kernel_numpy:
+        assert _functions(kernel.load()) == table
 
 
 # --- quantize ----------------------------------------------------------------
@@ -51,63 +90,62 @@ def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
         for _ in range(20):
             # mostly small counts with a few large ones, as a count row looks
             row = np.array([1 + rng.below(4) ** rng.below(12) for _ in range(m)], dtype=dtype)
-            got = quantize_weights(row)
-            want = _quantize_numpy(row)
-            assert np.array_equal(got.cum, want.cum), (m, row)
+            assert np.array_equal(quantize_weights(row), twin_quantize(row)), (m, row)
 
 
 @pytest.mark.parametrize("path", ["public", "numpy"])
-def test_quantize_alphabet_range_and_total_limit(path):
-    quantize = quantize_weights if path == "public" else _quantize_numpy
-    assert list(quantize(np.array([1, 3], dtype=np.int64)).widths()) == oracle_largest_remainder([1, 3])
-    assert (quantize(np.ones(PROB_SCALE, dtype=np.int64)).widths() == 1).all()
+def test_quantize_alphabet_range_and_total_limit(path, monkeypatch):
+    if path == "numpy":
+        pin_twin(monkeypatch)
+    assert list(np.diff(quantize_weights(np.array([1, 3], dtype=np.int64)))) == oracle_largest_remainder([1, 3])
+    assert (np.diff(quantize_weights(np.ones(PROB_SCALE, dtype=np.int64))) == 1).all()
     below = np.array([(1 << 46) - 2, 1], dtype=np.int64)
-    assert quantize(below).cum[-1] == PROB_SCALE
-    with pytest.raises(ValueError, match="2\\^46"):
-        quantize(np.array([(1 << 46) - 1, 1], dtype=np.int64))
+    assert quantize_weights(below)[-1] == PROB_SCALE
+    for above in ([(1 << 46) - 1, 1], [1 << 46, 0], [1 << 62, 1 << 62, 1 << 62, 1 << 62]):
+        with pytest.raises(ValueError, match="2\\^46"):
+            quantize_weights(np.array(above, dtype=np.int64))
 
 
-@needs_kernel
-def test_quantize_kernel_rejects_what_would_break_its_buffers():
-    with pytest.raises(ValueError):
-        quantize_weights(np.ones(PROB_SCALE + 1, dtype=np.int64))
-    with pytest.raises(ValueError):
-        quantize_weights(np.array([5], dtype=np.int64))
-    with pytest.raises(ValueError):
-        quantize_weights(np.array([3, -1, 2], dtype=np.int64))
-    with pytest.raises(ValueError):
-        quantize_weights(np.zeros(4, dtype=np.int64))
+def test_quantize_kernel_rejects_what_would_break_its_buffers(step):
+    bad_rows = [
+        np.ones(PROB_SCALE + 1, dtype=np.int64),
+        np.array([5], dtype=np.int64),
+        np.array([3, -1, 2], dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+    ]
+    for row in bad_rows:
+        with pytest.raises(ValueError):
+            quantize_weights(row)
     # a strided view is copied before it is handed over
     strided = np.arange(1, 21, dtype=np.int64)[::2]
-    assert np.array_equal(quantize_weights(strided).cum, _quantize_numpy(strided).cum)
+    assert np.array_equal(quantize_weights(strided), twin_quantize(strided))
 
 
-@needs_kernel
 def test_kernel_checks_the_arrays_it_is_given():
-    ext = kernel.load()
     row = np.arange(1, 257, dtype=np.int64)
     cum = np.empty(257, dtype=np.int64)
     read_only = cum.copy()
     read_only.flags.writeable = False
-    bad_calls = [
-        (ext.quantize, row, np.empty(256, dtype=np.int64)),  # cum too short
-        (ext.quantize, row, np.empty(257, dtype=np.int32)),  # cum of the wrong dtype
-        (ext.quantize, row, read_only),
-        (ext.quantize, row, np.empty(514, dtype=np.int64)[::2]),  # strided cum
-        (ext.quantize, row[::2], np.empty(129, dtype=np.int64)),  # strided weights
-        (ext.quantize, row.astype(np.uint64), cum),
-        (ext.quantize, row.astype(np.int16), cum),
-        (ext.quantize, row.astype(np.float64), cum),
-        (ext.locate, quantize_weights(row).cum.astype(np.int32), 5),
-        (ext.locate, np.zeros(1, dtype=np.int64), 0),  # no symbol at all
-        (ext.locate, quantize_weights(row).cum, PROB_SCALE),  # target past the table
-        (ext.locate, quantize_weights(row).cum, -1),
-    ]
-    for fn, *args in bad_calls:
-        with pytest.raises(ValueError):
-            fn(*args)
-    ext.quantize(row, cum)
-    assert np.array_equal(cum, _quantize_numpy(row).cum)
+    for ext in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
+        bad_calls = [
+            (ext.quantize, row, np.empty(256, dtype=np.int64)),  # cum too short
+            (ext.quantize, row, np.empty(257, dtype=np.int32)),  # cum of the wrong dtype
+            (ext.quantize, row, read_only),
+            (ext.quantize, row, np.empty(514, dtype=np.int64)[::2]),  # strided cum
+            (ext.quantize, row[::2], np.empty(129, dtype=np.int64)),  # strided weights
+            (ext.quantize, row.astype(np.uint64), cum),
+            (ext.quantize, row.astype(np.int16), cum),
+            (ext.quantize, row.astype(np.float64), cum),
+            (ext.locate, quantize_weights(row).astype(np.int32), 5),
+            (ext.locate, np.zeros(1, dtype=np.int64), 0),  # no symbol at all
+            (ext.locate, quantize_weights(row), PROB_SCALE),  # target past the table
+            (ext.locate, quantize_weights(row), -1),
+        ]
+        for fn, *args in bad_calls:
+            with pytest.raises(ValueError):
+                fn(*args)
+        ext.quantize(row, cum)
+        assert np.array_equal(cum, twin_quantize(row))
 
 
 # --- symbol search ----------------------------------------------------------------
@@ -119,14 +157,14 @@ def test_locate_matches_searchsorted():
     rng = Lcg64(11)
     for m in (2, 3, 256, 4096, PROB_SCALE):
         for _ in range(5):
-            cum = quantize_weights(np.array([1 + rng.below(9) ** rng.below(8) for _ in range(m)])).cum
+            cum = quantize_weights(np.array([1 + rng.below(9) ** rng.below(8) for _ in range(m)]))
             # symbol boundaries and their left neighbours (a sample of them
             # for wide tables), random targets, and the target a corrupted
             # payload is clamped to (2^16 - 1)
             edges = np.concatenate([cum[:-1], cum[1:-1] - 1])[:: 1 + m // 1000]
             targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200)), PROB_SCALE - 1]
             for t in targets:
-                assert locate(cum, t) == _locate_numpy(cum, t), (m, t)
+                assert locate(cum, t) == _kernel_numpy.locate(cum, t), (m, t)
 
 
 # --- neural step ---------------------------------------------------------------
@@ -134,7 +172,7 @@ def test_locate_matches_searchsorted():
 
 def _numpy_twin(config: PredictorConfig, monkeypatch) -> NeuralPredictor:
     with monkeypatch.context() as m:
-        m.setattr(kernel, "load", lambda: None)
+        pin_twin(m)
         return NeuralPredictor(config)
 
 
@@ -154,7 +192,7 @@ def test_neural_kernel_matches_numpy_step_by_step(
     config = PredictorConfig("neural", context=context, width=width, seed=seed, learning_rate=lr)
     fast = NeuralPredictor(config)
     ref = _numpy_twin(config, monkeypatch)
-    assert fast._kernel is not None and ref._kernel is None
+    assert fast._kernel is not _kernel_numpy and ref._kernel is _kernel_numpy
     rng = Lcg64(100 + seed)
     tok = 0
     for step in range(steps):
@@ -166,12 +204,11 @@ def test_neural_kernel_matches_numpy_step_by_step(
         for name in ("emb", "b1", "w2", "b2"):
             assert np.array_equal(getattr(fast, name), getattr(ref, name)), (step, name)
         assert fast._recent == ref._recent
-    assert np.array_equal(fast.final_layer_gradient(1), ref.final_layer_gradient(1))
+    assert np.array_equal(final_layer_gradient(fast, 1), final_layer_gradient(ref, 1))
     assert fast.digest() == ref.digest()
 
 
-@needs_kernel
-def test_neural_kernel_rejects_tokens_outside_the_alphabet():
+def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
     p.update(255)
     before = p.digest()
@@ -182,6 +219,9 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet():
         p._kernel.net_step(p._net, b"abc", 1)
     with pytest.raises(ValueError):
         p._kernel.net_forward(p._net, b"abc")
+    p._weights[:] = 0  # a corrupted forward pass
+    with pytest.raises(ValueError):
+        p.update(1)
     assert p.digest() == before
 
 
@@ -213,7 +253,7 @@ def test_numpy_fallback_round_trip_is_byte_identical(spec, monkeypatch):
     config = PredictorConfig.from_spec(spec)
     blob = serialize(compress(data, config)[0])
     with monkeypatch.context() as m:
-        m.setattr(kernel, "load", lambda: None)
+        pin_twin(m)
         artifact, _ = compress(data, config)
         assert serialize(artifact) == blob
         assert decompress(deserialize(blob)) == data  # decoded without the kernel
@@ -233,6 +273,11 @@ def test_no_compiler_falls_back_silently(monkeypatch, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel.build_and_load() is None
+        kernel.load.cache_clear()
+        try:
+            assert kernel.load() is _kernel_numpy
+        finally:
+            kernel.load.cache_clear()  # the next load() builds as usual
     assert not (tmp_path / "cache").exists()
 
 
@@ -265,9 +310,9 @@ def test_concurrent_first_builds_all_load(tmp_path):
     # more fresh interpreters than cores race to build into one empty cache
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(Path(kernel.__file__).parents[1]))
     code = (
-        "import numpy as np; from kolmozip import kernel, coder; "
-        "assert kernel.load() is not None; "
-        "print(coder.quantize_weights(np.arange(1, 257, dtype=np.int64)).cum[-1])"
+        "import numpy as np; from kolmozip import _kernel_numpy, kernel, coder; "
+        "assert kernel.load() is not _kernel_numpy; "
+        "print(coder.quantize_weights(np.arange(1, 257, dtype=np.int64))[-1])"
     )
     procs = [
         subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -284,7 +329,7 @@ def test_concurrent_first_builds_all_load(tmp_path):
 @pytest.mark.parametrize("path", ["kernel", "numpy"])
 def test_neural_copies_continue_independently(path, monkeypatch):
     if path == "numpy":
-        monkeypatch.setattr(kernel, "load", lambda: None)
+        pin_twin(monkeypatch)
     p = NeuralPredictor(PredictorConfig("neural", context=2, width=8, seed=4))
     for tok in b"hello, world":
         p.predict_weights()

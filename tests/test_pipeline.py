@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmozip import pipeline
 from kolmozip.coder import PROB_SCALE
@@ -214,6 +218,55 @@ def test_long_constant_stream_round_trips_under_the_token_bound():
     limit = _max_tokens(len(artifact.payload))
     assert limit // 6 < len(data) <= limit
     assert decompress(deserialize(serialize(artifact))) == data
+
+
+FUZZ_DATA = b"abracadabra, abracadabra! " * 2
+FUZZ_CONFIGS = {"uniform": UNIFORM, "freq:1": PredictorConfig("freq", order=1), "neural:1,8": NEURAL}
+MUTATIONS = ["none", "payload bytes", "any byte", "d", "context length", "truncation", "extension"]
+
+
+@functools.cache
+def fuzz_artifact(spec: str) -> CompressedArtifact:
+    return compress(FUZZ_DATA, FUZZ_CONFIGS[spec])[0]
+
+
+@given(spec=st.sampled_from(list(FUZZ_CONFIGS)), mutation=st.sampled_from(MUTATIONS), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_artifacts_round_trip_or_fail_cleanly(spec, mutation, data):
+    # every input either decodes to exactly d bytes or raises one of the two
+    # format errors; the d bound keeps the work of each case small
+    original = fuzz_artifact(spec)
+    config, d, context_length, payload = original.config, original.d, 0, original.payload
+    if mutation == "payload bytes":
+        edits = st.tuples(st.integers(0, len(payload) - 1), st.integers(0, 255))
+        edited = bytearray(payload)
+        for i, value in data.draw(st.lists(edits, min_size=1, max_size=4)):
+            edited[i] = value
+        payload = bytes(edited)
+    elif mutation == "d":
+        limit = _max_tokens(len(payload))
+        d = data.draw(st.integers(0, 4 * d) | st.sampled_from([limit, limit + 1]) | st.integers(0, 1 << 64))
+    elif mutation == "context length":
+        context_length = data.draw(st.integers(0, 64) | st.integers(0, 1 << 64))
+    elif mutation == "truncation":
+        payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
+    elif mutation == "extension":
+        payload += data.draw(st.binary(min_size=1, max_size=8))
+    blob = serialize(CompressedArtifact(config, d, context_length, payload))
+    if mutation == "any byte":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:i] + bytes([data.draw(st.integers(0, 255))]) + blob[i + 1 :]
+    try:
+        artifact = deserialize(blob)
+        # a context of the stated length where one is small enough to supply
+        context = bytes(artifact.context_length) if artifact.context_length <= 64 else b""
+        out = decompress(artifact, context)
+    except (FormatError, TruncatedStreamError):
+        assert mutation != "none"
+        return
+    assert len(out) == artifact.d
+    if blob == serialize(original):
+        assert out == FUZZ_DATA
 
 
 def test_header_size_independent_of_parameter_count():

@@ -260,10 +260,19 @@ def float_model_loss(p: NeuralPredictor, token: int, w2_override: np.ndarray) ->
     return -np.log2(prob[token])
 
 
+def final_layer_gradient(p: NeuralPredictor, token: int) -> np.ndarray:
+    """Exact integer d(loss)/d(w2) in Q32.32, before learning-rate scaling:
+    the hidden layer times the error signal p_hat - onehot (Q16.16)."""
+    weights = p.predict_weights()
+    p_hat = (weights * ONE) // int(weights.sum())
+    p_hat[token] -= ONE
+    return np.outer(p._hidden, p_hat)
+
+
 def test_neural_gradient_matches_finite_differences():
     p = trained_net()
     token = 123
-    analytic = p.final_layer_gradient(token).astype(float) / (1 << 32)
+    analytic = final_layer_gradient(p, token).astype(float) / (1 << 32)
     w2f = p.w2.astype(float) / ONE
     rng = np.random.default_rng(0)
     eps = 1e-4

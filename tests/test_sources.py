@@ -121,8 +121,8 @@ def test_matched_order_freq_predictor_approaches_entropy():
     pred = make_predictor(PredictorConfig("freq", order=1))
     widths = np.empty(len(data), dtype=np.int64)
     for i, tok in enumerate(data):
-        table = quantize_weights(pred.predict_weights())
-        widths[i] = table.cum[tok + 1] - table.cum[tok]
+        cum = quantize_weights(pred.predict_weights())
+        widths[i] = cum[tok + 1] - cum[tok]
         pred.update(tok)
     bpb = float((16 - np.log2(widths)).mean())
     assert bpb <= 1.05 * h
