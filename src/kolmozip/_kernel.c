@@ -2,8 +2,8 @@
  * Integer step kernel: a CPython extension, twin of _kernel_numpy.py.
  *
  *   quantize(weights, cum)           coder.quantize_weights
- *   net(...) -> capsule              one NeuralPredictor's arrays and constants
- *   net_forward(net, recent)         NeuralPredictor's forward pass
+ *   net(..., recent) -> capsule      one NeuralPredictor's arrays, bound with
+ *                                    the forward pass for recent in buf
  *   net_step(net, recent, token)     NeuralPredictor's update, then the next
  *                                    forward pass
  *   locate(cum, target)              RangeDecoder's symbol search
@@ -35,6 +35,9 @@
 
 #define PROB_SCALE 65536
 #define ONE 65536                      /* Q16.16 unit */
+#define ALPHABET 256                   /* a net codes bytes */
+#define WEIGHT_CLIP (8 * ONE)          /* net parameters saturate to [-8.0, 8.0] */
+#define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define QUANT_TOTAL_LIMIT (INT64_C(1) << 46)
 
 static inline int64_t floor_shift(int64_t x, int s)
@@ -273,16 +276,17 @@ enum { EMB, B1, W2, B2, SOFTMAX, BUF, N_ARRAYS };
  * references) plus its constants and scratch. */
 typedef struct {
     Py_buffer views[N_ARRAYS];
-    int64_t *emb;           /* k x a x w */
+    int64_t *emb;           /* k x 256 x w */
     int64_t *b1;            /* w */
-    int64_t *w2;            /* w x a */
-    int64_t *b2;            /* a */
+    int64_t *w2;            /* w x 256 */
+    int64_t *b2;            /* 256 */
     const int64_t *softmax; /* softmax_len entries */
-    int64_t *buf;           /* the current forward pass: pre[w] | hidden[w] | weights[a] */
+    int64_t *buf;           /* the current forward pass: pre[w] | hidden[w] | weights[256] */
     int64_t softmax_len;
-    int64_t k, a, w;
-    int64_t lr, width_shift, clip;
-    int64_t *dlog;          /* scratch: a error-signal entries, then w hidden steps */
+    int64_t k, w, lr;
+    int width_shift;        /* bit length of w - 1, so the output-layer step is
+                             * width-invariant */
+    int64_t *dlog;          /* scratch: 256 error-signal entries, then w hidden steps */
     unsigned char *context; /* scratch: k + 1 bytes */
 } kz_net;
 
@@ -303,19 +307,78 @@ static void net_capsule_free(PyObject *capsule)
     net_free(PyCapsule_GetPointer(capsule, NET_CAPSULE));
 }
 
-/* net(emb, b1, w2, b2, softmax, buf, lr, width_shift, clip) -> capsule */
+/* The context bytes, oldest first: acquired from a bytes-like object of at
+ * most k bytes (every byte is a symbol of the net's alphabet). */
+static int get_context(const kz_net *net, PyObject *obj, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
+        return -1;
+    if (view->len > net->k) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, "context longer than the net's");
+        return -1;
+    }
+    return 0;
+}
+
+static kz_net *get_net(PyObject *capsule)
+{
+    return PyCapsule_GetPointer(capsule, NET_CAPSULE);
+}
+
+/* byte i of the n context bytes sits at embedding position k - n + i */
+static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int64_t n, int64_t i)
+{
+    return net->emb + ((net->k - n + i) * ALPHABET + ctx[i]) * net->w;
+}
+
+/* buf = pre | hidden | weights for context ctx[0..n): _kernel_numpy._forward */
+static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
+{
+    const int64_t w = net->w;
+    int64_t *pre = net->buf, *hidden = pre + w, *logits = pre + 2 * w;
+
+    memcpy(pre, net->b1, (size_t)w * sizeof *pre);
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *row = emb_row(net, ctx, n, i);
+        for (int64_t j = 0; j < w; j++)
+            pre[j] += row[j];
+    }
+    for (int64_t j = 0; j < w; j++)
+        hidden[j] = clamp(pre[j], ONE);
+
+    memset(logits, 0, ALPHABET * sizeof *logits);
+    for (int64_t j = 0; j < w; j++) {
+        const int64_t h = hidden[j], *row = net->w2 + j * ALPHABET;
+        for (int64_t s = 0; s < ALPHABET; s++)
+            logits[s] += h * row[s];
+    }
+    int64_t top = INT64_MIN;
+    for (int64_t s = 0; s < ALPHABET; s++) {
+        logits[s] = floor_shift(logits[s], 16) + net->b2[s];
+        if (logits[s] > top)
+            top = logits[s];
+    }
+    /* the gap is >= 0 unless parameters driven far past the clip wrapped it;
+     * outside the table it reads the nearer end, as take(mode="clip") does */
+    const int64_t last = net->softmax_len - 1;
+    for (int64_t s = 0; s < ALPHABET; s++) {
+        int64_t gap = floor_shift(top - logits[s], 8);
+        logits[s] = net->softmax[gap < 0 ? 0 : (gap < last ? gap : last)];
+    }
+}
+
+/* net(emb, b1, w2, b2, softmax, buf, lr, recent) -> capsule, with the
+ * forward pass for context recent already in buf */
 static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     static const char *names[N_ARRAYS] = {"emb", "b1", "w2", "b2", "softmax", "buf"};
-    if (check_nargs("net", nargs, N_ARRAYS + 3) < 0)
+    if (check_nargs("net", nargs, N_ARRAYS + 2) < 0)
         return NULL;
-    int64_t consts[3];
-    for (int i = 0; i < 3; i++) {
-        consts[i] = PyLong_AsLongLong(args[N_ARRAYS + i]);
-        if (consts[i] == -1 && PyErr_Occurred())
-            return NULL;
-    }
+    long long lr = PyLong_AsLongLong(args[N_ARRAYS]);
+    if (lr == -1 && PyErr_Occurred())
+        return NULL;
     kz_net *net = PyMem_Calloc(1, sizeof *net);
     if (!net)
         return PyErr_NoMemory();
@@ -333,117 +396,37 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     net->softmax = net->views[SOFTMAX].buf;
     net->buf = net->views[BUF].buf;
     net->softmax_len = len[SOFTMAX];
-    net->a = len[B2];
     net->w = len[B1];
-    net->k = net->a && net->w ? len[EMB] / (net->a * net->w) : 0;
-    net->lr = consts[0];
-    net->width_shift = consts[1];
-    net->clip = consts[2];
-    if (net->a < 1 || net->a > 256 || net->w < 1 || net->k < 1 ||
-        len[EMB] != net->k * net->a * net->w || len[W2] != net->w * net->a ||
-        len[BUF] != 2 * net->w + net->a || net->softmax_len < 1) {
+    net->k = net->w ? len[EMB] / (ALPHABET * net->w) : 0;
+    net->lr = lr;
+    if (len[B2] != ALPHABET || net->w < 1 || net->w > MAX_WIDTH || net->k < 1 ||
+        len[EMB] != net->k * ALPHABET * net->w || len[W2] != net->w * ALPHABET ||
+        len[BUF] != 2 * net->w + ALPHABET || net->softmax_len < 1) {
         PyErr_SetString(PyExc_ValueError,
-                        "net arrays disagree: want emb k*a*w, b1 w, w2 w*a, b2 a (<= 256), "
-                        "buf 2*w + a and a nonempty softmax table");
+                        "net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
+                        "b2 256, buf 2*w + 256 and a nonempty softmax table");
         net_free(net);
         return NULL;
     }
-    if (net->width_shift < 0 || net->width_shift > 31) {
-        PyErr_SetString(PyExc_ValueError, "width_shift must be in [0, 31]");
-        net_free(net);
-        return NULL;
-    }
-    net->dlog = PyMem_Malloc((size_t)(net->a + net->w) * sizeof *net->dlog);
+    for (int64_t v = net->w - 1; v; v >>= 1)
+        net->width_shift++;
+    net->dlog = PyMem_Malloc((size_t)(ALPHABET + net->w) * sizeof *net->dlog);
     net->context = PyMem_Malloc((size_t)net->k + 1);
     if (!net->dlog || !net->context) {
         net_free(net);
         return PyErr_NoMemory();
     }
+    Py_buffer ctx;
+    if (get_context(net, args[N_ARRAYS + 1], &ctx) < 0) {
+        net_free(net);
+        return NULL;
+    }
+    forward(net, ctx.buf, ctx.len);
+    PyBuffer_Release(&ctx);
     PyObject *capsule = PyCapsule_New(net, NET_CAPSULE, net_capsule_free);
     if (!capsule)
         net_free(net);
     return capsule;
-}
-
-/* The context bytes, oldest first: acquired from a bytes-like object and
- * checked against the net (at most k bytes, each a symbol of the alphabet). */
-static int get_context(const kz_net *net, PyObject *obj, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
-        return -1;
-    const unsigned char *bytes = view->buf;
-    int ok = view->len <= net->k;
-    for (Py_ssize_t i = 0; ok && i < view->len; i++)
-        ok = bytes[i] < net->a;
-    if (!ok) {
-        PyBuffer_Release(view);
-        PyErr_SetString(PyExc_ValueError,
-                        "context longer than the net's, or a byte outside its alphabet");
-        return -1;
-    }
-    return 0;
-}
-
-static kz_net *get_net(PyObject *capsule)
-{
-    return PyCapsule_GetPointer(capsule, NET_CAPSULE);
-}
-
-/* byte i of the n context bytes sits at embedding position k - n + i */
-static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int64_t n, int64_t i)
-{
-    return net->emb + ((net->k - n + i) * net->a + ctx[i]) * net->w;
-}
-
-/* buf = pre | hidden | weights for context ctx[0..n): _kernel_numpy._forward */
-static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
-{
-    const int64_t w = net->w, a = net->a;
-    int64_t *pre = net->buf, *hidden = pre + w, *logits = pre + 2 * w;
-
-    memcpy(pre, net->b1, (size_t)w * sizeof *pre);
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *row = emb_row(net, ctx, n, i);
-        for (int64_t j = 0; j < w; j++)
-            pre[j] += row[j];
-    }
-    for (int64_t j = 0; j < w; j++)
-        hidden[j] = clamp(pre[j], ONE);
-
-    memset(logits, 0, (size_t)a * sizeof *logits);
-    for (int64_t j = 0; j < w; j++) {
-        const int64_t h = hidden[j], *row = net->w2 + j * a;
-        for (int64_t s = 0; s < a; s++)
-            logits[s] += h * row[s];
-    }
-    int64_t top = INT64_MIN;
-    for (int64_t s = 0; s < a; s++) {
-        logits[s] = floor_shift(logits[s], 16) + net->b2[s];
-        if (logits[s] > top)
-            top = logits[s];
-    }
-    /* the gap is >= 0 unless parameters driven far past the clip wrapped it;
-     * outside the table it reads the nearer end, as take(mode="clip") does */
-    const int64_t last = net->softmax_len - 1;
-    for (int64_t s = 0; s < a; s++) {
-        int64_t gap = floor_shift(top - logits[s], 8);
-        logits[s] = net->softmax[gap < 0 ? 0 : (gap < last ? gap : last)];
-    }
-}
-
-/* net_forward(net, recent): the forward pass for context recent into buf */
-static PyObject *kz_net_forward(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (check_nargs("net_forward", nargs, 2) < 0)
-        return NULL;
-    kz_net *net = get_net(args[0]);
-    Py_buffer ctx;
-    if (!net || get_context(net, args[1], &ctx) < 0)
-        return NULL;
-    forward(net, ctx.buf, ctx.len);
-    PyBuffer_Release(&ctx);
-    Py_RETURN_NONE;
 }
 
 /* net_step(net, recent, token): one NeuralPredictor.update.  The gradient
@@ -463,9 +446,8 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     long long token = PyLong_AsLongLong(args[2]);
     if (token == -1 && PyErr_Occurred())
         return NULL;
-    if (token < 0 || token >= net->a) {
-        PyErr_Format(PyExc_ValueError, "token %lld outside the alphabet [0, %lld)", token,
-                     (long long)net->a);
+    if (token < 0 || token >= ALPHABET) {
+        PyErr_Format(PyExc_ValueError, "token %lld outside the alphabet [0, %d)", token, ALPHABET);
         return NULL;
     }
     Py_buffer ctx_view;
@@ -473,7 +455,7 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     const unsigned char *ctx = ctx_view.buf;
     const int64_t n = ctx_view.len;
-    const int64_t w = net->w, a = net->a, lr = net->lr, clip = net->clip;
+    const int64_t w = net->w, a = ALPHABET, lr = net->lr;
     const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
 
     int64_t total = 0;
@@ -506,24 +488,24 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
         dpre[j] = hidden[j] == pre[j] ? floor_shift(acc, 16) : 0;
     }
 
-    const int shift2 = 32 + (int)net->width_shift;
+    const int shift2 = 32 + net->width_shift;
     for (int64_t j = 0; j < w; j++) {
         const int64_t hl = hidden[j] * lr;
         int64_t *row = net->w2 + j * a;
         for (int64_t s = 0; s < a; s++)
-            row[s] = clamp(row[s] - floor_shift(hl * dlog[s], shift2), clip);
+            row[s] = clamp(row[s] - floor_shift(hl * dlog[s], shift2), WEIGHT_CLIP);
     }
     for (int64_t s = 0; s < a; s++)
-        net->b2[s] = clamp(net->b2[s] - floor_shift(lr * dlog[s], 16), clip);
+        net->b2[s] = clamp(net->b2[s] - floor_shift(lr * dlog[s], 16), WEIGHT_CLIP);
 
     for (int64_t j = 0; j < w; j++)
         dpre[j] = floor_shift(lr * dpre[j], 16); /* now the hidden-layer step */
     for (int64_t j = 0; j < w; j++)
-        net->b1[j] = clamp(net->b1[j] - dpre[j], clip);
+        net->b1[j] = clamp(net->b1[j] - dpre[j], WEIGHT_CLIP);
     for (int64_t i = 0; i < n; i++) {
         int64_t *row = emb_row(net, ctx, n, i);
         for (int64_t j = 0; j < w; j++)
-            row[j] = clamp(row[j] - dpre[j], clip);
+            row[j] = clamp(row[j] - dpre[j], WEIGHT_CLIP);
     }
 
     /* the advanced context: recent + token, its last k bytes */
@@ -543,9 +525,7 @@ static PyMethodDef kz_methods[] = {
     {"locate", (PyCFunction)(void (*)(void))kz_locate, METH_FASTCALL,
      "locate(cum, target) -> the symbol whose interval holds target"},
     {"net", (PyCFunction)(void (*)(void))kz_net_new, METH_FASTCALL,
-     "net(emb, b1, w2, b2, softmax, buf, lr, width_shift, clip) -> capsule"},
-    {"net_forward", (PyCFunction)(void (*)(void))kz_net_forward, METH_FASTCALL,
-     "net_forward(net, recent): the forward pass for context recent into buf"},
+     "net(emb, b1, w2, b2, softmax, buf, lr, recent) -> capsule, with recent's forward pass in buf"},
     {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
      "net_step(net, recent, token): update on token, then the next forward pass"},
     {NULL, NULL, 0, NULL},

@@ -14,6 +14,9 @@ import numpy as np
 
 PROB_SCALE = 1 << 16
 ONE = 1 << 16  # Q16.16 unit
+ALPHABET = 256  # a net codes bytes
+WEIGHT_CLIP = 8 * ONE  # net parameters saturate to [-8.0, 8.0]
+MAX_WIDTH = 1 << 31  # keeps the output-layer shift below 64
 _TOTAL_LIMIT = 1 << 46  # keeps weight * free and remainder << 16 inside int64
 _BAD_WEIGHTS = "weights must be nonnegative with one positive"
 _INT64 = (np.dtype(np.int64),)
@@ -68,33 +71,31 @@ def locate(cum: np.ndarray, target: int) -> int:
     return i - 1
 
 
-def net(emb, b1, w2, b2, softmax, buf, lr: int, width_shift: int, clip: int) -> SimpleNamespace:
+def net(emb, b1, w2, b2, softmax, buf, lr: int, recent) -> SimpleNamespace:
     """One NeuralPredictor's arrays as shaped views, which write through, and
-    its constants; buf (2w + a) splits into pre | hidden | weights."""
+    its constants; buf (2w + 256) splits into pre | hidden | weights and
+    holds the forward pass for the context bytes recent, oldest first."""
     names = ("emb", "b1", "w2", "b2", "softmax", "buf")
     for name, array in zip(names, (emb, b1, w2, b2, softmax, buf)):
         _check(array, name, writable=name != "softmax")
-    a, w = b2.size, b1.size
-    if not (1 <= a <= 256 and 1 <= w and a * w <= emb.size and softmax.size and 0 <= width_shift <= 31):
-        raise ValueError("net arrays or constants out of range")
-    k = emb.size // (a * w)  # reshape rejects sizes that disagree
-    pre, hidden, weights = np.split(buf.reshape(2 * w + a), [w, 2 * w])
-    return SimpleNamespace(
-        emb=emb.reshape(k, a, w), b1=b1.reshape(w), w2=w2.reshape(w, a), b2=b2.reshape(a), k=k, a=a,
+    w = b1.size
+    if not (b2.size == ALPHABET and 1 <= w <= MAX_WIDTH and ALPHABET * w <= emb.size and softmax.size):
+        raise ValueError("net arrays out of range")
+    k = emb.size // (ALPHABET * w)  # reshape rejects sizes that disagree
+    pre, hidden, weights = np.split(buf.reshape(2 * w + ALPHABET), [w, 2 * w])
+    n = SimpleNamespace(
+        emb=emb.reshape(k, ALPHABET, w), b1=b1.reshape(w), w2=w2.reshape(w, ALPHABET), b2=b2.reshape(ALPHABET),
         softmax=softmax.reshape(-1), pre=pre, hidden=hidden, weights=weights,
-        lr=int(lr), width_shift=int(width_shift), clip=int(clip),
+        k=k, lr=int(lr), width_shift=(w - 1).bit_length(),
     )
+    _check_context(n, recent)
+    _forward(n, recent)
+    return n
 
 
 def _check_context(n: SimpleNamespace, recent) -> None:
-    if len(recent) > n.k or (recent and max(recent) >= n.a):
-        raise ValueError("context longer than the net's, or a byte outside its alphabet")
-
-
-def net_forward(n: SimpleNamespace, recent) -> None:
-    """buf = pre | hidden | weights for the context bytes recent, oldest first."""
-    _check_context(n, recent)
-    _forward(n, recent)
+    if len(recent) > n.k:
+        raise ValueError("context longer than the net's")
 
 
 def _forward(n: SimpleNamespace, recent) -> None:
@@ -115,10 +116,10 @@ def _forward(n: SimpleNamespace, recent) -> None:
 def net_step(n: SimpleNamespace, recent, token: int) -> None:
     """NeuralPredictor.update on buf's forward pass (for context recent), then
     the forward pass for the last k bytes of recent + token into buf."""
-    if not 0 <= token < n.a:
-        raise ValueError(f"token {token} outside the alphabet [0, {n.a})")
+    if not 0 <= token < ALPHABET:
+        raise ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
     _check_context(n, recent)
-    weights, pre, hidden, lr, clip = n.weights, n.pre, n.hidden, n.lr, n.clip
+    weights, pre, hidden, lr = n.weights, n.pre, n.hidden, n.lr
     total = int(np.add.reduce(weights))
     # the extension also rejects a negative entry, which only a write from outside leaves
     if total <= 0:
@@ -142,6 +143,6 @@ def net_step(n: SimpleNamespace, recent, token: int) -> None:
     rows = [(n.emb[pos, byte], step1) for pos, byte in enumerate(recent, n.k - len(recent))]
     for param, delta in [(n.w2, step2), (n.b2, step), (n.b1, step1), *rows]:
         param -= delta
-        np.minimum(param, clip, out=param)
-        np.maximum(param, -clip, out=param)
+        np.minimum(param, WEIGHT_CLIP, out=param)
+        np.maximum(param, -WEIGHT_CLIP, out=param)
     _forward(n, [*recent, token][-n.k :])

@@ -11,9 +11,10 @@ flags, include directory, extension suffix and platform, and later calls
 and processes reuse that file.
 
 - No ``cc`` on PATH: the twin, without a word.
-- A compiler that fails (for instance without the Python headers), or a
-  cache that cannot be written or loaded: one RuntimeWarning naming the
-  error, then the twin.
+- A compiler that fails (for instance without the Python headers), a cache
+  that cannot be written or loaded, or no cache at all because neither
+  ``$XDG_CACHE_HOME`` nor the home directory is an absolute path: one
+  RuntimeWarning naming the error, then the twin.
 
 The module is compiled to a temporary file in the cache directory and
 published with ``os.replace``, so concurrent processes (CLI invocations,
@@ -49,7 +50,10 @@ _MODULE = "kolmozip._kernel"  # PyInit__kernel in the source
 def _cache_dir() -> Path:
     base = Path(os.environ.get("XDG_CACHE_HOME", ""))
     if not base.is_absolute():  # unset, empty or relative: the XDG default
-        base = Path.home() / ".cache"
+        # expanduser leaves "~" as it is when no home directory is known
+        base = Path(os.path.expanduser("~")) / ".cache"
+    if not base.is_absolute():  # a relative HOME would build under the working directory
+        raise OSError("no cache: neither XDG_CACHE_HOME nor the home directory is an absolute path")
     return base / "kolmozip"
 
 

@@ -220,6 +220,8 @@ def _read_leb128(blob: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if shift and not byte:  # padded: _leb128 never writes a zero final byte
+                raise FormatError("non-minimal varint")
             return value, pos
         shift += 7
         if shift > 63:

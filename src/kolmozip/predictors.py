@@ -40,7 +40,6 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 ONE = 1 << 16  # Q16.16 unit
 DEFAULT_LEARNING_RATE = ONE // 8  # 0.125 in Q16.16; stable across widths 8..256
-_WEIGHT_CLIP = 8 * ONE  # saturate parameters to [-8.0, 8.0]
 
 
 ALPHABET = 256  # every predictor codes bytes
@@ -139,6 +138,10 @@ class PredictorConfig:
         raise ValueError(f"bad model spec {text!r}; want uniform | freq:K | neural:K,W")
 
 
+def _bad_token(token: int) -> ValueError:
+    return ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
+
+
 def _digest(config: PredictorConfig, position: int, state: bytes) -> bytes:
     h = hashlib.md5(b"KZPD")
     h.update(config.to_bytes())
@@ -165,6 +168,8 @@ class UniformPredictor:
         return _ONES_ROW
 
     def update(self, token: int) -> None:
+        if not 0 <= token < ALPHABET:
+            raise _bad_token(token)
         self.token_position += 1
 
     def digest(self) -> bytes:
@@ -206,6 +211,8 @@ class FreqPredictor:
         return _ONES_ROW if row is None else row
 
     def update(self, token: int) -> None:
+        if not 0 <= token < ALPHABET:
+            raise _bad_token(token)
         row = self._row(create=True)
         row[token] += 1
         if row[token] >= _COUNT_LIMIT:
@@ -291,7 +298,6 @@ class NeuralPredictor:
         self.lr = config.learning_rate
         self.token_position = 0
         self._recent = bytearray()
-        self._width_shift = (self.w - 1).bit_length()
 
         stream = Lcg64(mix64(config.seed, 0x4E455552))
         emb_scale = (ONE << 8) // (2 * math.isqrt(self.k << 16))
@@ -329,7 +335,8 @@ class NeuralPredictor:
         return np.where(u < 0, -mag, mag).reshape(shape)
 
     def _bind_kernel(self) -> None:
-        """Bind this instance's arrays to the step module; run the forward pass.
+        """Bind this instance's arrays to the step module, which runs the
+        forward pass for the current context as it binds.
 
         The step module (kernel.py) works in place on emb, b1, w2 and b2,
         which are never rebound, and on the buffer pre | hidden | weights
@@ -337,19 +344,8 @@ class NeuralPredictor:
         """
         self._kernel = kernel.load()
         buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
-        self._net = self._kernel.net(
-            self.emb,
-            self.b1,
-            self.w2,
-            self.b2,
-            _SOFTMAX_TABLE,
-            buf,
-            self.lr,
-            self._width_shift,
-            _WEIGHT_CLIP,
-        )
+        self._net = self._kernel.net(self.emb, self.b1, self.w2, self.b2, _SOFTMAX_TABLE, buf, self.lr, self._recent)
         self._pre, self._hidden, self._weights = buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :]
-        self._kernel.net_forward(self._net, self._recent)
 
     def __getstate__(self) -> dict:
         # the binding holds this instance's arrays; a copy binds its own and

@@ -92,7 +92,19 @@ def ideal_locate(
 
 
 def oracle_shortest_binary(lo: Fraction, hi: Fraction, max_len: int = 24) -> str:
-    """Enumerate bit strings in (length, value) order; first one inside wins."""
+    """Enumerate bit strings in (length, value) order; first one inside wins.
+    lo <= k/2^L < hi is compared on integers, cross-multiplied."""
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    for length in range(max_len + 1):
+        lo_bound, hi_bound = lo_num << length, hi_num << length
+        for k in range(1 << length):
+            if k * lo_den >= lo_bound and k * hi_den < hi_bound:
+                return format(k, f"0{length}b") if length else ""
+    raise AssertionError("no code found within max_len")
+
+
+def oracle_shortest_binary_fractions(lo: Fraction, hi: Fraction, max_len: int = 24) -> str:
+    """The same enumeration on exact rationals, as first written."""
     for length in range(max_len + 1):
         for k in range(1 << length):
             if lo <= Fraction(k, 1 << length) < hi:
@@ -389,6 +401,23 @@ def test_shortest_binary_matches_oracle(a, b):
     assert got == want
     if got:
         assert lo <= Fraction(int(got, 2), 1 << len(got)) < hi
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (Fraction(0), Fraction(1)),
+        (Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(153, 550), Fraction(156, 550)),
+        (Fraction(0), Fraction(1, 1 << 20)),
+        (Fraction(1023, 1024), Fraction(1)),
+        (Fraction(1, 7), Fraction(1, 7) + Fraction(1, 1 << 12)),
+        (Fraction(5, 8), Fraction(5, 8) + Fraction(1, 10**6)),
+        (Fraction(2, 3) - Fraction(1, 10**4), Fraction(2, 3)),
+    ],
+)
+def test_integer_shortest_binary_oracle_matches_the_rational_one(lo, hi):
+    assert oracle_shortest_binary(lo, hi) == oracle_shortest_binary_fractions(lo, hi)
 
 
 def test_refine_nests_and_multiplies_width():

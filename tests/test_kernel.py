@@ -15,6 +15,7 @@ import gc
 import inspect
 import os
 import pickle
+import pwd
 import re
 import subprocess
 import sys
@@ -28,7 +29,7 @@ import pytest
 from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
-from kolmozip.predictors import NeuralPredictor, PredictorConfig
+from kolmozip.predictors import _SOFTMAX_TABLE, NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
@@ -74,7 +75,7 @@ def test_extension_and_twin_export_the_same_functions():
     # the method table of the source, so a function added to _kernel.c
     # without a twin fails even where the extension cannot be built
     table = set(re.findall(r'^\s*\{"(\w+)", ', kernel.SOURCE.read_text(), re.MULTILINE))
-    assert _functions(_kernel_numpy) == table == {"quantize", "locate", "net", "net_forward", "net_step"}
+    assert _functions(_kernel_numpy) == table == {"quantize", "locate", "net", "net_step"}
     if kernel.load() is not _kernel_numpy:
         assert _functions(kernel.load()) == table
 
@@ -217,8 +218,12 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
             p.update(bad)
     with pytest.raises(ValueError):  # a context longer than the net's
         p._kernel.net_step(p._net, b"abc", 1)
-    with pytest.raises(ValueError):
-        p._kernel.net_forward(p._net, b"abc")
+    arrays = [p.emb, p.b1, p.w2, p.b2, _SOFTMAX_TABLE, p._weights.base]
+    with pytest.raises(ValueError):  # bound to a context longer than the net's
+        p._kernel.net(*arrays, p.lr, b"abc")
+    arrays[3] = p.b2[:255].copy()
+    with pytest.raises(ValueError):  # a net codes bytes: b2 needs 256 entries
+        p._kernel.net(*arrays, p.lr, b"ab")
     p._weights[:] = 0  # a corrupted forward pass
     with pytest.raises(ValueError):
         p.update(1)
@@ -292,6 +297,34 @@ def test_failing_compiler_warns_once_and_falls_back(monkeypatch, tmp_path):
     assert len(record) == 1
     assert "no space left on device" in str(record[0].message)
     assert list((tmp_path / "cache").iterdir()) == []  # the temporary file is gone
+
+
+@pytest.mark.parametrize("home", ["unknown", "relative"])
+def test_no_absolute_cache_base_warns_once_and_writes_nothing(home, monkeypatch, tmp_path):
+    # a compiler that would leave its output wherever it is pointed
+    fake = tmp_path / "bin" / "cc"
+    fake.parent.mkdir()
+    fake.write_text('#!/bin/sh\nfor last; do :; done\necho junk > "$last"\n')
+    fake.chmod(0o755)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(kernel, "_find_compiler", lambda: str(fake))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    if home == "relative":
+        monkeypatch.setenv("HOME", "relhome")
+    else:  # no HOME and no passwd entry, as for a container run as an arbitrary uid
+        monkeypatch.delenv("HOME", raising=False)
+
+        def no_entry(uid):
+            raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+        monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    with pytest.warns(RuntimeWarning) as record:
+        assert kernel.build_and_load() is None
+    assert list(work.iterdir()) == []
+    assert len(record) == 1
+    assert "no cache" in str(record[0].message)
 
 
 @needs_compiler

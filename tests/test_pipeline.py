@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 import pytest
@@ -220,6 +221,33 @@ def test_long_constant_stream_round_trips_under_the_token_bound():
     assert decompress(deserialize(serialize(artifact))) == data
 
 
+def test_padded_varints_are_rejected():
+    # a varint padded with zero groups decodes to the same value, but it is
+    # never what serialize writes, so it is garbage the format can detect
+    artifact, _ = compress(b"abracadabra, abracadabra!", FREQ0)
+    config = FREQ0.to_bytes()
+    head = pipeline.MAGIC + bytes([pipeline.VERSION]) + struct.pack("<H", len(config)) + config
+    tail = struct.pack("<Q", len(artifact.payload)) + artifact.payload
+
+    def blob(d: bytes, context_length: bytes) -> bytes:
+        return head + d + context_length + tail
+
+    def padded(field: bytes, zeros: int = 1) -> bytes:
+        return field[:-1] + bytes([field[-1] | 0x80]) + b"\x80" * (zeros - 1) + b"\x00"
+
+    d, zero, long = bytes([artifact.d]), b"\x00", bytes([0xAC, 0x02])  # 25, 0, 300
+    assert blob(d, zero) == serialize(artifact)
+    assert deserialize(blob(d, long)).context_length == 300
+    for bad in (
+        blob(padded(d), zero),
+        blob(padded(d, 3), zero),
+        blob(d, padded(zero)),
+        blob(d, padded(long)),
+    ):
+        with pytest.raises(FormatError, match="non-minimal varint"):
+            deserialize(bad)
+
+
 FUZZ_DATA = b"abracadabra, abracadabra! " * 2
 FUZZ_CONFIGS = {"uniform": UNIFORM, "freq:1": PredictorConfig("freq", order=1), "neural:1,8": NEURAL}
 MUTATIONS = ["none", "payload bytes", "any byte", "d", "context length", "truncation", "extension"]
@@ -258,6 +286,7 @@ def test_mutated_artifacts_round_trip_or_fail_cleanly(spec, mutation, data):
         blob = blob[:i] + bytes([data.draw(st.integers(0, 255))]) + blob[i + 1 :]
     try:
         artifact = deserialize(blob)
+        assert serialize(artifact) == blob  # one encoding per artifact
         # a context of the stated length where one is small enough to supply
         context = bytes(artifact.context_length) if artifact.context_length <= 64 else b""
         out = decompress(artifact, context)

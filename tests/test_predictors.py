@@ -135,6 +135,18 @@ def test_freq_determinism_and_digest_sensitivity():
     assert a.digest() != b.digest()
 
 
+@pytest.mark.parametrize("spec", ["uniform", "freq:0", "freq:1", "neural:1,8"])
+def test_tokens_outside_the_alphabet_are_rejected_before_any_state_changes(spec):
+    p = make_predictor(PredictorConfig.from_spec(spec))
+    for tok in b"ab":  # freq:1 now sits in a context with no count row yet
+        p.update(tok)
+    before = p.digest()
+    for bad in (-1, 256):
+        with pytest.raises(ValueError):
+            p.update(bad)
+    assert p.digest() == before
+
+
 # --- exp table -----------------------------------------------------------
 
 
