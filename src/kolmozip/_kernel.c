@@ -6,8 +6,11 @@
  *                                    the forward pass for recent in buf
  *   net_step(net, recent, token)     NeuralPredictor's update, then the next
  *                                    forward pass
- *   locate(cum, target)              RangeDecoder's symbol search
- *                                    (np.searchsorted(cum, target, "right") - 1)
+ *   encoder() -> state               a RangeEncoder's registers and output
+ *   encode(enc, cum, sym) -> width   RangeEncoder.encode_symbol
+ *   finish(enc) -> bytes             RangeEncoder.finish
+ *   decoder(payload) -> state        a RangeDecoder, its first five bytes read
+ *   decode(dec, cum) -> sym          RangeDecoder.decode_symbol
  *
  * Every function reproduces its twin bit for bit.  kernel.load() never returns
  * None: it returns this module, or the twin (the reference the tests hold this
@@ -28,6 +31,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -38,6 +42,7 @@
 #define ALPHABET 256                   /* a net codes bytes */
 #define WEIGHT_CLIP (8 * ONE)          /* net parameters saturate to [-8.0, 8.0] */
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
+#define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
 #define QUANT_TOTAL_LIMIT (INT64_C(1) << 46)
 
 static inline int64_t floor_shift(int64_t x, int s)
@@ -235,24 +240,282 @@ done:
     return result;
 }
 
-/* locate(cum, target): the i with cum[i] <= target < cum[i+1], for a
- * strictly increasing int64 cum and cum[0] <= target < cum[-1]. */
-static PyObject *kz_locate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* --- range coder ------------------------------------------------------ */
+
+#define RENORM (UINT32_C(1) << 24) /* renormalize while range < 2^24 */
+#define FLUSH_BYTES 5              /* finish() shifts out five bytes */
+
+/* RangeEncoder's state.  low holds up to 33 bits between renormalizations;
+ * bit 32 is a carry into the bytes not yet written out: the cache byte and
+ * the run of 0xFF after it (pending counts both).  The first byte is a
+ * phantom zero, so a carry always has somewhere to land. */
+typedef struct {
+    PyObject_HEAD
+    uint64_t low;
+    uint32_t range;
+    unsigned cache;
+    Py_ssize_t pending;
+    int finished;
+    unsigned char *out;
+    Py_ssize_t len, cap;
+} kz_encoder;
+
+/* RangeDecoder's state.  code = value - low, so there is no low register;
+ * the renormalization schedule is the encoder's. */
+typedef struct {
+    PyObject_HEAD
+    Py_buffer payload;
+    Py_ssize_t cursor;
+    uint32_t range, code;
+} kz_decoder;
+
+static void encoder_dealloc(PyObject *self)
+{
+    PyMem_Free(((kz_encoder *)self)->out);
+    PyObject_Free(self);
+}
+
+static void decoder_dealloc(PyObject *self)
+{
+    kz_decoder *dec = (kz_decoder *)self;
+    if (dec->payload.obj)
+        PyBuffer_Release(&dec->payload);
+    PyObject_Free(self);
+}
+
+static PyMemberDef encoder_members[] = {
+    {"low", T_ULONGLONG, offsetof(kz_encoder, low), READONLY, "the low register"},
+    {"range", T_UINT, offsetof(kz_encoder, range), READONLY, "the range register"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyMemberDef decoder_members[] = {
+    {"cursor", T_PYSSIZET, offsetof(kz_decoder, cursor), READONLY, "payload bytes read"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject encoder_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "kolmozip._kernel.encoder",
+    .tp_basicsize = sizeof(kz_encoder),
+    .tp_dealloc = encoder_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "a range encoder's state, made by encoder()",
+    .tp_members = encoder_members,
+};
+
+static PyTypeObject decoder_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "kolmozip._kernel.decoder",
+    .tp_basicsize = sizeof(kz_decoder),
+    .tp_dealloc = decoder_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "a range decoder's state, made by decoder(payload)",
+    .tp_members = decoder_members,
+};
+
+static void *get_state(PyObject *obj, PyTypeObject *type)
+{
+    if (Py_IS_TYPE(obj, type))
+        return obj;
+    PyErr_Format(PyExc_TypeError, "expected a %s state, got %s", type->tp_name, Py_TYPE(obj)->tp_name);
+    return NULL;
+}
+
+/* Room for n more output bytes; -1 with MemoryError set. */
+static int reserve(kz_encoder *enc, Py_ssize_t n)
+{
+    if (enc->cap - enc->len >= n)
+        return 0;
+    Py_ssize_t cap = enc->cap ? enc->cap : 256;
+    while (cap - enc->len < n) {
+        if (cap > PY_SSIZE_T_MAX / 2)
+            return PyErr_NoMemory(), -1;
+        cap *= 2;
+    }
+    unsigned char *out = PyMem_Realloc(enc->out, (size_t)cap);
+    if (!out)
+        return PyErr_NoMemory(), -1;
+    enc->out = out;
+    enc->cap = cap;
+    return 0;
+}
+
+/* Shift the top byte of low out: written once no carry can reach it (low
+ * below 0xFF000000 or carried), else one more pending 0xFF.  Writes at most
+ * pending bytes, so k shifts need room for pending + k. */
+static void shift_low(kz_encoder *enc)
+{
+    const uint64_t low = enc->low;
+    if (low < UINT64_C(0xFF000000) || low > UINT64_C(0xFFFFFFFF)) {
+        const unsigned carry = (unsigned)(low >> 32);
+        enc->out[enc->len++] = (unsigned char)(enc->cache + carry);
+        memset(enc->out + enc->len, (unsigned char)(0xFF + carry), (size_t)(enc->pending - 1));
+        enc->len += enc->pending - 1;
+        enc->pending = 0;
+        enc->cache = (unsigned)(low >> 24) & 0xFF;
+    }
+    enc->pending++;
+    enc->low = (low << 8) & UINT64_C(0xFFFFFFFF);
+}
+
+/* encoder() -> a fresh encoder state */
+static PyObject *kz_encoder_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (check_nargs("locate", nargs, 2) < 0)
+    (void)args;
+    if (check_nargs("encoder", nargs, 0) < 0)
         return NULL;
-    long long target = PyLong_AsLongLong(args[1]);
-    if (target == -1 && PyErr_Occurred())
+    kz_encoder *enc = PyObject_New(kz_encoder, &encoder_type);
+    if (!enc)
+        return NULL;
+    enc->low = 0;
+    enc->range = UINT32_MAX;
+    enc->cache = 0;
+    enc->pending = 1; /* the phantom leading byte */
+    enc->finished = 0;
+    enc->out = NULL;
+    enc->len = enc->cap = 0;
+    return (PyObject *)enc;
+}
+
+/* encode(enc, cum, sym) -> cum[sym + 1] - cum[sym]: narrow the range to the
+ * symbol's interval, which must be a nonempty part of [0, 2^16] (an empty
+ * one would renormalize forever), then renormalize. */
+static PyObject *kz_encode(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("encode", nargs, 3) < 0)
+        return NULL;
+    kz_encoder *enc = get_state(args[0], &encoder_type);
+    if (!enc)
+        return NULL;
+    long long sym = PyLong_AsLongLong(args[2]);
+    if (sym == -1 && PyErr_Occurred())
         return NULL;
     Py_buffer cv;
     Py_ssize_t n;
-    if (get_ints(args[0], &cv, 8, 8, 0, "cum", &n) < 0)
+    if (get_ints(args[1], &cv, 8, 8, 0, "cum", &n) < 0)
+        return NULL;
+    const int in_table = sym >= 0 && sym < n - 1;
+    const int64_t c0 = in_table ? ((const int64_t *)cv.buf)[sym] : 0;
+    const int64_t c1 = in_table ? ((const int64_t *)cv.buf)[sym + 1] : 0;
+    PyBuffer_Release(&cv);
+    if (enc->finished) {
+        PyErr_SetString(PyExc_ValueError, "encoder already finished");
+        return NULL;
+    }
+    if (!in_table) {
+        PyErr_Format(PyExc_ValueError, "symbol %lld outside [0, %zd)", sym, n - 1);
+        return NULL;
+    }
+    if (c0 < 0 || c0 >= c1 || c1 > PROB_SCALE) {
+        PyErr_SetString(PyExc_ValueError, "encode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16");
+        return NULL;
+    }
+    if (reserve(enc, enc->pending + FLUSH_BYTES) < 0) /* a symbol shifts at most 3 times */
+        return NULL;
+    const uint64_t r = enc->range, lo = (r * (uint64_t)c0) >> 16, hi = (r * (uint64_t)c1) >> 16;
+    enc->low += lo;
+    enc->range = (uint32_t)(hi - lo);
+    while (enc->range < RENORM) {
+        shift_low(enc);
+        enc->range <<= 8;
+    }
+    return PyLong_FromLongLong(c1 - c0);
+}
+
+/* finish(enc) -> the payload.  The first call snaps low up to a multiple of
+ * 2^16 (inside [low, low + range), as range >= 2^24) and shifts out five
+ * bytes; the zero tail drains the pending run, so the payload holds exactly
+ * one byte per renormalization plus five.  Later calls return it again. */
+static PyObject *kz_finish(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("finish", nargs, 1) < 0)
+        return NULL;
+    kz_encoder *enc = get_state(args[0], &encoder_type);
+    if (!enc)
+        return NULL;
+    if (!enc->finished) {
+        if (reserve(enc, enc->pending + FLUSH_BYTES) < 0)
+            return NULL;
+        enc->low = (enc->low + 0xFFFF) & ~UINT64_C(0xFFFF);
+        for (int i = 0; i < FLUSH_BYTES; i++)
+            shift_low(enc);
+        enc->finished = 1;
+    }
+    return PyBytes_FromStringAndSize((const char *)enc->out, enc->len);
+}
+
+/* The next payload byte, or -1 with TruncatedStreamError set. */
+static int next_byte(kz_decoder *dec)
+{
+    if (dec->cursor < dec->payload.len)
+        return ((const unsigned char *)dec->payload.buf)[dec->cursor++];
+    PyObject *errors = PyImport_ImportModule("kolmozip.errors");
+    PyObject *truncated = errors ? PyObject_GetAttrString(errors, "TruncatedStreamError") : NULL;
+    if (truncated)
+        PyErr_Format(truncated, "payload exhausted at byte %zd; stream is truncated", dec->cursor);
+    Py_XDECREF(truncated);
+    Py_XDECREF(errors);
+    return -1;
+}
+
+/* decoder(payload) -> a decoder state over a bytes-like payload, with the
+ * phantom byte skipped and the next four read into code */
+static PyObject *kz_decoder_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("decoder", nargs, 1) < 0)
+        return NULL;
+    kz_decoder *dec = PyObject_New(kz_decoder, &decoder_type);
+    if (!dec)
+        return NULL;
+    dec->payload.obj = NULL;
+    dec->cursor = 0;
+    dec->range = UINT32_MAX;
+    dec->code = 0;
+    if (PyObject_GetBuffer(args[0], &dec->payload, PyBUF_SIMPLE) < 0) {
+        dec->payload.obj = NULL;
+        Py_DECREF(dec);
+        return NULL;
+    }
+    for (int i = 0; i < 5; i++) {
+        int byte = next_byte(dec);
+        if (byte < 0) {
+            Py_DECREF(dec);
+            return NULL;
+        }
+        dec->code = dec->code << 8 | (uint32_t)byte; /* the phantom byte shifts out */
+    }
+    return (PyObject *)dec;
+}
+
+/* decode(dec, cum) -> the symbol s whose interval [cum[s], cum[s + 1]) holds
+ * the target, found by bisection, then the encoder's narrowing and
+ * renormalization.  cum must be a table: int64, holding the target, and
+ * every interval inside [0, 2^16]. */
+static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("decode", nargs, 2) < 0)
+        return NULL;
+    kz_decoder *dec = get_state(args[0], &decoder_type);
+    if (!dec)
+        return NULL;
+    Py_buffer cv;
+    Py_ssize_t n;
+    if (get_ints(args[1], &cv, 8, 8, 0, "cum", &n) < 0)
         return NULL;
     const int64_t *cum = cv.buf;
+    const uint64_t r = dec->range;
+    int64_t target = (int64_t)(((((uint64_t)dec->code + 1) << 16) - 1) / r);
+    if (target >= PROB_SCALE) /* only reachable on corrupted payloads */
+        target = PROB_SCALE - 1;
     if (n < 2 || target < cum[0] || target >= cum[n - 1]) {
         PyBuffer_Release(&cv);
-        PyErr_SetString(PyExc_ValueError, "locate needs cum[0] <= target < cum[-1]");
+        PyErr_SetString(PyExc_ValueError, "decode needs cum[0] <= target < cum[-1]");
         return NULL;
     }
     /* invariant: cum[lo] <= target < cum[hi] */
@@ -264,7 +527,22 @@ static PyObject *kz_locate(PyObject *module, PyObject *const *args, Py_ssize_t n
         else
             hi = mid;
     }
+    const int64_t c0 = cum[lo], c1 = cum[lo + 1];
     PyBuffer_Release(&cv);
+    if (c0 < 0 || c1 > PROB_SCALE) {
+        PyErr_SetString(PyExc_ValueError, "decode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16");
+        return NULL;
+    }
+    const uint64_t low = (r * (uint64_t)c0) >> 16, high = (r * (uint64_t)c1) >> 16;
+    dec->code -= (uint32_t)low; /* low <= code, as c0 <= target */
+    dec->range = (uint32_t)(high - low);
+    while (dec->range < RENORM) {
+        int byte = next_byte(dec);
+        if (byte < 0)
+            return NULL;
+        dec->code = dec->code << 8 | (uint32_t)byte;
+        dec->range <<= 8;
+    }
     return PyLong_FromSsize_t(lo);
 }
 
@@ -379,6 +657,10 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     long long lr = PyLong_AsLongLong(args[N_ARRAYS]);
     if (lr == -1 && PyErr_Occurred())
         return NULL;
+    if (lr < 1 || lr > MAX_LR) {
+        PyErr_Format(PyExc_ValueError, "learning rate %lld outside [1, 2^20]", lr);
+        return NULL;
+    }
     kz_net *net = PyMem_Calloc(1, sizeof *net);
     if (!net)
         return PyErr_NoMemory();
@@ -522,12 +804,20 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
 static PyMethodDef kz_methods[] = {
     {"quantize", (PyCFunction)(void (*)(void))kz_quantize, METH_FASTCALL,
      "quantize(weights, cum): fill cum with the quantized cumulative table"},
-    {"locate", (PyCFunction)(void (*)(void))kz_locate, METH_FASTCALL,
-     "locate(cum, target) -> the symbol whose interval holds target"},
     {"net", (PyCFunction)(void (*)(void))kz_net_new, METH_FASTCALL,
      "net(emb, b1, w2, b2, softmax, buf, lr, recent) -> capsule, with recent's forward pass in buf"},
     {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
      "net_step(net, recent, token): update on token, then the next forward pass"},
+    {"encoder", (PyCFunction)(void (*)(void))kz_encoder_new, METH_FASTCALL,
+     "encoder() -> a fresh range encoder state"},
+    {"encode", (PyCFunction)(void (*)(void))kz_encode, METH_FASTCALL,
+     "encode(enc, cum, sym) -> the width of sym, coded"},
+    {"finish", (PyCFunction)(void (*)(void))kz_finish, METH_FASTCALL,
+     "finish(enc) -> the payload, flushed"},
+    {"decoder", (PyCFunction)(void (*)(void))kz_decoder_new, METH_FASTCALL,
+     "decoder(payload) -> a range decoder state over payload"},
+    {"decode", (PyCFunction)(void (*)(void))kz_decode, METH_FASTCALL,
+     "decode(dec, cum) -> the next symbol"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -541,5 +831,7 @@ static struct PyModuleDef kz_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
+    if (PyType_Ready(&encoder_type) < 0 || PyType_Ready(&decoder_type) < 0)
+        return NULL;
     return PyModuleDef_Init(&kz_module);
 }

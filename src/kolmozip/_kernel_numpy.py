@@ -1,8 +1,8 @@
 """The numpy twin of the C step kernel (``_kernel.c``), and its reference.
 
 ``kernel.load()`` returns this module when the extension cannot be built:
-the same functions, arguments, results and ValueErrors (raised before any
-state is touched).  State arithmetic is on int64, which wraps as the
+the same functions, arguments, results and errors (ValueErrors raised
+before any state is touched, TruncatedStreamError where a payload runs out).  State arithmetic is on int64, which wraps as the
 extension does under -fwrapv; signed right shifts are floor shifts.
 """
 
@@ -12,12 +12,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import TruncatedStreamError
+
 PROB_SCALE = 1 << 16
 ONE = 1 << 16  # Q16.16 unit
 ALPHABET = 256  # a net codes bytes
 WEIGHT_CLIP = 8 * ONE  # net parameters saturate to [-8.0, 8.0]
 MAX_WIDTH = 1 << 31  # keeps the output-layer shift below 64
+MAX_LR = 1 << 20  # PredictorConfig's learning-rate bound
 _TOTAL_LIMIT = 1 << 46  # keeps weight * free and remainder << 16 inside int64
+_RENORM = 1 << 24  # renormalize while range < 2^24
+_MASK32 = 0xFFFFFFFF
+_FLUSH_BYTES = 5  # finish() shifts out five bytes
 _BAD_WEIGHTS = "weights must be nonnegative with one positive"
 _INT64 = (np.dtype(np.int64),)
 
@@ -62,13 +68,103 @@ def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     np.add.accumulate(base, out=cum[1:])
 
 
-def locate(cum: np.ndarray, target: int) -> int:
-    """The i with cum[i] <= target < cum[i + 1], for a strictly increasing cum."""
+def encoder() -> SimpleNamespace:
+    """A fresh RangeEncoder state.  low holds up to 33 bits between
+    renormalizations; bit 32 is a carry into the bytes not yet emitted: the
+    cache byte and the run of 0xFF after it (pending counts both).  The
+    first byte is a phantom zero, so a carry always has somewhere to land."""
+    return SimpleNamespace(low=0, range=_MASK32, emitted=bytearray(), cache=0, pending=1, finished=False)
+
+
+def encode(enc: SimpleNamespace, cum: np.ndarray, sym: int) -> int:
+    """Narrow the range to sym's interval of the table cum, renormalize, and
+    return its width cum[sym + 1] - cum[sym].  The interval must be a
+    nonempty part of [0, 2^16]: an empty one would renormalize forever."""
     _check(cum, "cum")
-    i = int(np.searchsorted(cum, target, side="right"))
-    if not 0 < i < cum.size:
-        raise ValueError("locate needs cum[0] <= target < cum[-1]")
-    return i - 1
+    if enc.finished:
+        raise ValueError("encoder already finished")
+    if not 0 <= sym < cum.size - 1:
+        raise ValueError(f"symbol {sym} outside [0, {cum.size - 1})")
+    c0, c1 = cum.item(sym), cum.item(sym + 1)
+    if not 0 <= c0 < c1 <= PROB_SCALE:
+        raise ValueError("encode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16")
+    r = enc.range
+    lo = (r * c0) >> 16
+    enc.low += lo
+    enc.range = ((r * c1) >> 16) - lo
+    while enc.range < _RENORM:
+        _shift_low(enc)
+        enc.range <<= 8
+    return c1 - c0
+
+
+def _shift_low(enc: SimpleNamespace) -> None:
+    low = enc.low
+    if low < 0xFF000000 or low > _MASK32:
+        carry = low >> 32
+        enc.emitted.append((enc.cache + carry) & 0xFF)
+        if enc.pending > 1:
+            enc.emitted.extend(bytes([(0xFF + carry) & 0xFF]) * (enc.pending - 1))
+        enc.pending = 0
+        enc.cache = (low >> 24) & 0xFF
+    enc.pending += 1
+    enc.low = (low << 8) & _MASK32
+
+
+def finish(enc: SimpleNamespace) -> bytes:
+    """The payload.  The first call snaps low up to a multiple of 2^16
+    (inside [low, low + range), as range >= 2^24) and shifts out five bytes;
+    the zero tail drains the pending run, so the payload holds exactly one
+    byte per renormalization plus five.  Later calls return it again."""
+    if not enc.finished:
+        enc.low = (enc.low + 0xFFFF) & ~0xFFFF
+        for _ in range(_FLUSH_BYTES):
+            _shift_low(enc)
+        enc.finished = True
+    return bytes(enc.emitted)
+
+
+def decoder(payload) -> SimpleNamespace:
+    """A RangeDecoder state over payload (bytes), with the phantom byte
+    skipped and the next four read.  code = value - low, so there is no low
+    register; the renormalization schedule is the encoder's."""
+    dec = SimpleNamespace(payload=payload, cursor=0, range=_MASK32, code=0)
+    _next_byte(dec)  # the phantom byte; its content is ignored
+    for _ in range(4):
+        dec.code = (dec.code << 8) | _next_byte(dec)
+    return dec
+
+
+def _next_byte(dec: SimpleNamespace) -> int:
+    if dec.cursor >= len(dec.payload):
+        raise TruncatedStreamError(f"payload exhausted at byte {dec.cursor}; stream is truncated")
+    b = dec.payload[dec.cursor]
+    dec.cursor += 1
+    return b
+
+
+def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
+    """The symbol s whose interval [cum[s], cum[s + 1]) holds the target,
+    then the encoder's narrowing and renormalization.  cum must be a table:
+    int64, holding the target, and every interval inside [0, 2^16]."""
+    _check(cum, "cum")
+    r = dec.range
+    target = (((dec.code + 1) << 16) - 1) // r
+    if target >= PROB_SCALE:  # only reachable on corrupted payloads
+        target = PROB_SCALE - 1
+    sym = int(cum.searchsorted(target, "right")) - 1
+    if not 0 <= sym < cum.size - 1:
+        raise ValueError("decode needs cum[0] <= target < cum[-1]")
+    c0, c1 = cum.item(sym), cum.item(sym + 1)
+    if c0 < 0 or c1 > PROB_SCALE:
+        raise ValueError("decode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16")
+    lo = (r * c0) >> 16
+    dec.code -= lo
+    dec.range = ((r * c1) >> 16) - lo
+    while dec.range < _RENORM:
+        dec.code = ((dec.code << 8) | _next_byte(dec)) & _MASK32
+        dec.range <<= 8
+    return sym
 
 
 def net(emb, b1, w2, b2, softmax, buf, lr: int, recent) -> SimpleNamespace:
@@ -78,6 +174,8 @@ def net(emb, b1, w2, b2, softmax, buf, lr: int, recent) -> SimpleNamespace:
     names = ("emb", "b1", "w2", "b2", "softmax", "buf")
     for name, array in zip(names, (emb, b1, w2, b2, softmax, buf)):
         _check(array, name, writable=name != "softmax")
+    if not 1 <= lr <= MAX_LR:
+        raise ValueError(f"learning rate {lr} outside [1, 2^20]")
     w = b1.size
     if not (b2.size == ALPHABET and 1 <= w <= MAX_WIDTH and ALPHABET * w <= emb.size and softmax.size):
         raise ValueError("net arrays out of range")

@@ -3,9 +3,11 @@
 Two layers live here.  The production path is an integer range coder:
 32-bit range register, 64-bit low accumulator whose bit 32 carries into
 already-buffered output bytes, byte-at-a-time renormalization whenever
-the range drops below 2^24.  The second layer is exact rational interval
-arithmetic (`IdealInterval`) used to cross-check the coder against
-sessions small enough to work by hand.
+the range drops below 2^24.  Its state and arithmetic live in the step
+module (`kernel.load()`: the C extension or its numpy twin);
+`RangeEncoder` and `RangeDecoder` are thin classes over them.  The second
+layer is exact rational interval arithmetic (`IdealInterval`) used to
+cross-check the coder against sessions small enough to work by hand.
 
 Probabilities are quantized to integer widths summing to 2^16 before
 they touch the coder, so encode/decode are integer-only and bit-exact.
@@ -21,14 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .errors import TruncatedStreamError
 
 PROB_BITS = 16
 PROB_SCALE = 1 << PROB_BITS  # every quantized table sums to this
 MAX_ALPHABET = PROB_SCALE
-_RENORM = 1 << 24  # renormalize while range < 2^24
-_MASK32 = 0xFFFFFFFF
-_FLUSH_BYTES = 5  # tail bytes emitted by finish()
 # the weight dtypes the kernel's quantize reads as they are (int32, int64)
 _KERNEL_WEIGHTS = np.dtype(np.int32).char + np.dtype(np.int64).char
 
@@ -89,103 +87,48 @@ def quantize_distribution(dist: Distribution) -> np.ndarray:
 class RangeEncoder:
     """Streaming range encoder; call encode_symbol repeatedly, then finish().
 
-    `low` holds up to 33 bits between renormalizations; bit 32 is a carry
-    that propagates into the buffered bytes (pending 0xFF run + cache byte,
-    the usual delayed-emission scheme).  `emitted` starts with one phantom
-    zero byte so a carry always has somewhere to land.
+    The state lives in the step module (`kernel.load().encoder()`): a 32-bit
+    range, a low register whose bit 32 carries into the bytes not yet
+    written, and a phantom leading byte for that carry to land in.
     """
 
     def __init__(self) -> None:
-        self.low = 0
-        self.range_ = _MASK32
-        self.emitted = bytearray()
-        self._cache_byte = 0
-        self._pending = 1  # phantom leading byte
-        self._finished = False
+        step = kernel.load()
+        self._state = step.encoder()
+        self._encode, self._finish = step.encode, step.finish
 
-    def encode_symbol(self, cum: np.ndarray, sym: int) -> None:
-        if self._finished:
-            raise ValueError("encoder already finished")
-        r = self.range_
-        lo = (r * int(cum[sym])) >> PROB_BITS
-        hi = (r * int(cum[sym + 1])) >> PROB_BITS
-        self.low += lo
-        self.range_ = hi - lo
-        while self.range_ < _RENORM:
-            self._shift_low()
-            self.range_ <<= 8
+    def encode_symbol(self, cum: np.ndarray, sym: int) -> int:
+        """Code sym under the table cum and return its width cum[sym + 1] - cum[sym].
 
-    def _shift_low(self) -> None:
-        low = self.low
-        if low < 0xFF000000 or low > _MASK32:
-            carry = low >> 32
-            self.emitted.append((self._cache_byte + carry) & 0xFF)
-            if self._pending > 1:
-                self.emitted.extend(bytes([(0xFF + carry) & 0xFF]) * (self._pending - 1))
-            self._pending = 0
-            self._cache_byte = (low >> 24) & 0xFF
-        self._pending += 1
-        self.low = (low << 8) & _MASK32
+        ValueError, with nothing coded, unless 0 <= cum[sym] < cum[sym + 1] <= 2^16.
+        """
+        return self._encode(self._state, cum, sym)
 
     def finish(self) -> bytes:
-        """Snap to a code value with a zero 16-bit tail and flush everything.
-
-        range >= 2^24 holds here, so rounding low up to a multiple of 2^16
-        stays inside [low, low + range); the zero tail guarantees the
-        pending-byte run drains and the payload length equals exactly
-        (#renormalizations + 5) bytes.
-        """
-        if not self._finished:
-            self.low = (self.low + 0xFFFF) & ~0xFFFF
-            for _ in range(_FLUSH_BYTES):
-                self._shift_low()
-            self._finished = True
-        return bytes(self.emitted)
+        """Flush and return the payload: one byte per renormalization plus 5."""
+        return self._finish(self._state)
 
 
 class RangeDecoder:
     """Mirrors RangeEncoder's range evolution, reading symbols back.
 
-    Keeps code = (value - low) so no explicit low register is needed; the
-    renormalization schedule is identical to the encoder's by construction.
+    The state lives in the step module (`kernel.load().decoder(payload)`).
     Arbitrary (tampered) payloads decode to garbage but never crash; a
     payload that runs out of bytes raises TruncatedStreamError.
     """
 
     def __init__(self, payload: bytes) -> None:
-        self.payload = payload
-        self.cursor = 0
-        self.range_ = _MASK32
-        self._next_byte()  # phantom byte; content ignored
-        code = 0
-        for _ in range(4):
-            code = (code << 8) | self._next_byte()
-        self.code = code
-        self._locate = kernel.load().locate
-
-    def _next_byte(self) -> int:
-        if self.cursor >= len(self.payload):
-            raise TruncatedStreamError(
-                f"payload exhausted at byte {self.cursor}; stream is truncated"
-            )
-        b = self.payload[self.cursor]
-        self.cursor += 1
-        return b
+        step = kernel.load()
+        self._state = step.decoder(payload)
+        self._decode = step.decode
 
     def decode_symbol(self, cum: np.ndarray) -> int:
-        r = self.range_
-        target = (((self.code + 1) << PROB_BITS) - 1) // r
-        if target >= PROB_SCALE:  # only reachable on corrupted payloads
-            target = PROB_SCALE - 1
-        sym = self._locate(cum, target)
-        lo = (r * int(cum[sym])) >> PROB_BITS
-        hi = (r * int(cum[sym + 1])) >> PROB_BITS
-        self.code -= lo
-        self.range_ = hi - lo
-        while self.range_ < _RENORM:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range_ <<= 8
-        return sym
+        return self._decode(self._state, cum)
+
+    @property
+    def cursor(self) -> int:
+        """Payload bytes read so far."""
+        return self._state.cursor
 
 
 # --- exact rational interval arithmetic ---------------------------------

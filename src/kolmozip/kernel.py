@@ -42,7 +42,7 @@ from types import ModuleType
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # -fwrapv: signed overflow wraps exactly like numpy's int64 arithmetic
-_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv")
+_FLAGS = ("-O3", "-fPIC", "-shared", "-fwrapv")
 _BUILD_TIMEOUT_S = 120
 _MODULE = "kolmozip._kernel"  # PyInit__kernel in the source
 

@@ -129,8 +129,7 @@ def _session(
 
     def encode(cum: np.ndarray, i: int) -> int:
         tok = data[i]
-        widths[i] = cum[tok + 1] - cum[tok]
-        encode_symbol(cum, tok)
+        widths[i] = encode_symbol(cum, tok)
         return tok
 
     digests = _replay(make_predictor(config), context, len(data), encode, audit)

@@ -25,9 +25,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
+from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
 from kolmozip.predictors import _SOFTMAX_TABLE, NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
@@ -74,8 +77,9 @@ def _functions(module) -> set[str]:
 def test_extension_and_twin_export_the_same_functions():
     # the method table of the source, so a function added to _kernel.c
     # without a twin fails even where the extension cannot be built
-    table = set(re.findall(r'^\s*\{"(\w+)", ', kernel.SOURCE.read_text(), re.MULTILINE))
-    assert _functions(_kernel_numpy) == table == {"quantize", "locate", "net", "net_step"}
+    table = set(re.findall(r'^\s*\{"(\w+)", \(PyCFunction\)', kernel.SOURCE.read_text(), re.MULTILINE))
+    exports = {"quantize", "net", "net_step", "encoder", "encode", "finish", "decoder", "decode"}
+    assert _functions(_kernel_numpy) == table == exports
     if kernel.load() is not _kernel_numpy:
         assert _functions(kernel.load()) == table
 
@@ -122,12 +126,20 @@ def test_quantize_kernel_rejects_what_would_break_its_buffers(step):
     assert np.array_equal(quantize_weights(strided), twin_quantize(strided))
 
 
+def _payload_at(target: int) -> bytes:
+    """A payload whose first symbol decodes at target (< 2^16) under any
+    table: after the phantom byte, code = target << 16."""
+    return b"\0" + (target << 16).to_bytes(4, "big") + bytes(8)
+
+
 def test_kernel_checks_the_arrays_it_is_given():
     row = np.arange(1, 257, dtype=np.int64)
     cum = np.empty(257, dtype=np.int64)
     read_only = cum.copy()
     read_only.flags.writeable = False
+    table = twin_quantize(row)
     for ext in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
+        enc, dec = ext.encoder(), ext.decoder(_payload_at(0))
         bad_calls = [
             (ext.quantize, row, np.empty(256, dtype=np.int64)),  # cum too short
             (ext.quantize, row, np.empty(257, dtype=np.int32)),  # cum of the wrong dtype
@@ -137,24 +149,52 @@ def test_kernel_checks_the_arrays_it_is_given():
             (ext.quantize, row.astype(np.uint64), cum),
             (ext.quantize, row.astype(np.int16), cum),
             (ext.quantize, row.astype(np.float64), cum),
-            (ext.locate, quantize_weights(row).astype(np.int32), 5),
-            (ext.locate, np.zeros(1, dtype=np.int64), 0),  # no symbol at all
-            (ext.locate, quantize_weights(row), PROB_SCALE),  # target past the table
-            (ext.locate, quantize_weights(row), -1),
+            (ext.encode, enc, table.astype(np.int32), 5),
+            (ext.encode, enc, np.repeat(table, 2)[::2], 5),  # strided cum
+            (ext.decode, dec, table.astype(np.int32)),
+            (ext.decode, dec, np.repeat(table, 2)[::2]),
+            (ext.decode, dec, np.zeros(1, dtype=np.int64)),  # no symbol at all
+            (ext.decode, dec, table + 1),  # the target (0) below the table
+            (ext.decode, ext.decoder(_payload_at(PROB_SCALE - 1)), table[:-1]),  # past it
+            (ext.decode, dec, np.array([-1, 1, PROB_SCALE])),  # an interval outside [0, 2^16]
+            (ext.decode, ext.decoder(_payload_at(9)), np.array([0, 5, 1 << 17])),
         ]
         for fn, *args in bad_calls:
             with pytest.raises(ValueError):
                 fn(*args)
         ext.quantize(row, cum)
         assert np.array_equal(cum, twin_quantize(row))
+        # the rejected calls left both coders as they were
+        assert dec.cursor == 5 and ext.decode(dec, table) == 0
+        ext.encode(enc, table, 5)
+        assert ext.finish(enc) == _coded(_kernel_numpy, [table], [5])
 
 
-# --- symbol search ----------------------------------------------------------------
+# --- range coder -----------------------------------------------------------------
 
 
-@needs_kernel
-def test_locate_matches_searchsorted():
-    locate = kernel.load().locate
+def _coded(module, tables, symbols) -> bytes:
+    enc = module.encoder()
+    for cum, sym in zip(tables, symbols):
+        assert module.encode(enc, cum, sym) == cum[sym + 1] - cum[sym]
+    return module.finish(enc)
+
+
+def _decoded(module, payload: bytes, tables) -> tuple[tuple[int, ...], int | None, int]:
+    """The symbols payload decodes to under tables, the index of the symbol
+    at which it ran out (None if it did not) and the cursor at the end."""
+    symbols = []
+    try:
+        dec = module.decoder(payload)
+        for cum in tables:
+            symbols.append(module.decode(dec, cum))
+    except TruncatedStreamError as exc:
+        assert str(exc) == f"payload exhausted at byte {len(payload)}; stream is truncated"
+        return tuple(symbols), len(symbols), len(payload)
+    return tuple(symbols), None, dec.cursor
+
+
+def test_decode_finds_the_symbol_holding_the_target():
     rng = Lcg64(11)
     for m in (2, 3, 256, 4096, PROB_SCALE):
         for _ in range(5):
@@ -163,9 +203,94 @@ def test_locate_matches_searchsorted():
             # for wide tables), random targets, and the target a corrupted
             # payload is clamped to (2^16 - 1)
             edges = np.concatenate([cum[:-1], cum[1:-1] - 1])[:: 1 + m // 1000]
-            targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200)), PROB_SCALE - 1]
-            for t in targets:
-                assert locate(cum, t) == _kernel_numpy.locate(cum, t), (m, t)
+            targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200))]
+            payloads = [*map(_payload_at, targets), b"\0" + b"\xff" * 12]
+            for payload in payloads:
+                target = int.from_bytes(payload[1:5], "big") >> 16
+                want = int(np.searchsorted(cum, target, side="right")) - 1
+                for ext in dict.fromkeys(STEP_MODULES.values()):
+                    assert ext.decode(ext.decoder(payload), cum) == want, (m, target)
+
+
+def _tables(seed: int, alphabets: list[int]) -> list[np.ndarray]:
+    """One table per alphabet size, from weights of random magnitude, zeros
+    included."""
+    gen = np.random.default_rng(seed)
+    tables = []
+    for m in alphabets:
+        weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
+        weights[gen.integers(m)] += 1
+        tables.append(quantize_weights(weights))
+    return tables
+
+
+_ALPHABETS = st.lists(st.integers(2, PROB_SCALE), min_size=1, max_size=3)
+
+
+@given(alphabets=_ALPHABETS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_extension_and_twin_code_the_same_bytes(alphabets, seed, n, data):
+    tables = _tables(seed, alphabets)
+    gen = np.random.default_rng(seed + 1)
+    stream = [tables[i] for i in gen.integers(0, len(tables), n)]
+    symbols = tuple(int(gen.integers(0, cum.size - 1)) for cum in stream)
+    modules = dict.fromkeys(STEP_MODULES.values())
+    payloads = {_coded(ext, stream, symbols) for ext in modules}
+    assert len(payloads) == 1
+    (payload,) = payloads
+    for ext in modules:
+        assert _decoded(ext, payload, stream) == (symbols, None, len(payload))
+    # a valid stream reads its last byte, so any cut runs out, at one symbol on both
+    cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
+    truncated = {_decoded(ext, payload[:cut], stream) for ext in modules}
+    assert len(truncated) == 1
+    ((read, ran_out, _),) = truncated
+    assert ran_out is not None and read == symbols[:ran_out]
+
+
+@given(
+    alphabets=_ALPHABETS,
+    seed=st.integers(0, 2**32 - 1),
+    # all 0xFF after the phantom byte: the clamped target 2^16 - 1
+    payload=st.one_of(st.binary(max_size=200), st.integers(0, 200).map(lambda k: b"\0" + b"\xff" * k)),
+)
+@settings(max_examples=80, deadline=None)
+def test_extension_and_twin_decode_any_payload_alike(alphabets, seed, payload):
+    tables = _tables(seed, alphabets)
+    stream = [tables[i % len(tables)] for i in range(400)]
+    results = {_decoded(ext, payload, stream) for ext in dict.fromkeys(STEP_MODULES.values())}
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("module", list(STEP_MODULES))
+def test_encoder_rejects_a_bad_symbol_without_hanging(module):
+    # an empty or negative width would renormalize forever, so the calls run
+    # in a child process that a timeout ends
+    if module == "extension" and STEP_MODULES[module] is _kernel_numpy:
+        pytest.skip("the C extension did not build here")
+    code = f"""
+import numpy as np
+from kolmozip import _kernel_numpy, coder, kernel
+if {module!r} == "numpy":
+    kernel.load = lambda: _kernel_numpy
+table = coder.quantize_weights(np.ones(256, dtype=np.int64))
+bad = [(table, -1), (table, 256), (np.array([0, 5, 5, 65536]), 1), (np.array([0, 5, 65537]), 1)]
+enc = coder.RangeEncoder()
+for cum, sym in bad:
+    try:
+        enc.encode_symbol(cum, sym)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit(f"accepted {{sym}} under {{cum}}")
+enc.encode_symbol(table, 7)
+good = coder.RangeEncoder()
+good.encode_symbol(table, 7)
+assert enc.finish() == good.finish()
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(kernel.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 # --- neural step ---------------------------------------------------------------
@@ -221,6 +346,11 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     arrays = [p.emb, p.b1, p.w2, p.b2, _SOFTMAX_TABLE, p._weights.base]
     with pytest.raises(ValueError):  # bound to a context longer than the net's
         p._kernel.net(*arrays, p.lr, b"abc")
+    for lr in (0, -5, (1 << 20) + 1):  # outside PredictorConfig's [1, 2^20]
+        with pytest.raises(ValueError):
+            p._kernel.net(*arrays, lr, b"ab")
+    for lr in (1, 1 << 20):  # bound to copies: a bound net writes its forward pass
+        p._kernel.net(*(a.copy() for a in arrays), lr, b"ab")
     arrays[3] = p.b2[:255].copy()
     with pytest.raises(ValueError):  # a net codes bytes: b2 needs 256 entries
         p._kernel.net(*arrays, p.lr, b"ab")
