@@ -96,6 +96,23 @@ static int check_nargs(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
+/* Read the integer obj into *out, which must lie in [lo, hi).  A value
+ * outside, past int64 included, raises the twin's ValueError: fmt is its
+ * message, with %S for the value and, where the message shows it, %lld for
+ * hi.  Returns 0, or -1 with an exception set. */
+static int get_int(PyObject *obj, long long lo, long long hi, const char *fmt, long long *out)
+{
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || *out < lo || *out >= hi) {
+        PyErr_Format(PyExc_ValueError, fmt, obj, hi);
+        return -1;
+    }
+    return 0;
+}
+
 /* --- quantization ------------------------------------------------------ */
 
 static int cmp_i64(const void *a, const void *b)
@@ -390,25 +407,22 @@ static PyObject *kz_encode(PyObject *module, PyObject *const *args, Py_ssize_t n
     kz_encoder *enc = get_state(args[0], &encoder_type);
     if (!enc)
         return NULL;
-    long long sym = PyLong_AsLongLong(args[2]);
-    if (sym == -1 && PyErr_Occurred())
-        return NULL;
     Py_buffer cv;
     Py_ssize_t n;
     if (get_ints(args[1], &cv, 8, 8, 0, "cum", &n) < 0)
         return NULL;
-    const int in_table = sym >= 0 && sym < n - 1;
-    const int64_t c0 = in_table ? ((const int64_t *)cv.buf)[sym] : 0;
-    const int64_t c1 = in_table ? ((const int64_t *)cv.buf)[sym + 1] : 0;
-    PyBuffer_Release(&cv);
     if (enc->finished) {
         PyErr_SetString(PyExc_ValueError, "encoder already finished");
+        PyBuffer_Release(&cv);
         return NULL;
     }
-    if (!in_table) {
-        PyErr_Format(PyExc_ValueError, "symbol %lld outside [0, %zd)", sym, n - 1);
+    long long sym;
+    if (get_int(args[2], 0, n - 1, "symbol %S outside [0, %lld)", &sym) < 0) {
+        PyBuffer_Release(&cv);
         return NULL;
     }
+    const int64_t c0 = ((const int64_t *)cv.buf)[sym], c1 = ((const int64_t *)cv.buf)[sym + 1];
+    PyBuffer_Release(&cv);
     if (c0 < 0 || c0 >= c1 || c1 > PROB_SCALE) {
         PyErr_SetString(PyExc_ValueError, "encode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16");
         return NULL;
@@ -654,13 +668,9 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     static const char *names[N_ARRAYS] = {"emb", "b1", "w2", "b2", "softmax", "buf"};
     if (check_nargs("net", nargs, N_ARRAYS + 2) < 0)
         return NULL;
-    long long lr = PyLong_AsLongLong(args[N_ARRAYS]);
-    if (lr == -1 && PyErr_Occurred())
+    long long lr;
+    if (get_int(args[N_ARRAYS], 1, MAX_LR + 1, "learning rate %S outside [1, 2^20]", &lr) < 0)
         return NULL;
-    if (lr < 1 || lr > MAX_LR) {
-        PyErr_Format(PyExc_ValueError, "learning rate %lld outside [1, 2^20]", lr);
-        return NULL;
-    }
     kz_net *net = PyMem_Calloc(1, sizeof *net);
     if (!net)
         return PyErr_NoMemory();
@@ -725,13 +735,9 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     kz_net *net = get_net(args[0]);
     if (!net)
         return NULL;
-    long long token = PyLong_AsLongLong(args[2]);
-    if (token == -1 && PyErr_Occurred())
+    long long token;
+    if (get_int(args[2], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
         return NULL;
-    if (token < 0 || token >= ALPHABET) {
-        PyErr_Format(PyExc_ValueError, "token %lld outside the alphabet [0, %d)", token, ALPHABET);
-        return NULL;
-    }
     Py_buffer ctx_view;
     if (get_context(net, args[1], &ctx_view) < 0)
         return NULL;

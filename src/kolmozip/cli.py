@@ -4,7 +4,7 @@ Machine-readable reports go to stdout as one JSON object per line; human
 summaries go to stderr.  Output files are written to a temp file in the
 destination directory and renamed into place, so a failing run never
 leaves a partial file.  Exit codes: 0 success, 1 usage error, 2 malformed
-or undecodable input, or a malformed environment setting.
+or undecodable input.
 """
 
 from __future__ import annotations

@@ -53,17 +53,17 @@ class Distribution:
             if any(x < 0 for x in w) or not any(x > 0 for x in w):
                 raise ValueError("weights must be nonnegative with one positive")
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
 
 def quantize_weights(weights: np.ndarray) -> np.ndarray:
-    """Trusted fast path: int64 (or int32) weights straight to a cumulative table.
+    """A row of integer weights to its cumulative table.
 
     A table is the int64 array cum, strictly increasing from cum[0] = 0 to
-    cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  Callers
-    guarantee shape/positivity (predictors do by construction); use
-    quantize_distribution for validated input.
+    cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  A C-contiguous
+    int32 or int64 row goes to the step module as it is; a strided row, or a
+    row of another dtype, is first copied to int64 (numpy's cast, which
+    truncates floats).  A row that is not a distribution (fewer than 2 or
+    more than 2^16 weights, a negative weight, none positive, or a total of
+    2^46 or more) raises ValueError.
     """
     if weights.dtype.char not in _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
         weights = np.ascontiguousarray(weights, dtype=np.int64)

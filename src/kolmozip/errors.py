@@ -12,6 +12,3 @@ class FormatError(KolmozipError):
 class TruncatedStreamError(KolmozipError):
     """Payload ended before the decoder consumed the bytes it needed."""
 
-
-class SettingError(KolmozipError, ValueError):
-    """An environment setting the package reads (KOLMOZIP_THREADS) is malformed."""

@@ -18,7 +18,7 @@ and processes reuse that file.
 
 The module is compiled to a temporary file in the cache directory and
 published with ``os.replace``, so concurrent processes (CLI invocations,
-pool workers, fresh interpreters) never load a half-written file.  Nothing
+fresh interpreters) never load a half-written file.  Nothing
 is ever written next to the source.
 """
 

@@ -19,7 +19,6 @@ complexity treats the conditioning string as given.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .coder import (
     RangeEncoder,
     quantize_weights,
 )
-from .errors import FormatError, SettingError
+from .errors import FormatError
 from .predictors import PredictorConfig, make_predictor
 
 MAGIC = b"KZV1"
@@ -135,7 +134,7 @@ def _session(
     digests = _replay(make_predictor(config), context, len(data), encode, audit)
     payload = encoder.finish()
     stats = SessionStats(
-        token_bits=PROB_BITS - np.log2(widths) if len(data) else np.zeros(0),
+        token_bits=PROB_BITS - np.log2(widths),
         payload_bits=8 * len(payload),
         digests=digests,
     )
@@ -277,36 +276,22 @@ def deserialize(blob: bytes) -> CompressedArtifact:
 # --- experiments -------------------------------------------------------------
 
 
-def _ladder_entry(args: tuple[bytes, PredictorConfig]) -> dict:
-    data, config = args
-    artifact, stats = compress(data, config)
-    return {
-        "config": config.spec_string(),
-        "input_bytes": len(data),
-        "payload_bytes": len(artifact.payload),
-        "ideal_bits": stats.ideal_bits,
-        "bpb": stats.payload_bits / len(data) if data else 0.0,
-    }
-
-
 def scaling_ladder(data: bytes, configs: list[PredictorConfig]) -> list[dict]:
     """Compress one corpus under each config; report in config order.
 
-    KOLMOZIP_THREADS (an integer; unset or empty means one per CPU) caps
-    worker processes; richer models of the same family are expected (not
-    enforced) to appear later in the list.
+    The configs run one after another in the calling process.  Richer models
+    of the same family are expected (not enforced) to appear later in the list.
     """
-    jobs = [(data, cfg) for cfg in configs]
-    threads = os.environ.get("KOLMOZIP_THREADS") or os.cpu_count() or 1
-    try:
-        limit = int(threads)
-    except ValueError:
-        raise SettingError(f"KOLMOZIP_THREADS must be an integer, not {threads!r}") from None
-    workers = max(1, min(limit, len(configs)))
-    if workers == 1:
-        return [_ladder_entry(job) for job in jobs]
-    # imported here: the pool pulls in multiprocessing, which nothing else needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_ladder_entry, jobs))
+    records = []
+    for config in configs:
+        artifact, stats = compress(data, config)
+        records.append(
+            {
+                "config": config.spec_string(),
+                "input_bytes": len(data),
+                "payload_bytes": len(artifact.payload),
+                "ideal_bits": stats.ideal_bits,
+                "bpb": stats.payload_bits / len(data) if data else 0.0,
+            }
+        )
+    return records

@@ -232,28 +232,18 @@ class FreqPredictor:
         return _digest(self.config, self.token_position, b"".join(parts))
 
 
-def _iroot(x: int, k: int) -> int:
-    """Floor of the integer k-th root, by Newton iteration on exact ints."""
-    if x < 0 or k < 1:
-        raise ValueError("x >= 0 and k >= 1 required")
-    if x < 2:
-        return x
-    # Newton descends to the floor root from any start at or above it; the
-    # float bound x < 2^b => root < 2^(b/k) is padded by 2^-40 (more than
-    # the float's rounding) and is used while 2^(b/k) is well inside range
-    b = x.bit_length()
-    r = int(2.0 ** (b / k) * (1 + 2.0**-40)) + 1 if b < 1000 * k else 1 << (b // k + 1)
-    while True:
-        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nxt >= r:
-            return r
-        r = nxt
+def _root256(x: int) -> int:
+    """Floor of the 256th root: the floor square root of a floor square root
+    is the floor fourth root, so eight nested isqrt."""
+    for _ in range(8):
+        x = math.isqrt(x)
+    return x
 
 
 # EXP_TABLE[g] = floor(2^16 * 2^(-g/256)): table-driven base-2 exponential
 # with exponent granularity 1/256, built from exact integer roots so every
 # platform gets the same bytes.
-_EXP_TABLE = np.array([_iroot(1 << (4096 - g), 256) for g in range(256)], dtype=np.int64)
+_EXP_TABLE = np.array([_root256(1 << (4096 - g)) for g in range(256)], dtype=np.int64)
 
 # same curve pre-shifted for whole-number exponents: entry g is
 # 2^16 * 2^(-g/256) for the full logit gap g/256 <= 64; everything past the

@@ -166,22 +166,24 @@ def test_ladder_reports_in_config_order(tmp_path, sample, capsys):
     assert abs(records[0]["bpb"] - 8.0) < 0.1
 
 
-def test_ladder_with_a_malformed_thread_count_exits_2(sample, capsys, monkeypatch):
-    monkeypatch.setenv("KOLMOZIP_THREADS", "two")
-    code, records, err = run(capsys, "ladder", str(sample), "--models", "freq:0,freq:1")
-    assert code == 2 and records == []
-    assert err.count("\n") == 1 and "KOLMOZIP_THREADS" in err and "'two'" in err
-
-
-def test_cli_import_loads_neither_the_kernel_nor_a_process_pool():
+def test_cli_import_loads_neither_the_kernel_nor_a_process_pool(sample):
+    # nor does a ladder: it runs its models one after another in this process
     code = (
         "import sys, kolmozip.cli; from kolmozip import kernel; "
         "assert kernel.load.cache_info().currsize == 0, 'kernel loaded'; "
-        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'; "
+        f"assert kolmozip.cli.main(['ladder', {str(sample)!r}, '--models', 'freq:0,freq:1,freq:2']) == 0; "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by the ladder'; "
+        "assert 'concurrent.futures.process' not in sys.modules, 'process pool imported'"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(kolmozip.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert [json.loads(line)["config"] for line in done.stdout.splitlines()] == [
+        "freq:0",
+        "freq:1",
+        "freq:2",
+    ]
 
 
 def test_ladder_splits_neural_specs_despite_inner_comma(tmp_path, sample, capsys):

@@ -151,6 +151,8 @@ def test_kernel_checks_the_arrays_it_is_given():
             (ext.quantize, row.astype(np.float64), cum),
             (ext.encode, enc, table.astype(np.int32), 5),
             (ext.encode, enc, np.repeat(table, 2)[::2], 5),  # strided cum
+            (ext.encode, enc, table, 1 << 70),  # symbols past int64
+            (ext.encode, enc, table, -(1 << 70)),
             (ext.decode, dec, table.astype(np.int32)),
             (ext.decode, dec, np.repeat(table, 2)[::2]),
             (ext.decode, dec, np.zeros(1, dtype=np.int64)),  # no symbol at all
@@ -338,16 +340,17 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
     p.update(255)
     before = p.digest()
-    for bad in (256, -1):
-        with pytest.raises(ValueError):
+    for bad in (256, -1, 1 << 70, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"^token {bad} outside"):
             p.update(bad)
     with pytest.raises(ValueError):  # a context longer than the net's
         p._kernel.net_step(p._net, b"abc", 1)
     arrays = [p.emb, p.b1, p.w2, p.b2, _SOFTMAX_TABLE, p._weights.base]
     with pytest.raises(ValueError):  # bound to a context longer than the net's
         p._kernel.net(*arrays, p.lr, b"abc")
-    for lr in (0, -5, (1 << 20) + 1):  # outside PredictorConfig's [1, 2^20]
-        with pytest.raises(ValueError):
+    # outside PredictorConfig's [1, 2^20], and past int64
+    for lr in (0, -5, (1 << 20) + 1, 1 << 70, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"^learning rate {lr} outside"):
             p._kernel.net(*arrays, lr, b"ab")
     for lr in (1, 1 << 20):  # bound to copies: a bound net writes its forward pass
         p._kernel.net(*(a.copy() for a in arrays), lr, b"ab")

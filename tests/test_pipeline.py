@@ -323,13 +323,3 @@ def test_scaling_ladder_orders_and_reports():
     assert all(abs(r["bpb"] - 8.0) < 0.1 for r in flat)
     const = scaling_ladder(b"\x07" * 16384, [FREQ0, FREQ2])
     assert all(r["bpb"] < 0.2 for r in const)
-
-
-def test_scaling_ladder_parallel_matches_serial(monkeypatch):
-    data = generate(MarkovSpec(order=2, alphabet=8, concentration=5, seed=1), 8192)
-    configs = [PredictorConfig("freq", order=k) for k in (0, 1, 2)]
-    monkeypatch.setenv("KOLMOZIP_THREADS", "1")
-    serial = scaling_ladder(data, configs)
-    monkeypatch.setenv("KOLMOZIP_THREADS", "3")
-    parallel = scaling_ladder(data, configs)
-    assert serial == parallel

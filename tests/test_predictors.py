@@ -12,12 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from kolmozip.predictors import (
     _EXP_TABLE,
-    _iroot,
     DEFAULT_LEARNING_RATE,
     ONE,
     FreqPredictor,
@@ -141,7 +138,7 @@ def test_tokens_outside_the_alphabet_are_rejected_before_any_state_changes(spec)
     for tok in b"ab":  # freq:1 now sits in a context with no count row yet
         p.update(tok)
     before = p.digest()
-    for bad in (-1, 256):
+    for bad in (-1, 256, 1 << 70):
         with pytest.raises(ValueError):
             p.update(bad)
     assert p.digest() == before
@@ -163,24 +160,10 @@ def oracle_root_pow2(g: int) -> int:
     return lo
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(st.integers(0, 1 << 64), st.integers(1 << 1100, 1 << 1200), st.integers(0, 1 << 4096)),
-    st.integers(1, 300),
-)
-@example(3**700, 1)  # about 2^1109: past the float start's range, as is
-@example((1 << 2100) - 1, 2)
-@example((1 << 4096) - 1, 256)
-def test_iroot_is_the_floor_root(x, k):
-    r = _iroot(x, k)
-    assert r**k <= x < (r + 1) ** k
-
-
 def test_exp_table_values():
     assert _EXP_TABLE[0] == ONE
     assert (np.diff(_EXP_TABLE) < 0).all()
-    for g in [1, 2, 77, 128, 255]:
-        assert _EXP_TABLE[g] == oracle_root_pow2(g)
+    assert _EXP_TABLE.tolist() == [oracle_root_pow2(g) for g in range(256)]
     assert _EXP_TABLE[255] > ONE // 2  # one full halving happens at g = 256
 
 
