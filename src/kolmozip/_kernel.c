@@ -20,7 +20,13 @@
  *     an overflow wraps exactly as numpy's fixed-width integers do;
  *   - every right shift of a signed value is a floor shift (floor_shift), the
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
- *   - integer sums are order-independent under wrapping, so loop order is free.
+ *   - integer sums are order-independent under wrapping, so loop order is free;
+ *   - quantize divides by a row's total through one reciprocal (div_total),
+ *     whose estimate is corrected to the exact integer quotient and remainder;
+ *   - the net's loops (forward, net_grad) are built twice on x86-64 glibc,
+ *     for AVX2 and for the baseline ISA, and the CPU picks one at load time
+ *     (VECTOR_CLONES).  Both clones are compiled from the same integer code,
+ *     so the arithmetic, and every byte it writes, is the same on every CPU.
  *
  * Arrays arrive through the buffer protocol.  Each function checks the
  * itemsize, format, contiguity and length of what it is given and raises
@@ -44,6 +50,17 @@
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
 #define QUANT_TOTAL_LIMIT (INT64_C(1) << 46)
+
+/* target_clones resolves through an ifunc, which needs x86-64 and glibc;
+ * elsewhere the plain functions are built. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef VECTOR_CLONES
+#define VECTOR_CLONES
+#endif
 
 static inline int64_t floor_shift(int64_t x, int s)
 {
@@ -129,9 +146,10 @@ static inline void swap_i64(int64_t *a, int64_t i, int64_t j)
 }
 
 /* The element of rank k (0-based, ascending) among n distinct values; a is
- * permuted.  Quickselect with a median-of-three pivot; after 2*log2(n)+8
- * rounds the remaining range is sorted outright, bounding the worst case at
- * O(n log n). */
+ * permuted.  Quickselect with a median-of-three pivot and a branch-free
+ * Lomuto partition (every element is swapped, and the store index advances
+ * past those below the pivot); after 2*log2(n)+8 rounds the remaining range
+ * is sorted outright, bounding the worst case at O(n log n). */
 static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
 {
     int64_t lo = 0, hi = n - 1;
@@ -151,9 +169,12 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
         if (a[mid] < a[hi])
             swap_i64(a, mid, hi);
         int64_t pivot = a[hi], store = lo;
-        for (int64_t i = lo; i < hi; i++)
-            if (a[i] < pivot)
-                swap_i64(a, i, store++);
+        for (int64_t i = lo; i < hi; i++) {
+            const int64_t x = a[i];
+            a[i] = a[store];
+            a[store] = x;
+            store += x < pivot;
+        }
         swap_i64(a, store, hi);
         if (store == k)
             break;
@@ -163,6 +184,19 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
             lo = store + 1;
     }
     return a[k];
+}
+
+/* num / total, with the remainder in *rem, for 0 <= num < 2^62 and
+ * 0 < total < 2^46 whose quotient is at most 2^16; inv = 1.0 / total.  The
+ * double estimate is off by less than 2^-35, so its truncation is within
+ * one of the quotient, and the remainder's range corrects it to exact. */
+static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t *rem)
+{
+    int64_t q = (int64_t)((double)num * inv);
+    int64_t r = num - q * total; /* in [-total, 2 * total) */
+    const int64_t under = r < 0, over = r >= total;
+    *rem = r + (under - over) * total;
+    return q + over - under;
 }
 
 /* scratch[0..m) holds the weights on entry; scratch has room for 2m values.
@@ -187,11 +221,12 @@ static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
 
     const int64_t free_slots = PROB_SCALE - m;
     int64_t *key = scratch, *sel = scratch + m, *base = cum + 1;
+    const double inv = 1.0 / (double)total;
     int64_t assigned = 0;
     for (int64_t i = 0; i < m; i++) {
-        int64_t scaled = key[i] * free_slots; /* < 2^62 */
-        base[i] = scaled / total;
-        key[i] = scaled % total;              /* remainder < 2^46 */
+        /* key[i] * free_slots < 2^62 and the quotient is at most free_slots;
+         * key[i] <- the remainder, < 2^46 */
+        base[i] = div_total(key[i] * free_slots, total, inv, &key[i]);
         assigned += base[i];
     }
     int64_t leftover = free_slots - assigned; /* in [0, m) for valid input */
@@ -210,6 +245,8 @@ static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
     return NULL;
 }
 
+#define STACK_ALPHABET 256 /* quantize's scratch is on the stack up to here */
+
 /* quantize(weights, cum): weights int32 or int64 of length m in [2, 2^16];
  * cum int64 of length m + 1, filled with the cumulative table. */
 static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -226,7 +263,7 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     }
     PyObject *result = NULL;
-    int64_t *scratch = NULL;
+    int64_t stack[2 * STACK_ALPHABET], *scratch = stack;
     if (m < 2 || m > PROB_SCALE) {
         PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
         goto done;
@@ -235,8 +272,7 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         PyErr_SetString(PyExc_ValueError, "cum must hold one more entry than weights");
         goto done;
     }
-    scratch = PyMem_Malloc(2 * (size_t)m * sizeof *scratch);
-    if (!scratch) {
+    if (m > STACK_ALPHABET && !(scratch = PyMem_Malloc(2 * (size_t)m * sizeof *scratch))) {
         PyErr_NoMemory();
         goto done;
     }
@@ -251,7 +287,8 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
     else
         result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(scratch);
+    if (scratch != stack)
+        PyMem_Free(scratch);
     PyBuffer_Release(&cv);
     PyBuffer_Release(&wv);
     return result;
@@ -625,7 +662,7 @@ static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int6
 }
 
 /* buf = pre | hidden | weights for context ctx[0..n): _kernel_numpy._forward */
-static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
+VECTOR_CLONES static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
 {
     const int64_t w = net->w;
     int64_t *pre = net->buf, *hidden = pre + w, *logits = pre + 2 * w;
@@ -721,45 +758,13 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     return capsule;
 }
 
-/* net_step(net, recent, token): one NeuralPredictor.update.  The gradient
- * step on the forward pass held in buf (the one for context recent), then
- * the forward pass for the advanced context written back into buf, so the
- * next prediction needs no call of its own.  The predictor keeps its own
- * copy of the context; the rule here is the same: append the token, keep
- * the last k. */
-static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* The gradient step of net_step on the forward pass held in buf, whose
+ * weights sum to total > 0, for context ctx[0..n) and the coded token. */
+VECTOR_CLONES static void net_grad(kz_net *net, const unsigned char *ctx, int64_t n, int64_t token,
+                                   int64_t total)
 {
-    (void)module;
-    if (check_nargs("net_step", nargs, 3) < 0)
-        return NULL;
-    kz_net *net = get_net(args[0]);
-    if (!net)
-        return NULL;
-    long long token;
-    if (get_int(args[2], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
-        return NULL;
-    Py_buffer ctx_view;
-    if (get_context(net, args[1], &ctx_view) < 0)
-        return NULL;
-    const unsigned char *ctx = ctx_view.buf;
-    const int64_t n = ctx_view.len;
     const int64_t w = net->w, a = ALPHABET, lr = net->lr;
     const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
-
-    int64_t total = 0;
-    for (int64_t s = 0; s < a; s++) {
-        if (weights[s] < 0) {
-            total = 0;
-            break;
-        }
-        total += weights[s];
-    }
-    if (total <= 0) {
-        PyBuffer_Release(&ctx_view);
-        PyErr_SetString(PyExc_ValueError, "corrupted forward pass: weights must be "
-                                          "nonnegative with one positive");
-        return NULL;
-    }
     int64_t *dlog = net->dlog, *dpre = dlog + a;
     /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16 */
     for (int64_t s = 0; s < a; s++)
@@ -795,6 +800,46 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
         for (int64_t j = 0; j < w; j++)
             row[j] = clamp(row[j] - dpre[j], WEIGHT_CLIP);
     }
+}
+
+/* net_step(net, recent, token): one NeuralPredictor.update.  The gradient
+ * step on the forward pass held in buf (the one for context recent), then
+ * the forward pass for the advanced context written back into buf, so the
+ * next prediction needs no call of its own.  The predictor keeps its own
+ * copy of the context; the rule here is the same: append the token, keep
+ * the last k. */
+static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("net_step", nargs, 3) < 0)
+        return NULL;
+    kz_net *net = get_net(args[0]);
+    if (!net)
+        return NULL;
+    long long token;
+    if (get_int(args[2], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
+        return NULL;
+    Py_buffer ctx_view;
+    if (get_context(net, args[1], &ctx_view) < 0)
+        return NULL;
+    const unsigned char *ctx = ctx_view.buf;
+    const int64_t n = ctx_view.len;
+    const int64_t *weights = net->buf + 2 * net->w;
+    int64_t total = 0;
+    for (int64_t s = 0; s < ALPHABET; s++) {
+        if (weights[s] < 0) {
+            total = 0;
+            break;
+        }
+        total += weights[s];
+    }
+    if (total <= 0) {
+        PyBuffer_Release(&ctx_view);
+        PyErr_SetString(PyExc_ValueError, "corrupted forward pass: weights must be "
+                                          "nonnegative with one positive");
+        return NULL;
+    }
+    net_grad(net, ctx, n, token, total);
 
     /* the advanced context: recent + token, its last k bytes */
     memcpy(net->context, ctx, (size_t)n);

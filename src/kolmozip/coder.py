@@ -60,12 +60,14 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
     A table is the int64 array cum, strictly increasing from cum[0] = 0 to
     cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  A C-contiguous
     int32 or int64 row goes to the step module as it is; a strided row, or a
-    row of another dtype, is first copied to int64 (numpy's cast, which
-    truncates floats).  A row that is not a distribution (fewer than 2 or
-    more than 2^16 weights, a negative weight, none positive, or a total of
-    2^46 or more) raises ValueError.
+    row of another integer dtype, is first copied to int64.  A row that is
+    not of an integer dtype raises TypeError.  A row that is not a
+    distribution (fewer than 2 or more than 2^16 weights, a negative weight,
+    none positive, or a total of 2^46 or more) raises ValueError.
     """
     if weights.dtype.char not in _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
+        if not np.issubdtype(weights.dtype, np.integer):
+            raise TypeError("quantization needs integer weights; rescale first")
         weights = np.ascontiguousarray(weights, dtype=np.int64)
     cum = np.empty(weights.size + 1, dtype=np.int64)
     kernel.load().quantize(weights, cum)
@@ -76,12 +78,10 @@ def quantize_distribution(dist: Distribution) -> np.ndarray:
     """Apportion 2^16 across symbols: floor of 1 each, then largest remainder.
 
     Remainder ties go to the lower symbol index.  Pure integer arithmetic,
-    so equal weights always produce equal tables.
+    so equal weights always produce equal tables; weights that are not
+    integers raise TypeError.
     """
-    w = np.asarray(dist.weights)
-    if not np.issubdtype(w.dtype, np.integer):
-        raise TypeError("quantization needs integer weights; rescale first")
-    return quantize_weights(w.astype(np.int64, copy=False))
+    return quantize_weights(np.asarray(dist.weights))
 
 
 class RangeEncoder:

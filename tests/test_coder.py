@@ -26,6 +26,7 @@ from kolmozip.coder import (
     UNIT_INTERVAL,
     ideal_refine,
     quantize_distribution,
+    quantize_weights,
     shortest_binary_in_interval,
 )
 from kolmozip.errors import TruncatedStreamError
@@ -191,6 +192,21 @@ def test_alphabet_bounds_rejected():
 def test_quantize_rejects_non_integer_weights():
     with pytest.raises(TypeError):
         quantize_distribution(Distribution([0.5, 0.5]))
+    # a row is never truncated to integers: [0.5, 1.9, 2.7] would read as [0, 1, 2]
+    non_integer = (
+        np.array([0.5, 1.9, 2.7]),
+        np.array([1.0, 2.0]),  # integral values of a float dtype
+        np.array([True, False]),
+        np.array([1, 2], dtype=object),
+    )
+    for row in non_integer:
+        with pytest.raises(TypeError):
+            quantize_weights(row)
+    # integer rows of any dtype or layout are copied to int64
+    want = quantize_weights(np.array([3, 1, 2], dtype=np.int64))
+    others = [np.array([3, 1, 2], dtype=dtype) for dtype in (np.uint8, np.int16)] + [np.array([3, 0, 1, 0, 2])[::2]]
+    for row in others:
+        assert np.array_equal(quantize_weights(row), want)
 
 
 # --- range coder ---------------------------------------------------------

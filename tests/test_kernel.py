@@ -16,9 +16,11 @@ import inspect
 import os
 import pickle
 import pwd
+import platform
 import re
 import subprocess
 import sys
+import sysconfig
 import warnings
 import weakref
 from pathlib import Path
@@ -96,6 +98,106 @@ def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
             # mostly small counts with a few large ones, as a count row looks
             row = np.array([1 + rng.below(4) ** rng.below(12) for _ in range(m)], dtype=dtype)
             assert np.array_equal(quantize_weights(row), twin_quantize(row)), (m, row)
+
+
+def _near_multiples(m: int, copies: int, total: int, q: int, below: int) -> np.ndarray:
+    """A row of m weights summing to about total in which each of the first
+    copies weights w has w * free = q * total' - below exactly, free being
+    2^16 - m and total' the row's total: a quotient that is an integer
+    (below 0) or one unit of 1/total' short of one (below 1)."""
+    free = PROB_SCALE - m
+    if below:  # total' = q^-1 (mod free), so that q * total' - 1 is a multiple of free
+        total -= (total - pow(q, -1, free)) % free
+    else:  # total' a multiple of free
+        total -= total % free
+    w = (q * total - below) // free
+    assert w * free == q * total - below and copies * w <= total
+    row = np.zeros(m, dtype=np.int64)
+    row[:copies] = w
+    row[copies] = total - copies * w
+    return row
+
+
+def _spread(m: int, total: int) -> np.ndarray:
+    """m weights, as even as they can be, summing to total."""
+    row = np.full(m, total // m)
+    row[: total % m] += 1
+    return row
+
+
+_BIG = (1 << 46) - 1  # the largest total quantize accepts
+# rows where quantize is easiest to get wrong, each on the stack scratch
+# (m <= 256) or the heap one (m > 256)
+HARD_ROWS = {
+    "m=2": np.array([1, 3]),
+    "m=2, total 2^46-1": np.array([_BIG - 1, 1]),
+    "m=2^16, all ones": np.ones(PROB_SCALE, dtype=np.int64),
+    "m=2^16, skewed": np.arange(PROB_SCALE, dtype=np.int64) ** 2 // 2,
+    "total 1, m=256": _spread(256, 1),
+    "total 1, m=300": _spread(300, 1),
+    "total 2^46-1, m=256": _spread(256, _BIG),
+    "total 2^46-1, m=4096": _spread(4096, _BIG),
+    "all equal, m=3": _spread(3, 15),
+    "all equal, m=255": _spread(255, 255 << 37),
+    "all equal, m=257": _spread(257, 257 * 7),
+    "all equal, m=1000": _spread(1000, _BIG - _BIG % 1000),
+    "no leftover, m=256": _spread(256, 256),
+    "no leftover, m=4": _spread(4, 1 << 45),
+    "no leftover, m=2^15": _spread(1 << 15, 1 << 15),
+    "exact multiples, m=2": _near_multiples(2, 1, _BIG, 65408, 0),
+    "exact multiples, m=256": _near_multiples(256, 200, _BIG, 255, 0),
+    "exact multiples, m=300": _near_multiples(300, 3, _BIG, 20960, 0),
+    "one below multiples, m=2": _near_multiples(2, 1, _BIG, 65533, 1),
+    "one below multiples, m=256": _near_multiples(256, 128, _BIG, 509, 1),
+    "one below multiples, m=300": _near_multiples(300, 3, _BIG, 21743, 1),
+    "one below multiples, m=5000": _near_multiples(5000, 3, _BIG, 20001, 1),
+}
+
+
+def _table_or_error(module, row: np.ndarray) -> bytes | type:
+    """module's table for row, or the type of the error it raises."""
+    cum = np.empty(row.size + 1, dtype=np.int64)
+    try:
+        module.quantize(row, cum)
+    except ValueError as exc:
+        return type(exc)
+    return cum.tobytes()
+
+
+def assert_quantize_matches_twin(module, row: np.ndarray) -> None:
+    want = _table_or_error(_kernel_numpy, row)
+    assert _table_or_error(module, row) == want
+    if row.min() >= np.iinfo(np.int32).min and row.max() <= np.iinfo(np.int32).max:
+        assert _table_or_error(module, row.astype(np.int32)) == want
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", list(HARD_ROWS))
+def test_quantize_kernel_matches_numpy_on_hard_rows(name):
+    assert_quantize_matches_twin(kernel.load(), HARD_ROWS[name])
+
+
+@st.composite
+def _weight_rows(draw) -> np.ndarray:
+    """Rows on either scratch path, of any magnitude up to past the total
+    limit; drawn from a few values (many ties), spread, or with a negative."""
+    m = draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 257, 4096, PROB_SCALE])))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = 1 << draw(st.integers(0, 47))
+    if draw(st.booleans()):
+        row = gen.choice(gen.integers(0, high, draw(st.integers(1, 4))), m)
+    else:
+        row = gen.integers(0, high, m)
+    if draw(st.integers(0, 9)) == 0:
+        row[gen.integers(m)] = -draw(st.integers(1, 1 << 46))
+    return row
+
+
+@needs_kernel
+@given(row=_weight_rows())
+@settings(max_examples=300, deadline=None)
+def test_quantize_kernel_matches_numpy_on_any_row(row):
+    assert_quantize_matches_twin(kernel.load(), row)
 
 
 @pytest.mark.parametrize("path", ["public", "numpy"])
@@ -304,23 +406,21 @@ def _numpy_twin(config: PredictorConfig, monkeypatch) -> NeuralPredictor:
         return NeuralPredictor(config)
 
 
-@needs_kernel
-@pytest.mark.parametrize(
-    "context, width, lr, seed, symbols, steps",
-    [
-        (8, 256, 1 << 20, 0, 256, 120),  # the documented extremes
-        (8, 256, 1 << 20, 1, 256, 120),
-        (1, 8, 1, 2, 256, 400),
-        (3, 16, 1 << 13, 3, 5, 400),  # a stream of five byte values
-    ],
-)
-def test_neural_kernel_matches_numpy_step_by_step(
-    context, width, lr, seed, symbols, steps, monkeypatch
-):
+NEURAL_CASES = [
+    (8, 256, 1 << 20, 0, 256, 120),  # the documented extremes
+    (8, 256, 1 << 20, 1, 256, 120),
+    (1, 8, 1, 2, 256, 400),
+    (3, 16, 1 << 13, 3, 5, 400),  # a stream of five byte values
+]
+
+
+def assert_steps_match_twin(module, context, width, lr, seed, symbols, steps, monkeypatch) -> None:
     config = PredictorConfig("neural", context=context, width=width, seed=seed, learning_rate=lr)
-    fast = NeuralPredictor(config)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "load", lambda: module)
+        fast = NeuralPredictor(config)
     ref = _numpy_twin(config, monkeypatch)
-    assert fast._kernel is not _kernel_numpy and ref._kernel is _kernel_numpy
+    assert fast._kernel is module and ref._kernel is _kernel_numpy
     rng = Lcg64(100 + seed)
     tok = 0
     for step in range(steps):
@@ -334,6 +434,14 @@ def test_neural_kernel_matches_numpy_step_by_step(
         assert fast._recent == ref._recent
     assert np.array_equal(final_layer_gradient(fast, 1), final_layer_gradient(ref, 1))
     assert fast.digest() == ref.digest()
+
+
+@needs_kernel
+@pytest.mark.parametrize("context, width, lr, seed, symbols, steps", NEURAL_CASES)
+def test_neural_kernel_matches_numpy_step_by_step(
+    context, width, lr, seed, symbols, steps, monkeypatch
+):
+    assert_steps_match_twin(kernel.load(), context, width, lr, seed, symbols, steps, monkeypatch)
 
 
 def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
@@ -469,6 +577,38 @@ def test_build_publishes_one_library_and_never_writes_into_src(monkeypatch, tmp_
     names = [p.name for p in (tmp_path / "cache").iterdir()]
     assert len(names) == 1 and names[0].startswith("kernel-")
     assert _src_files() == before
+
+
+def _compile_into(tmp_path: Path, source: bytes) -> Path:
+    target = tmp_path / f"kernel{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
+    kernel._compile(kernel._find_compiler(), source, target)
+    return target
+
+
+@needs_compiler
+def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, "-Wall", "-Wextra", "-Werror"))
+    library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
+    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+        # an AVX2 clone of each net loop, next to the baseline one
+        clones = [f"{fn}.{isa}".encode() for fn in ("forward", "net_grad") for isa in ("avx2", "default")]
+        assert all(clone in library for clone in clones)
+
+
+@needs_compiler
+def test_clone_free_build_matches_numpy(tmp_path, monkeypatch):
+    # the baseline code alone, as built where there are no clones; where
+    # there are, the CPU runs one clone and the extension's tests hold it
+    source = kernel.SOURCE.read_bytes()
+    switch = b"__has_attribute(target_clones)"
+    assert source.count(switch) == 1
+    library = _compile_into(tmp_path, source.replace(switch, b"0"))
+    assert b".avx2" not in library.read_bytes()
+    plain = kernel._import(library)
+    for row in HARD_ROWS.values():
+        assert_quantize_matches_twin(plain, row)
+    for case in NEURAL_CASES:
+        assert_steps_match_twin(plain, *case, monkeypatch)
 
 
 @needs_compiler
