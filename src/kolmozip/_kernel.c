@@ -208,15 +208,19 @@ static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t 
 static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
 {
     static const char bad_weights[] = "weights must be nonnegative with one positive";
-    int64_t total = 0;
+    /* bits is negative iff a weight is, and below 2^46 iff every weight is;
+     * then at most 2^16 weights sum below 2^62, so the sum cannot wrap.  A
+     * row whose (unsigned) sum may wrap is reported on bits alone. */
+    int64_t bits = 0;
+    uint64_t sum = 0;
     for (int64_t i = 0; i < m; i++) {
-        int64_t x = scratch[i];
-        if (x < 0)
-            return bad_weights;
-        if (x >= QUANT_TOTAL_LIMIT || (total += x) >= QUANT_TOTAL_LIMIT)
-            return "weight total too large; rescale below 2^46";
+        bits |= scratch[i];
+        sum += (uint64_t)scratch[i];
     }
-    if (total == 0)
+    const int64_t total = (int64_t)sum;
+    if (bits >= 0 && (bits >= QUANT_TOTAL_LIMIT || total >= QUANT_TOTAL_LIMIT))
+        return "weight total too large; rescale below 2^46";
+    if (bits < 0 || total == 0)
         return bad_weights;
 
     const int64_t free_slots = PROB_SCALE - m;

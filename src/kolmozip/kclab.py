@@ -140,9 +140,10 @@ def phi(t: int, x: str, y: str = "") -> KcEstimate:
     Dead (zero-append) instructions only lengthen a program, so minimal
     witnesses contain none.  Hence: no program halts with output x when
     t < l(x); when t >= l(x), the shortest witness is a minimum-hop path
-    0 -> l(x) over prefix lengths, and the greedy lowest-opcode walk
-    along minimum-hop transitions reproduces the enumeration-first
-    witness.  The test suite cross-checks against literal enumeration.
+    0 -> l(x) over prefix lengths.  The recurrence that prices each prefix
+    keeps its lowest-opcode minimum-hop move, and following those moves
+    from 0 reproduces the enumeration-first witness.  The test suite
+    cross-checks against literal enumeration.
     """
     if t < 0:
         raise ValueError("budget must be nonnegative")
@@ -155,44 +156,29 @@ def phi(t: int, x: str, y: str = "") -> KcEstimate:
             "enumeration-tractable desk scale"
         )
     ceiling = BITS_PER_OP * n
-    if n == 0:
-        return KcEstimate(0, TinyProgram(()), t, 0)
     if t < n:
         return KcEstimate(ceiling, None, t, ceiling)
 
-    ly = len(y)
-    # best[i] = fewest instructions taking output x[:i] to exactly x
-    best = [n + 1] * (n + 1)
-    best[n] = 0
+    # best[i] = fewest instructions taking output x[:i] to exactly x, and
+    # move[i] = (op, next i) the first of them; moves are tried in opcode
+    # order and a later one is kept only when strictly cheaper
+    best = [0] * (n + 1)
+    move: list = [None] * n  # every entry is set below
     for i in range(n - 1, -1, -1):
-        b = 1 + best[i + 1]  # OUT always extends by one matching bit
-        if ly and i + ly <= n and x[i : i + ly] == y:
-            b = min(b, 1 + best[i + ly])
-        if 0 < i and 2 * i <= n:
-            half, seen = x[i : 2 * i], x[:i]
-            if half == seen or half == seen.translate(_FLIP) or half == seen[::-1]:
-                b = min(b, 1 + best[2 * i])
-        best[i] = b
+        best[i], move[i] = 1 + best[i + 1], (OUT1 if x[i] == "1" else OUT0, i + 1)
+        if y and x.startswith(y, i) and 1 + best[i + len(y)] < best[i]:
+            best[i], move[i] = 1 + best[i + len(y)], (CPY, i + len(y))
+        if 0 < i and 2 * i <= n and 1 + best[2 * i] < best[i]:
+            seen, half = x[:i], x[i : 2 * i]
+            images = (seen, seen.translate(_FLIP), seen[::-1])  # DBL, INV, REVA
+            if half in images:
+                best[i], move[i] = 1 + best[2 * i], (DBL + images.index(half), 2 * i)
 
     ops: list[int] = []
     i = 0
     while i < n:
-        need = best[i] - 1
-        double = x[i : 2 * i]
-        if best[i + 1] == need and x[i] == "0":
-            op, nxt = OUT0, i + 1
-        elif best[i + 1] == need and x[i] == "1":
-            op, nxt = OUT1, i + 1
-        elif ly and i + ly <= n and x[i : i + ly] == y and best[i + ly] == need:
-            op, nxt = CPY, i + ly
-        elif 0 < i and 2 * i <= n and double == x[:i] and best[2 * i] == need:
-            op, nxt = DBL, 2 * i
-        elif 0 < i and 2 * i <= n and double == x[:i].translate(_FLIP) and best[2 * i] == need:
-            op, nxt = INV, 2 * i
-        else:  # REVA is the only remaining minimum-hop move
-            op, nxt = REVA, 2 * i
+        op, i = move[i]
         ops.append(op)
-        i = nxt
     return KcEstimate(BITS_PER_OP * best[0], TinyProgram(tuple(ops)), t, ceiling)
 
 

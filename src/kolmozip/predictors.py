@@ -118,21 +118,17 @@ class PredictorConfig:
         return f"neural:{self.context},{self.width}"
 
     @classmethod
-    def from_spec(
-        cls, text: str, *, seed: int = 0, learning_rate: int = DEFAULT_LEARNING_RATE
-    ) -> "PredictorConfig":
+    def from_spec(cls, text: str, *, seed: int = 0) -> "PredictorConfig":
         """Parse `uniform`, `freq:K`, or `neural:K,W` into a config."""
         name, _, args = text.strip().partition(":")
         try:
             if name == KIND_UNIFORM and not args:
-                return cls(KIND_UNIFORM, seed=seed, learning_rate=learning_rate)
+                return cls(KIND_UNIFORM, seed=seed)
             if name == KIND_FREQ:
-                return cls(KIND_FREQ, order=int(args), seed=seed, learning_rate=learning_rate)
+                return cls(KIND_FREQ, order=int(args), seed=seed)
             if name == KIND_NEURAL:
                 k, w = args.split(",")
-                return cls(
-                    KIND_NEURAL, context=int(k), width=int(w), seed=seed, learning_rate=learning_rate
-                )
+                return cls(KIND_NEURAL, context=int(k), width=int(w), seed=seed)
         except ValueError as exc:
             raise ValueError(f"bad model spec {text!r}: {exc}") from None
         raise ValueError(f"bad model spec {text!r}; want uniform | freq:K | neural:K,W")
@@ -197,23 +193,17 @@ class FreqPredictor:
         self._counts: dict[bytes, np.ndarray] = {}
         self._recent = bytearray()
 
-    def _row(self, create: bool) -> np.ndarray | None:
-        key = bytes(self._recent)
-        row = self._counts.get(key)
-        if row is None and create:
-            row = np.ones(ALPHABET, dtype=np.int32)
-            self._counts[key] = row
-        return row
-
     def predict_weights(self) -> np.ndarray:
         # the live count row of the context; an unseen context reads as ones
-        row = self._row(create=False)
-        return _ONES_ROW if row is None else row
+        return self._counts.get(bytes(self._recent), _ONES_ROW)
 
     def update(self, token: int) -> None:
         if not 0 <= token < ALPHABET:
             raise _bad_token(token)
-        row = self._row(create=True)
+        key = bytes(self._recent)
+        row = self._counts.get(key)
+        if row is None:
+            row = self._counts[key] = np.ones(ALPHABET, dtype=np.int32)
         row[token] += 1
         if row[token] >= _COUNT_LIMIT:
             np.maximum(row >> 1, 1, out=row)

@@ -178,14 +178,16 @@ def test_phi_copy_shortcut_and_empty_string():
 
 
 def test_phi_witness_actually_runs():
-    for x in all_bit_strings(4):
+    for x in all_bit_strings(10):
         for y in ("", x):
             est = phi(64, x, y)
             assert est.value_bits <= est.ceiling_bits
             assert est.value_bits % 3 == 0
-            if est.witness is not None:
-                res = run_program(est.witness, y, t=64, cap=len(x))
-                assert res.status == HALTED and res.output == x
+            assert est.witness.bit_length == est.value_bits
+            res = run_program(est.witness, y, t=64, cap=len(x))
+            assert res.status == HALTED and res.output == x
+            # a minimal witness has no dead instruction, so it costs exactly l(x)
+            assert run_program(est.witness, y, t=len(x)).steps_used == len(x)
 
 
 def test_phi_monotone_and_stabilizes():

@@ -151,16 +151,20 @@ HARD_ROWS = {
     "one below multiples, m=256": _near_multiples(256, 128, _BIG, 509, 1),
     "one below multiples, m=300": _near_multiples(300, 3, _BIG, 21743, 1),
     "one below multiples, m=5000": _near_multiples(5000, 3, _BIG, 20001, 1),
+    # too large and negative at once: the negative weight is what is reported
+    "2^46 then negative": np.array([1 << 46, -1]),
+    "sum 2^46 then negative": np.array([1 << 45, 1 << 45, -1]),
+    "sum past 2^46 and negative": np.array([1 << 46, 1 << 46, -1]),
 }
 
 
-def _table_or_error(module, row: np.ndarray) -> bytes | type:
-    """module's table for row, or the type of the error it raises."""
+def _table_or_error(module, row: np.ndarray) -> bytes | tuple[type, str]:
+    """module's table for row, or the type and message of the error it raises."""
     cum = np.empty(row.size + 1, dtype=np.int64)
     try:
         module.quantize(row, cum)
     except ValueError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return cum.tobytes()
 
 
