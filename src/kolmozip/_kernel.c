@@ -21,11 +21,14 @@
  *   - every right shift of a signed value is a floor shift (floor_shift), the
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free;
- *   - quantize divides by a row's total through one reciprocal (div_total),
- *     whose estimate is corrected to the exact integer quotient and remainder;
- *   - the net's loops (forward, net_grad) are built twice on x86-64 glibc,
+ *   - quantize, and net_grad on rows whose weights and total are below 2^46,
+ *     divide by a row's total through one reciprocal (div_total), whose
+ *     estimate is corrected to the exact integer quotient and remainder;
+ *     net_grad divides any other row with `/`, as before;
+ *   - the step's loops (forward, net_grad, quantize_scratch) are built three
+ *     times on x86-64 glibc, for x86-64-v4 (AVX-512; GCC 12 and later only),
  *     for AVX2 and for the baseline ISA, and the CPU picks one at load time
- *     (VECTOR_CLONES).  Both clones are compiled from the same integer code,
+ *     (VECTOR_CLONES).  Every clone is compiled from the same integer code,
  *     so the arithmetic, and every byte it writes, is the same on every CPU.
  *
  * Arrays arrive through the buffer protocol.  Each function checks the
@@ -49,13 +52,18 @@
 #define WEIGHT_CLIP (8 * ONE)          /* net parameters saturate to [-8.0, 8.0] */
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
-#define QUANT_TOTAL_LIMIT (INT64_C(1) << 46)
+#define TOTAL_LIMIT (INT64_C(1) << 46) /* rows div_total divides: weights and total below */
 
 /* target_clones resolves through an ifunc, which needs x86-64 and glibc;
- * elsewhere the plain functions are built. */
+ * elsewhere the plain functions are built.  Only GCC 12 and later resolve an
+ * x86-64-v4 (AVX-512) clone; other compilers get the AVX2 one alone. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#else
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
 #endif
 #endif
 #ifndef VECTOR_CLONES
@@ -205,7 +213,7 @@ static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t 
  * (remainder << 16) + (m-1-i), i.e. largest remainder with ties to the lower
  * index.  The keys are distinct, so the winners are exactly the keys at or
  * above the one of rank m-leftover.  Returns NULL or the error message. */
-static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
+VECTOR_CLONES static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
 {
     static const char bad_weights[] = "weights must be nonnegative with one positive";
     /* bits is negative iff a weight is, and below 2^46 iff every weight is;
@@ -218,7 +226,7 @@ static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
         sum += (uint64_t)scratch[i];
     }
     const int64_t total = (int64_t)sum;
-    if (bits >= 0 && (bits >= QUANT_TOTAL_LIMIT || total >= QUANT_TOTAL_LIMIT))
+    if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))
         return "weight total too large; rescale below 2^46";
     if (bits < 0 || total == 0)
         return bad_weights;
@@ -763,16 +771,27 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
 }
 
 /* The gradient step of net_step on the forward pass held in buf, whose
- * weights sum to total > 0, for context ctx[0..n) and the coded token. */
+ * nonnegative weights sum to total > 0, for context ctx[0..n) and the coded
+ * token.  small: every weight and the total are below 2^46. */
 VECTOR_CLONES static void net_grad(kz_net *net, const unsigned char *ctx, int64_t n, int64_t token,
-                                   int64_t total)
+                                   int64_t total, int small)
 {
     const int64_t w = net->w, a = ALPHABET, lr = net->lr;
     const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
     int64_t *dlog = net->dlog, *dpre = dlog + a;
-    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16 */
-    for (int64_t s = 0; s < a; s++)
-        dlog[s] = weights[s] * ONE / total;
+    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16.  On a small
+     * row every weights[s] * ONE is below 2^62 and its quotient at most ONE,
+     * as div_total needs; any other row, which only a write from outside
+     * leaves, divides with `/`. */
+    if (small) {
+        const double inv = 1.0 / (double)total;
+        int64_t rem;
+        for (int64_t s = 0; s < a; s++)
+            dlog[s] = div_total(weights[s] * ONE, total, inv, &rem);
+    } else {
+        for (int64_t s = 0; s < a; s++)
+            dlog[s] = weights[s] * ONE / total;
+    }
     dlog[token] -= ONE;
 
     /* backprop through the pre-update output layer, zeroed where the hard
@@ -829,13 +848,14 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     const unsigned char *ctx = ctx_view.buf;
     const int64_t n = ctx_view.len;
     const int64_t *weights = net->buf + 2 * net->w;
-    int64_t total = 0;
+    int64_t total = 0, bits = 0;
     for (int64_t s = 0; s < ALPHABET; s++) {
         if (weights[s] < 0) {
             total = 0;
             break;
         }
         total += weights[s];
+        bits |= weights[s];
     }
     if (total <= 0) {
         PyBuffer_Release(&ctx_view);
@@ -843,7 +863,8 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
                                           "nonnegative with one positive");
         return NULL;
     }
-    net_grad(net, ctx, n, token, total);
+    /* bits, not total, bounds each weight: a sum of large weights can wrap */
+    net_grad(net, ctx, n, token, total, bits < TOTAL_LIMIT && total < TOTAL_LIMIT);
 
     /* the advanced context: recent + token, its last k bytes */
     memcpy(net->context, ctx, (size_t)n);

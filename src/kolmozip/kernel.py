@@ -9,9 +9,11 @@ headers into a per-user cache (``$XDG_CACHE_HOME/kolmozip``, else
 ``~/.cache/kolmozip``), under a name keyed by the hash of the source,
 flags, include directory, extension suffix and platform, and later calls
 and processes reuse that file.  The key does not depend on the CPU: the
-net's loops carry an AVX2 clone beside the baseline one, and the running
-CPU picks between them when the file loads, so one cached file serves any
-x86-64 machine, with the same bytes out.
+step's loops (the net's forward pass and gradient step, and quantize) carry
+an x86-64-v4 (AVX-512) clone, where the compiler is GCC 12 or later, and an
+AVX2 clone beside the baseline one, and the running CPU picks among them
+when the file loads, so one cached file serves any x86-64 machine, with the
+same bytes out.
 
 - No ``cc`` on PATH: the twin, without a word.
 - A compiler that fails (for instance without the Python headers), a cache

@@ -31,7 +31,7 @@ from .coder import (
     quantize_weights,
 )
 from .errors import FormatError
-from .predictors import PredictorConfig, make_predictor
+from .predictors import ALPHABET, PredictorConfig, make_predictor
 
 MAGIC = b"KZV1"
 VERSION = 1
@@ -99,18 +99,19 @@ def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
     """The training loop encoder and decoder share; only `code` differs.
 
     The predictor first trains on context (no bits flow), then, for each
-    of n tokens: predict, quantize, code(cum, i) -> token, update.  The
-    encoder's `code` writes the i-th input byte, the decoder's reads one,
-    so both sides see the same tables.  Returns the per-token state
-    digests when audit is set.
+    of n tokens: predict, quantize into the session's one table,
+    code(table, i) -> token, update.  The encoder's `code` writes the i-th
+    input byte, the decoder's reads one, so both sides see the same tables.
+    Returns the per-token state digests when audit is set.
     """
     for tok in context:
         pred.update(tok)
-    static = quantize_weights(pred.predict_weights()) if pred.is_static else None
+    table = np.empty(ALPHABET + 1, dtype=np.int64)
+    static = quantize_weights(pred.predict_weights(), out=table) if pred.is_static else None
     predict, update = pred.predict_weights, pred.update
     digests: list[bytes] = []
     for i in range(n):
-        tok = code(quantize_weights(predict()) if static is None else static, i)
+        tok = code(quantize_weights(predict(), out=table) if static is None else static, i)
         update(tok)
         if audit:
             digests.append(pred.digest())

@@ -34,7 +34,7 @@ from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
-from kolmozip.predictors import _SOFTMAX_TABLE, NeuralPredictor, PredictorConfig
+from kolmozip.predictors import _SOFTMAX_TABLE, ONE, NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
@@ -230,6 +230,30 @@ def test_quantize_kernel_rejects_what_would_break_its_buffers(step):
     # a strided view is copied before it is handed over
     strided = np.arange(1, 21, dtype=np.int64)[::2]
     assert np.array_equal(quantize_weights(strided), twin_quantize(strided))
+
+
+def test_quantize_weights_fills_the_table_it_is_given(step):
+    row = np.array([5, 0, 9, 1, 1], dtype=np.int32)
+    want = twin_quantize(row)
+    fresh = quantize_weights(row)
+    assert np.array_equal(fresh, want) and quantize_weights(row) is not fresh
+    out = np.full(row.size + 1, -7, dtype=np.int64)
+    assert quantize_weights(row, out=out) is out
+    assert np.array_equal(out, want)
+    read_only = np.full(row.size + 1, -7, dtype=np.int64)
+    read_only.flags.writeable = False
+    bad = {
+        "wrong length": np.full(row.size + 2, -7, dtype=np.int64),
+        "not int64": np.full(row.size + 1, -7, dtype=np.int32),
+        "unsigned": np.full(row.size + 1, 7, dtype=np.uint64),
+        "not contiguous": np.full(2 * row.size + 2, -7, dtype=np.int64)[::2],
+        "read-only": read_only,
+    }
+    for name, out in bad.items():
+        before = out.copy()
+        with pytest.raises(ValueError):
+            quantize_weights(row, out=out)
+        assert np.array_equal(out, before), name
 
 
 def _payload_at(target: int) -> bytes:
@@ -448,6 +472,50 @@ def test_neural_kernel_matches_numpy_step_by_step(
     assert_steps_match_twin(kernel.load(), context, width, lr, seed, symbols, steps, monkeypatch)
 
 
+def _one_short(q: int, total: int) -> np.ndarray:
+    """256 weights summing to about total whose first w has w * 2^16 one
+    short of q times the row's total: the quotient a reciprocal rounds up."""
+    total -= (total - pow(q, -1, ONE)) % ONE  # q * total = 1 (mod 2^16)
+    w = (q * total - 1) // ONE
+    return np.concatenate([[w], _spread(255, total - w)])
+
+
+# forward passes written over a net's own: net_grad divides a row through
+# div_total when every weight and the total are below 2^46, else with /
+DIVISION_ROWS = {
+    "the net's own softmax weights": None,
+    "total 2^46-1, spread": _spread(256, _BIG),
+    "total 2^46-1, one weight": np.eye(1, 256, 9, dtype=np.int64)[0] * _BIG,
+    "total 2^46-1, a quotient one short": _one_short(40503, _BIG),
+    "weights in [2^46, 2^47)": (1 << 46) + np.arange(256, dtype=np.int64) * (1 << 38),
+}
+
+
+def assert_division_matches_twin(module, row: np.ndarray | None, monkeypatch) -> None:
+    """One update on row, written as the forward pass of the extension's
+    net and of the twin's, leaves both with the same parameters."""
+    config = PredictorConfig("neural", context=2, width=8, seed=6)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "load", lambda: module)
+        fast = NeuralPredictor(config)
+    ref = _numpy_twin(config, monkeypatch)
+    for tok in b"guard":
+        fast.update(tok)
+        ref.update(tok)
+    if row is not None:
+        fast._weights[:] = ref._weights[:] = row
+    fast.update(7)
+    ref.update(7)
+    for name in ("emb", "b1", "w2", "b2", "_weights"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", list(DIVISION_ROWS))
+def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name, monkeypatch):
+    assert_division_matches_twin(kernel.load(), DIVISION_ROWS[name], monkeypatch)
+
+
 def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
     p.update(255)
@@ -589,30 +657,96 @@ def _compile_into(tmp_path: Path, source: bytes) -> Path:
     return target
 
 
+def _compiler_knows_x86_64_v4() -> bool:
+    """Whether cc is GCC 12 or later, the compilers the source gives an
+    x86-64-v4 clone: read from the predefined macros, not from the build."""
+    done = subprocess.run(
+        [kernel._find_compiler(), "-dM", "-E", "-x", "c", "-"], input=b"", capture_output=True, timeout=60
+    )
+    macros = dict(line.split(" ", 2)[1:] for line in done.stdout.decode().splitlines() if line.count(" ") >= 2)
+    return "__clang__" not in macros and int(macros.get("__GNUC__", "0")) >= 12
+
+
+def _clone_targets() -> tuple[str, ...]:
+    """The target of each clone the source builds of the step's loops here."""
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        return ()
+    return ("arch=x86-64-v4", "avx2", "default") if _compiler_knows_x86_64_v4() else ("avx2", "default")
+
+
 @needs_compiler
 def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, "-Wall", "-Wextra", "-Werror"))
     library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
-    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
-        # an AVX2 clone of each net loop, next to the baseline one
-        clones = [f"{fn}.{isa}".encode() for fn in ("forward", "net_grad") for isa in ("avx2", "default")]
-        assert all(clone in library for clone in clones)
+    # an x86-64-v4 (where the compiler knows it) and an AVX2 clone of each of
+    # the step's loops, next to the baseline one; GCC names a clone
+    # function.target, with every other character of the target made "_"
+    suffixes = [re.sub(r"\W", "_", target) for target in _clone_targets()]
+    loops = ("forward", "net_grad", "quantize_scratch")
+    clones = [f"{fn}.{suffix}".encode() for fn in loops for suffix in suffixes]
+    assert all(clone in library for clone in clones)
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    flags = [line.split(":", 1)[1] for line in cpuinfo.splitlines() if line.startswith("flags")]
+    return set(flags[0].split()) if flags else set()
+
+
+def _single_isa_build(tmp_path: Path, target: str | None):
+    """The kernel with VECTOR_CLONES made one plain target attribute, or
+    nothing (the baseline code, as built where there are no clones), so that
+    ISA's code runs whatever clone this CPU would pick."""
+    source = kernel.SOURCE.read_bytes()
+    switch = b"__has_attribute(target_clones)"
+    assert source.count(switch) == 1
+    source = source.replace(switch, b"0")
+    if target:
+        source = b'#define VECTOR_CLONES __attribute__((target("%s")))\n' % target.encode() + source
+    library = _compile_into(tmp_path, source)
+    assert b".resolver" not in library.read_bytes()
+    return kernel._import(library)
+
+
+def assert_build_matches_twin(module, monkeypatch) -> None:
+    for row in HARD_ROWS.values():
+        assert_quantize_matches_twin(module, row)
+    for case in NEURAL_CASES:
+        assert_steps_match_twin(module, *case, monkeypatch)
+    for row in DIVISION_ROWS.values():
+        assert_division_matches_twin(module, row, monkeypatch)
 
 
 @needs_compiler
 def test_clone_free_build_matches_numpy(tmp_path, monkeypatch):
-    # the baseline code alone, as built where there are no clones; where
-    # there are, the CPU runs one clone and the extension's tests hold it
-    source = kernel.SOURCE.read_bytes()
-    switch = b"__has_attribute(target_clones)"
-    assert source.count(switch) == 1
-    library = _compile_into(tmp_path, source.replace(switch, b"0"))
-    assert b".avx2" not in library.read_bytes()
-    plain = kernel._import(library)
-    for row in HARD_ROWS.values():
-        assert_quantize_matches_twin(plain, row)
-    for case in NEURAL_CASES:
-        assert_steps_match_twin(plain, *case, monkeypatch)
+    # where there are clones, the CPU runs one of them, and the extension's
+    # tests hold only that one
+    assert_build_matches_twin(_single_isa_build(tmp_path, None), monkeypatch)
+
+
+# each clone's target attribute, and the cpuinfo flags the CPU needs to run it
+CLONE_TARGETS = {
+    "arch=x86-64-v4": {
+        "cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3",  # x86-64-v2
+        "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",  # v3
+        "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl",  # v4
+    },
+    "avx2": {"avx", "avx2"},
+}
+
+
+@needs_compiler
+@pytest.mark.parametrize("target", list(CLONE_TARGETS))
+def test_each_clone_matches_numpy(target, tmp_path, monkeypatch):
+    if target not in _clone_targets():
+        pytest.skip(f"no {target} clone is built here")
+    missing = CLONE_TARGETS[target] - _cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {' '.join(sorted(missing))}")
+    assert_build_matches_twin(_single_isa_build(tmp_path, target), monkeypatch)
 
 
 @needs_compiler
