@@ -11,6 +11,11 @@
  *   finish(enc) -> bytes             RangeEncoder.finish
  *   decoder(payload) -> state        a RangeDecoder, its first five bytes read
  *   decode(dec, cum) -> sym          RangeDecoder.decode_symbol
+ *   freq(order, row[, payload,       one FreqPredictor's count table, bound
+ *        context]) -> state          with its context's counts in row
+ *   freq_step(state, token)          FreqPredictor's update, then the next
+ *                                    context's counts into row
+ *   freq_state(state) -> bytes       FreqPredictor's digest payload
  *
  * Every function reproduces its twin bit for bit.  kernel.load() never returns
  * None: it returns this module, or the twin (the reference the tests hold this
@@ -29,7 +34,10 @@
  *     times on x86-64 glibc, for x86-64-v4 (AVX-512; GCC 12 and later only),
  *     for AVX2 and for the baseline ISA, and the CPU picks one at load time
  *     (VECTOR_CLONES).  Every clone is compiled from the same integer code,
- *     so the arithmetic, and every byte it writes, is the same on every CPU.
+ *     so the arithmetic, and every byte it writes, is the same on every CPU;
+ *   - freq stores its counts as uint16 (the twin as int32): a count that
+ *     reaches 2^16 halves its row at once, so none stored is larger, and a
+ *     row is widened to int32 only where it is copied out.
  *
  * Arrays arrive through the buffer protocol.  Each function checks the
  * itemsize, format, contiguity and length of what it is given and raises
@@ -276,6 +284,10 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
     }
     PyObject *result = NULL;
     int64_t stack[2 * STACK_ALPHABET], *scratch = stack;
+    if (wv.ndim != 1 || cv.ndim != 1) {
+        PyErr_Format(PyExc_ValueError, "%s must be one-dimensional", wv.ndim != 1 ? "weights" : "cum");
+        goto done;
+    }
     if (m < 2 || m > PROB_SCALE) {
         PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
         goto done;
@@ -875,6 +887,382 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     Py_RETURN_NONE;
 }
 
+/* --- freq predictor ---------------------------------------------------- */
+
+#define MAX_ORDER 3
+#define COUNT_LIMIT 65536           /* a row whose count reaches this is halved */
+#define BLOCK_ROWS 64               /* count rows per block */
+#define EMPTY_SLOT UINT64_MAX       /* its key, 2^32 - 1, has length 255 */
+#define ENTRY_BYTES (1 + 4 * ALPHABET) /* a row's entry in freq_state, less its key bytes */
+
+/* One FreqPredictor's count table.  A context of n <= 3 bytes is the key
+ * (n << 24) | bytes, oldest byte highest.  slots is open-addressed with linear
+ * probing over 2^bits entries, at most half full; a slot is (key << 32) | the
+ * index of the context's row.  Rows are 256 uint16 counts in blocks of
+ * BLOCK_ROWS that never move, so growing the table rehashes slots and copies
+ * no counts; a count that reaches 2^16 halves its row at once, so every
+ * stored count is below 2^16. */
+typedef struct {
+    PyObject_HEAD
+    Py_buffer row_view;
+    int32_t *row;      /* the current context's counts, widened, or ones if unseen */
+    int order;
+    uint32_t ctx;      /* the current context's key */
+    uint16_t *cur;     /* its counts, NULL while unseen */
+    uint64_t *slots;
+    int bits;
+    uint32_t rows;
+    uint16_t **blocks;
+    uint32_t n_blocks, blocks_cap;
+} kz_freq;
+
+static void freq_dealloc(PyObject *self)
+{
+    kz_freq *f = (kz_freq *)self;
+    if (f->row_view.obj)
+        PyBuffer_Release(&f->row_view);
+    for (uint32_t i = 0; i < f->n_blocks; i++)
+        PyMem_Free(f->blocks[i]);
+    PyMem_Free(f->blocks);
+    PyMem_Free(f->slots);
+    PyObject_Free(self);
+}
+
+static inline uint32_t key_len(uint32_t key)
+{
+    return key >> 24;
+}
+
+/* the key of the n context bytes at bytes, oldest first */
+static uint32_t make_key(const unsigned char *bytes, uint32_t n)
+{
+    uint32_t key = n << 24;
+    for (uint32_t i = 0; i < n; i++)
+        key |= (uint32_t)bytes[i] << 8 * (n - 1 - i);
+    return key;
+}
+
+/* the key's context bytes, oldest first, into out; returns their number */
+static uint32_t key_bytes(uint32_t key, unsigned char *out)
+{
+    const uint32_t n = key_len(key);
+    for (uint32_t i = 0; i < n; i++)
+        out[i] = (unsigned char)(key >> 8 * (n - 1 - i));
+    return n;
+}
+
+/* keys compare as their context bytes do, as Python compares bytes: the
+ * bytes left-aligned in 24 bits, then the length (a prefix sorts first) */
+static inline uint32_t sort_key(uint32_t key)
+{
+    const uint32_t n = key_len(key);
+    return (key & 0xFFFFFF) << 8 * (MAX_ORDER - n) << 8 | n;
+}
+
+static PyObject *freq_context(PyObject *self, void *closure)
+{
+    (void)closure;
+    unsigned char bytes[MAX_ORDER];
+    return PyBytes_FromStringAndSize((const char *)bytes, key_bytes(((kz_freq *)self)->ctx, bytes));
+}
+
+static PyGetSetDef freq_getset[] = {
+    {"context", freq_context, NULL, "the current context's bytes, oldest first", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject freq_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "kolmozip._kernel.freq",
+    .tp_basicsize = sizeof(kz_freq),
+    .tp_dealloc = freq_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "a count table bound to a row, made by freq(order, row)",
+    .tp_getset = freq_getset,
+};
+
+/* the slot holding key, or the free slot where it belongs */
+static inline uint64_t *freq_slot(const kz_freq *f, uint32_t key)
+{
+    const uint64_t mask = (UINT64_C(1) << f->bits) - 1;
+    uint64_t i = (key * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - f->bits);
+    while (f->slots[i] != EMPTY_SLOT && (uint32_t)(f->slots[i] >> 32) != key)
+        i = (i + 1) & mask;
+    return &f->slots[i];
+}
+
+static inline uint16_t *row_at(const kz_freq *f, uint32_t index)
+{
+    return f->blocks[index / BLOCK_ROWS] + (size_t)(index % BLOCK_ROWS) * ALPHABET;
+}
+
+/* key's counts, NULL if it has none */
+static uint16_t *freq_find(const kz_freq *f, uint32_t key)
+{
+    const uint64_t slot = *freq_slot(f, key);
+    return slot == EMPTY_SLOT ? NULL : row_at(f, (uint32_t)slot);
+}
+
+/* Room for one more row: a free row in a block, and a table that stays at
+ * most half full.  Returns 0, or -1 with MemoryError set and the table
+ * holding the same rows. */
+static int freq_reserve(kz_freq *f)
+{
+    if (f->rows == f->n_blocks * BLOCK_ROWS) {
+        if (f->n_blocks == f->blocks_cap) {
+            const uint32_t cap = f->blocks_cap ? 2 * f->blocks_cap : 4;
+            uint16_t **blocks = PyMem_Realloc(f->blocks, cap * sizeof *blocks);
+            if (!blocks)
+                return PyErr_NoMemory(), -1;
+            f->blocks = blocks;
+            f->blocks_cap = cap;
+        }
+        uint16_t *block = PyMem_Malloc(BLOCK_ROWS * ALPHABET * sizeof *block);
+        if (!block)
+            return PyErr_NoMemory(), -1;
+        f->blocks[f->n_blocks++] = block;
+    }
+    if (2 * ((uint64_t)f->rows + 1) > UINT64_C(1) << f->bits) {
+        const uint64_t *old = f->slots, old_size = UINT64_C(1) << f->bits;
+        uint64_t *slots = PyMem_Malloc((size_t)(2 * old_size) * sizeof *slots);
+        if (!slots)
+            return PyErr_NoMemory(), -1;
+        memset(slots, 0xFF, (size_t)(2 * old_size) * sizeof *slots); /* all EMPTY_SLOT */
+        f->slots = slots;
+        f->bits++;
+        for (uint64_t i = 0; i < old_size; i++)
+            if (old[i] != EMPTY_SLOT)
+                *freq_slot(f, (uint32_t)(old[i] >> 32)) = old[i];
+        PyMem_Free((void *)old);
+    }
+    return 0;
+}
+
+/* a new row for key, which has none, filled with ones; NULL with MemoryError
+ * set, and nothing added */
+static uint16_t *freq_insert(kz_freq *f, uint32_t key)
+{
+    if (freq_reserve(f) < 0)
+        return NULL;
+    *freq_slot(f, key) = (uint64_t)key << 32 | f->rows;
+    uint16_t *counts = row_at(f, f->rows++);
+    for (int s = 0; s < ALPHABET; s++)
+        counts[s] = 1;
+    return counts;
+}
+
+/* row <- the current context's counts, widened, or ones if it has none */
+static void freq_load_row(kz_freq *f)
+{
+    f->cur = freq_find(f, f->ctx);
+    if (f->cur)
+        for (int s = 0; s < ALPHABET; s++)
+            f->row[s] = f->cur[s];
+    else
+        for (int s = 0; s < ALPHABET; s++)
+            f->row[s] = 1;
+}
+
+static const char BAD_ROW[] = "row must be a C-contiguous writable int32 array of 256 entries";
+static const char BAD_PAYLOAD[] = "malformed freq state";
+
+/* Restore the rows of a freq_state payload into the empty table f: keys in
+ * ascending order, none longer than the order, every count in [1, 2^16).
+ * Returns 0, or -1 with ValueError or MemoryError set. */
+static int freq_restore(kz_freq *f, const unsigned char *p, Py_ssize_t len)
+{
+    const unsigned char *end = p + len;
+    uint64_t last = 0; /* the previous sort key + 1; 0 before the first */
+    while (p < end) {
+        const uint32_t n = *p++;
+        if (n > (uint32_t)f->order || end - p < (Py_ssize_t)(n + 4 * ALPHABET))
+            goto bad;
+        const uint32_t key = make_key(p, n);
+        p += n;
+        if (sort_key(key) < last)
+            goto bad;
+        last = (uint64_t)sort_key(key) + 1;
+        uint16_t counts[ALPHABET];
+        for (int s = 0; s < ALPHABET; s++, p += 4) {
+            const uint32_t c = p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+            if (c < 1 || c >= COUNT_LIMIT)
+                goto bad;
+            counts[s] = (uint16_t)c;
+        }
+        uint16_t *row = freq_insert(f, key);
+        if (!row)
+            return -1;
+        memcpy(row, counts, sizeof counts);
+    }
+    return 0;
+bad:
+    PyErr_SetString(PyExc_ValueError, BAD_PAYLOAD);
+    return -1;
+}
+
+/* freq(order, row[, payload, context]) -> state: a count table for order
+ * 0..3 bound to row (256 writable int32), with the counts of a freq_state
+ * payload (none by default) and the current context (empty by default) as
+ * given, and that context's counts in row */
+static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 4 && check_nargs("freq", nargs, 2) < 0)
+        return NULL;
+    long long order;
+    if (get_int(args[0], 0, MAX_ORDER + 1, "freq order %S outside [0, 3]", &order) < 0)
+        return NULL;
+    kz_freq *f = PyObject_New(kz_freq, &freq_type);
+    if (!f)
+        return NULL;
+    f->row_view.obj = NULL;
+    f->order = (int)order;
+    f->ctx = 0;
+    f->cur = NULL;
+    f->bits = 4;
+    f->rows = f->n_blocks = f->blocks_cap = 0;
+    f->blocks = NULL;
+    f->slots = PyMem_Malloc(((size_t)1 << f->bits) * sizeof *f->slots);
+    if (!f->slots) {
+        Py_DECREF(f);
+        return PyErr_NoMemory();
+    }
+    memset(f->slots, 0xFF, ((size_t)1 << f->bits) * sizeof *f->slots);
+
+    Py_buffer *rv = &f->row_view;
+    if (PyObject_GetBuffer(args[1], rv, PyBUF_RECORDS) < 0) {
+        rv->obj = NULL;
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, BAD_ROW);
+        Py_DECREF(f);
+        return NULL;
+    }
+    const char *fmt = rv->format ? rv->format : "B";
+    if (*fmt == '@')
+        fmt++;
+    if (rv->itemsize != 4 || (fmt[0] != 'i' && fmt[0] != 'l') || fmt[1] != '\0' || rv->ndim != 1 ||
+        rv->len != ALPHABET * 4 || !PyBuffer_IsContiguous(rv, 'C')) {
+        PyErr_SetString(PyExc_ValueError, BAD_ROW);
+        Py_DECREF(f);
+        return NULL;
+    }
+    f->row = rv->buf;
+
+    if (nargs == 4) {
+        Py_buffer payload, context;
+        if (PyObject_GetBuffer(args[2], &payload, PyBUF_SIMPLE) < 0) {
+            Py_DECREF(f);
+            return NULL;
+        }
+        int failed = freq_restore(f, payload.buf, payload.len);
+        PyBuffer_Release(&payload);
+        if (failed || PyObject_GetBuffer(args[3], &context, PyBUF_SIMPLE) < 0) {
+            Py_DECREF(f);
+            return NULL;
+        }
+        if (context.len > f->order) {
+            PyBuffer_Release(&context);
+            PyErr_SetString(PyExc_ValueError, "context longer than the order");
+            Py_DECREF(f);
+            return NULL;
+        }
+        f->ctx = make_key(context.buf, (uint32_t)context.len);
+        PyBuffer_Release(&context);
+    }
+    freq_load_row(f);
+    return (PyObject *)f;
+}
+
+/* freq_step(state, token): FreqPredictor.update.  Count token in the current
+ * context's row (made, all ones, if it has none), halving the row, floored
+ * at 1, when the count reaches 2^16; advance the context (append the token,
+ * keep the last order bytes); then load the new context's counts into row,
+ * so the next prediction needs no call of its own. */
+static PyObject *kz_freq_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("freq_step", nargs, 2) < 0)
+        return NULL;
+    kz_freq *f = get_state(args[0], &freq_type);
+    if (!f)
+        return NULL;
+    long long token;
+    if (get_int(args[1], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
+        return NULL;
+    uint16_t *counts = f->cur;
+    if (!counts && !(counts = freq_insert(f, f->ctx)))
+        return NULL;
+    const uint32_t c = counts[token] + 1u;
+    if (c >= COUNT_LIMIT) {
+        for (int s = 0; s < ALPHABET; s++) {
+            const uint16_t half = counts[s] >> 1;
+            counts[s] = half ? half : 1;
+        }
+        counts[token] = (uint16_t)(c >> 1);
+    } else {
+        counts[token] = (uint16_t)c;
+    }
+    if (f->order) {
+        const uint32_t n = key_len(f->ctx) + (key_len(f->ctx) < (uint32_t)f->order);
+        const uint32_t mask = (UINT32_C(1) << 8 * f->order) - 1;
+        f->ctx = n << 24 | (((f->ctx << 8) | (uint32_t)token) & mask);
+    }
+    freq_load_row(f);
+    Py_RETURN_NONE;
+}
+
+static int cmp_u64(const void *a, const void *b)
+{
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* freq_state(state) -> bytes: the digest payload of FreqPredictor.  For each
+ * context in the order Python sorts its bytes: a u8 length, the bytes oldest
+ * first, then the 256 counts as little-endian int32. */
+static PyObject *kz_freq_state(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("freq_state", nargs, 1) < 0)
+        return NULL;
+    kz_freq *f = get_state(args[0], &freq_type);
+    if (!f)
+        return NULL;
+    /* (sort key << 32) | row index, one per row */
+    uint64_t *entries = PyMem_Malloc((f->rows ? f->rows : 1) * sizeof *entries);
+    if (!entries)
+        return PyErr_NoMemory();
+    Py_ssize_t size = 0;
+    uint32_t n = 0;
+    for (uint64_t i = 0; i < UINT64_C(1) << f->bits; i++) {
+        const uint64_t slot = f->slots[i];
+        if (slot != EMPTY_SLOT) {
+            const uint32_t key = (uint32_t)(slot >> 32);
+            entries[n++] = (uint64_t)sort_key(key) << 32 | (uint32_t)slot;
+            size += ENTRY_BYTES + key_len(key);
+        }
+    }
+    qsort(entries, n, sizeof *entries, cmp_u64);
+    PyObject *result = PyBytes_FromStringAndSize(NULL, size);
+    if (result) {
+        unsigned char *p = (unsigned char *)PyBytes_AS_STRING(result);
+        for (uint32_t i = 0; i < n; i++) {
+            const uint32_t sk = (uint32_t)(entries[i] >> 32), len = sk & 0xFF;
+            const uint16_t *counts = row_at(f, (uint32_t)entries[i]);
+            *p++ = (unsigned char)len;
+            for (uint32_t j = 0; j < len; j++)
+                *p++ = (unsigned char)(sk >> 8 * (MAX_ORDER - j));
+            for (int s = 0; s < ALPHABET; s++, p += 4) {
+                p[0] = (unsigned char)counts[s];
+                p[1] = (unsigned char)(counts[s] >> 8);
+                p[2] = p[3] = 0;
+            }
+        }
+    }
+    PyMem_Free(entries);
+    return result;
+}
+
 /* --- module ------------------------------------------------------------ */
 
 static PyMethodDef kz_methods[] = {
@@ -894,6 +1282,12 @@ static PyMethodDef kz_methods[] = {
      "decoder(payload) -> a range decoder state over payload"},
     {"decode", (PyCFunction)(void (*)(void))kz_decode, METH_FASTCALL,
      "decode(dec, cum) -> the next symbol"},
+    {"freq", (PyCFunction)(void (*)(void))kz_freq_new, METH_FASTCALL,
+     "freq(order, row[, payload, context]) -> a count table, its context's counts in row"},
+    {"freq_step", (PyCFunction)(void (*)(void))kz_freq_step, METH_FASTCALL,
+     "freq_step(state, token): count token, then the next context's counts into row"},
+    {"freq_state", (PyCFunction)(void (*)(void))kz_freq_state, METH_FASTCALL,
+     "freq_state(state) -> the counts as FreqPredictor's digest payload"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -907,7 +1301,7 @@ static struct PyModuleDef kz_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    if (PyType_Ready(&encoder_type) < 0 || PyType_Ready(&decoder_type) < 0)
+    if (PyType_Ready(&encoder_type) < 0 || PyType_Ready(&decoder_type) < 0 || PyType_Ready(&freq_type) < 0)
         return NULL;
     return PyModuleDef_Init(&kz_module);
 }

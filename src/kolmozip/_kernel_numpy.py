@@ -26,6 +26,11 @@ _MASK32 = 0xFFFFFFFF
 _FLUSH_BYTES = 5  # finish() shifts out five bytes
 _BAD_WEIGHTS = "weights must be nonnegative with one positive"
 _INT64 = (np.dtype(np.int64),)
+MAX_ORDER = 3  # freq keys: up to three context bytes
+COUNT_LIMIT = 1 << 16  # a freq row whose count reaches this is halved
+_BAD_ROW = "row must be a C-contiguous writable int32 array of 256 entries"
+_BAD_PAYLOAD = "malformed freq state"
+_ONES = np.ones(ALPHABET, dtype=np.int32)
 
 
 def _check(a: np.ndarray, name: str, dtypes: tuple = _INT64, writable: bool = False) -> None:
@@ -41,6 +46,9 @@ def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     the largest keys (remainder << 16) + (m-1-index), which are distinct."""
     _check(weights, "weights", (np.dtype(np.int32), *_INT64))
     _check(cum, "cum", writable=True)
+    for name, array in (("weights", weights), ("cum", cum)):
+        if array.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional")
     m = weights.size
     if not 2 <= m <= PROB_SCALE:
         raise ValueError(f"alphabet size outside [2, {PROB_SCALE}]")
@@ -244,3 +252,68 @@ def net_step(n: SimpleNamespace, recent, token: int) -> None:
         np.minimum(param, WEIGHT_CLIP, out=param)
         np.maximum(param, -WEIGHT_CLIP, out=param)
     _forward(n, [*recent, token][-n.k :])
+
+
+def freq(order: int, row: np.ndarray, payload=b"", context=b"") -> SimpleNamespace:
+    """One FreqPredictor's count table for order 0..3, bound to row (256
+    writable int32): the counts of a freq_state payload (none by default) by
+    context bytes, the current context (empty by default), and that
+    context's counts in row."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"freq order {order} outside [0, {MAX_ORDER}]")
+    if not (
+        isinstance(row, np.ndarray) and row.dtype == np.int32 and row.ndim == 1 and row.size == ALPHABET
+        and row.flags.c_contiguous and row.flags.writeable
+    ):
+        raise ValueError(_BAD_ROW)
+    f = SimpleNamespace(order=order, row=row, counts=_parse_state(order, bytes(payload)), context=bytes(context))
+    if len(f.context) > order:
+        raise ValueError("context longer than the order")
+    f.row[:] = f.counts.get(f.context, _ONES)
+    return f
+
+
+def _parse_state(order: int, payload: bytes) -> dict:
+    """freq_state's inverse: keys ascending, none longer than order, every
+    count in [1, 2^16)."""
+    counts, pos, last = {}, 0, None
+    while pos < len(payload):
+        n = payload[pos]
+        key, end = payload[pos + 1 : pos + 1 + n], pos + 1 + n + 4 * ALPHABET
+        if n > order or end > len(payload) or (last is not None and key <= last):
+            raise ValueError(_BAD_PAYLOAD)
+        row = np.frombuffer(payload, dtype="<i4", count=ALPHABET, offset=pos + 1 + n).astype(np.int32)
+        if row.min() < 1 or row.max() >= COUNT_LIMIT:
+            raise ValueError(_BAD_PAYLOAD)
+        counts[key] = row
+        last, pos = key, end
+    return counts
+
+
+def freq_step(f: SimpleNamespace, token: int) -> None:
+    """FreqPredictor.update: count token in the current context's row (made,
+    all ones, if it has none), halving the row, floored at 1, when the count
+    reaches 2^16; append token to the context and keep the last order bytes;
+    then copy the new context's counts into row, or ones if it has none."""
+    if not 0 <= token < ALPHABET:
+        raise ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
+    counts = f.counts.get(f.context)
+    if counts is None:
+        counts = f.counts[f.context] = np.ones(ALPHABET, dtype=np.int32)
+    counts[token] += 1
+    if counts[token] >= COUNT_LIMIT:
+        np.maximum(counts >> 1, 1, out=counts)
+    if f.order:
+        f.context = (f.context + bytes([token]))[-f.order :]
+    f.row[:] = f.counts.get(f.context, _ONES)
+
+
+def freq_state(f: SimpleNamespace) -> bytes:
+    """FreqPredictor's digest payload: for each context in sorted order, a u8
+    length, the bytes oldest first, then the counts as little-endian int32."""
+    parts = []
+    for key in sorted(f.counts):
+        parts.append(bytes([len(key)]))
+        parts.append(key)
+        parts.append(f.counts[key].astype("<i4").tobytes())
+    return b"".join(parts)

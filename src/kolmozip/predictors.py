@@ -44,7 +44,6 @@ DEFAULT_LEARNING_RATE = ONE // 8  # 0.125 in Q16.16; stable across widths 8..256
 
 ALPHABET = 256  # every predictor codes bytes
 _MASK64 = (1 << 64) - 1
-_COUNT_LIMIT = 1 << 16  # halve a context when any count reaches this
 _MAX_LEARNING_RATE = 1 << 20  # 16.0; keeps lr * grad inside int64
 
 
@@ -146,7 +145,7 @@ def _digest(config: PredictorConfig, position: int, state: bytes) -> bytes:
     return h.digest()
 
 
-# the all-ones row: uniform's only prediction and freq's unseen context
+# the all-ones row: uniform's only prediction
 _ONES_ROW = np.ones(ALPHABET, dtype=np.int32)
 _ONES_ROW.flags.writeable = False
 
@@ -180,46 +179,55 @@ class FreqPredictor:
     preserving add-one support).  Near the start of a stream the context
     is simply the bytes available so far; no synthetic start symbol exists.
 
+    The count table lives in the step module kernel.load() returns (the C
+    extension, or its numpy twin), bound to the row that predict_weights()
+    views: each update() is one freq_step, which counts the token, advances
+    the context and leaves the new context's counts (ones for a context not
+    yet seen) in that row.
+
     Digest state payload: for each context key in lexicographic order,
     u8 key length, key bytes, counts as little-endian int32.
     """
 
     is_static = False
+    # rebuilt by __setstate__ from the counts and the context
+    _DERIVED_FIELDS = ("_kernel", "_freq", "_weights")
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
-        self.order = config.order
         self.token_position = 0
-        self._counts: dict[bytes, np.ndarray] = {}
-        self._recent = bytearray()
+        self._bind_kernel(b"", b"")
+
+    def _bind_kernel(self, payload: bytes, context: bytes) -> None:
+        """Bind a count table holding payload's counts (freq_state's form),
+        at context, to a fresh row, and view that row read-only."""
+        self._kernel = kernel.load()
+        row = np.empty(ALPHABET, dtype=np.int32)
+        self._freq = self._kernel.freq(self.config.order, row, payload, context)
+        self._weights = row.view()
+        self._weights.flags.writeable = False
+
+    def __getstate__(self) -> dict:
+        state = {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
+        state["_table"] = (self._kernel.freq_state(self._freq), self._freq.context)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        payload, context = state.pop("_table")
+        self.__dict__.update(state)
+        self._bind_kernel(payload, context)
 
     def predict_weights(self) -> np.ndarray:
-        # the live count row of the context; an unseen context reads as ones
-        return self._counts.get(bytes(self._recent), _ONES_ROW)
+        # read-only view of the row, valid until the next update()
+        return self._weights
 
     def update(self, token: int) -> None:
-        if not 0 <= token < ALPHABET:
-            raise _bad_token(token)
-        key = bytes(self._recent)
-        row = self._counts.get(key)
-        if row is None:
-            row = self._counts[key] = np.ones(ALPHABET, dtype=np.int32)
-        row[token] += 1
-        if row[token] >= _COUNT_LIMIT:
-            np.maximum(row >> 1, 1, out=row)
-        if self.order:
-            self._recent.append(token)
-            if len(self._recent) > self.order:
-                del self._recent[0]
+        self._kernel.freq_step(self._freq, token)
         self.token_position += 1
 
     def digest(self) -> bytes:
-        parts = []
-        for key in sorted(self._counts):
-            parts.append(bytes([len(key)]))
-            parts.append(key)
-            parts.append(self._counts[key].astype("<i4").tobytes())
-        return _digest(self.config, self.token_position, b"".join(parts))
+        return _digest(self.config, self.token_position, self._kernel.freq_state(self._freq))
 
 
 def _root256(x: int) -> int:

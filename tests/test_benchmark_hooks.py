@@ -26,7 +26,7 @@ def test_tracer_finds_every_entry_point():
     tracing.Tracer()
 
 
-@pytest.mark.parametrize("model", ["uniform", "freq:2", "neural:1,8"])
+@pytest.mark.parametrize("model", ["uniform", "freq:2", "freq:3", "neural:1,8"])
 def test_traced_stream_and_session_count_every_coded_byte(model, tmp_path, capsys):
     data = b"abracadabra, said the cat " * 40
     context, target = data[:300], data[300:700]

@@ -34,10 +34,11 @@ from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
-from kolmozip.predictors import _SOFTMAX_TABLE, ONE, NeuralPredictor, PredictorConfig
+from kolmozip.predictors import _SOFTMAX_TABLE, ONE, FreqPredictor, NeuralPredictor, PredictorConfig
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
+from conftest import pseudo_text
 from test_coder import oracle_largest_remainder, twin_quantize
 from test_predictors import final_layer_gradient
 
@@ -81,6 +82,7 @@ def test_extension_and_twin_export_the_same_functions():
     # without a twin fails even where the extension cannot be built
     table = set(re.findall(r'^\s*\{"(\w+)", \(PyCFunction\)', kernel.SOURCE.read_text(), re.MULTILINE))
     exports = {"quantize", "net", "net_step", "encoder", "encode", "finish", "decoder", "decode"}
+    exports |= {"freq", "freq_step", "freq_state"}
     assert _functions(_kernel_numpy) == table == exports
     if kernel.load() is not _kernel_numpy:
         assert _functions(kernel.load()) == table
@@ -254,6 +256,25 @@ def test_quantize_weights_fills_the_table_it_is_given(step):
         with pytest.raises(ValueError):
             quantize_weights(row, out=out)
         assert np.array_equal(out, before), name
+
+
+# (weights, cum) pairs that hold enough entries but are not one-dimensional
+SHAPE_CASES = {
+    "2-d cum": (np.array([1, 3]), np.zeros((1, 3), dtype=np.int64)),
+    "2-d weights": (np.array([[1, 3], [2, 2]]), np.zeros(5, dtype=np.int64)),
+    "2-d int32 weights": (np.array([[1, 3]], dtype=np.int32), np.zeros(3, dtype=np.int64)),
+    "0-d weights": (np.array(5), np.zeros(2, dtype=np.int64)),
+    "both 2-d": (np.array([[1, 3]]), np.zeros((3, 1), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_CASES))
+def test_quantize_rejects_arrays_that_are_not_one_dimensional(name, step):
+    weights, cum = SHAPE_CASES[name]
+    want = "cum" if weights.ndim == 1 else "weights"
+    with pytest.raises(ValueError, match=f"^{want} must be one-dimensional$"):
+        step.quantize(weights, cum)
+    assert not cum.any()  # nothing written
 
 
 def _payload_at(target: int) -> bytes:
@@ -560,6 +581,158 @@ def test_net_capsule_keeps_its_arrays_alive(monkeypatch):
     del net
     gc.collect()
     assert all(r() is None for r in held)  # released with the capsule
+
+
+# --- freq step ---------------------------------------------------------------------
+
+
+def _freq_streams() -> dict[str, bytes]:
+    rng = Lcg64(21)
+    return {
+        "random": bytes(rng.below(256) for _ in range(8 << 10)),
+        "constant": b"\x2a" * 70_000,  # every order's last context crosses a halving
+        "text": pseudo_text(11, 16 << 10)[: 16 << 10],
+    }
+
+
+FREQ_STREAMS = _freq_streams()
+
+
+def assert_freq_matches_twin(module, order: int, data: bytes, checkpoints: int) -> None:
+    """Step module and twin side by side: the same row before the first step
+    and after every one, and the same context and freq_state payload at
+    checkpoints spread over data and at its end."""
+    rows = [np.empty(256, dtype=np.int32) for _ in range(2)]
+    fast, ref = module.freq(order, rows[0]), _kernel_numpy.freq(order, rows[1])
+    every = max(1, len(data) // checkpoints)
+    assert np.array_equal(rows[0], rows[1])
+    for i, tok in enumerate(data, 1):
+        module.freq_step(fast, tok)
+        _kernel_numpy.freq_step(ref, tok)
+        assert np.array_equal(rows[0], rows[1]), i
+        if i % every == 0 or i == len(data):
+            assert fast.context == ref.context == data[max(0, i - order) : i]
+            assert module.freq_state(fast) == _kernel_numpy.freq_state(ref), i
+
+
+@needs_kernel
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("stream", list(FREQ_STREAMS))
+def test_freq_kernel_matches_numpy_step_by_step(stream, order):
+    assert_freq_matches_twin(kernel.load(), order, FREQ_STREAMS[stream], 8)
+
+
+@needs_kernel
+def test_freq_kernel_matches_numpy_across_table_growths():
+    # about 50 000 distinct order-3 contexts: several hundred row blocks and
+    # a table that doubles a dozen times
+    gen = np.random.default_rng(8)
+    assert_freq_matches_twin(kernel.load(), 3, gen.integers(0, 256, 50_000).astype(np.uint8).tobytes(), 3)
+
+
+def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
+    # keys of every length whose bytes sort differently from their numbers
+    data = b"\x00\x00\x01\xff\x00\x01\x00\x00\x00\xff\xff\x01"
+    row = np.empty(256, dtype=np.int32)
+    f = step.freq(3, row)
+    for tok in data:
+        step.freq_step(f, tok)
+    payload, keys, pos = step.freq_state(f), [], 0
+    while pos < len(payload):
+        n = payload[pos]
+        keys.append(payload[pos + 1 : pos + 1 + n])
+        pos += 1 + n + 4 * 256
+    assert pos == len(payload) and keys == sorted({data[max(0, i - 3) : i] for i in range(len(data))})
+
+
+def _freq_outcome(module, f, row) -> tuple:
+    return module.freq_state(f), f.context, row.tobytes()
+
+
+def test_freq_rejects_bad_rows_and_tokens_as_numpy(step):
+    read_only = np.ones(256, dtype=np.int32)
+    read_only.flags.writeable = False
+    bad_rows = {
+        "int64": np.ones(256, dtype=np.int64),
+        "uint32": np.ones(256, dtype=np.uint32),
+        "float32": np.ones(256, dtype=np.float32),
+        "big-endian": np.ones(256, dtype=">i4"),
+        "short": np.ones(255, dtype=np.int32),
+        "long": np.ones(257, dtype=np.int32),
+        "2-d": np.ones((1, 256), dtype=np.int32),
+        "strided": np.ones(512, dtype=np.int32)[::2],
+        "read-only": read_only,
+    }
+    for row in bad_rows.values():
+        for module in (step, _kernel_numpy):
+            with pytest.raises(ValueError, match="^row must be a C-contiguous writable int32 array of 256 entries$"):
+                module.freq(2, row)
+    for order in (-1, 4, 1 << 70):
+        for module in (step, _kernel_numpy):
+            with pytest.raises(ValueError, match=f"^freq order {order} outside \\[0, 3\\]$"):
+                module.freq(order, np.empty(256, dtype=np.int32))
+    row = np.empty(256, dtype=np.int32)
+    f = step.freq(2, row)
+    for tok in b"abcab":
+        step.freq_step(f, tok)
+    before = _freq_outcome(step, f, row)
+    for bad in (256, -1, 1 << 70, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"^token {bad} outside the alphabet \\[0, 256\\)$"):
+            step.freq_step(f, bad)
+        assert _freq_outcome(step, f, row) == before
+
+
+def test_freq_restores_from_its_state_as_numpy(step):
+    row = np.empty(256, dtype=np.int32)
+    f = step.freq(2, row)
+    data = b"abracadabra" * 30
+    for tok in data[:200]:
+        step.freq_step(f, tok)
+    payload, context = step.freq_state(f), f.context
+    entry = 1 + 2 + 4 * 256  # one order-2 entry of the payload
+    counts = payload.index(b"\x02ab") + 3
+    bad = {
+        "truncated": payload[:-1],
+        "a key past the order": payload + b"\x03zzz" + payload[-4 * 256 :],
+        "keys out of order": payload[-entry:] + payload[:-entry],
+        "a key twice": payload + payload[-entry:],
+        "a zero count": payload[:counts] + bytes(4) + payload[counts + 4 :],
+        "a count of 2^16": payload[:counts] + (1 << 16).to_bytes(4, "little") + payload[counts + 4 :],
+    }
+    for blob in bad.values():
+        for module in (step, _kernel_numpy):
+            with pytest.raises(ValueError, match="^malformed freq state$"):
+                module.freq(2, np.empty(256, dtype=np.int32), blob, context)
+    for module in (step, _kernel_numpy):
+        with pytest.raises(ValueError, match="^context longer than the order$"):
+            module.freq(2, np.empty(256, dtype=np.int32), payload, b"abc")
+    # a copy made from the state (and under the twin) steps on exactly as f does
+    copies = [(module, np.empty(256, dtype=np.int32)) for module in (step, _kernel_numpy)]
+    copies = [(module, module.freq(2, r, payload, context), r) for module, r in copies]
+    assert all(np.array_equal(r, row) for _, _, r in copies)
+    for tok in data[200:]:
+        step.freq_step(f, tok)
+        for module, g, r in copies:
+            module.freq_step(g, tok)
+            assert np.array_equal(r, row)
+    assert all(_freq_outcome(m, g, r) == _freq_outcome(step, f, row) for m, g, r in copies)
+
+
+def test_freq_copies_continue_independently(step):
+    p = FreqPredictor(PredictorConfig("freq", order=3, seed=4))
+    for tok in b"hello, world":
+        p.predict_weights()
+        p.update(tok)
+    twins = [copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+    assert all(np.array_equal(q.predict_weights(), p.predict_weights()) for q in twins)
+    for tok in b"again, world":
+        for q in (p, *twins):
+            q.update(tok)
+    assert all(q.digest() == p.digest() for q in twins)
+    assert all(np.array_equal(q.predict_weights(), p.predict_weights()) for q in twins)
+    assert all(q.predict_weights().base is not p.predict_weights().base for q in twins)
+    twins[0].update(7)  # a copy's steps leave the original as it was
+    assert twins[0].digest() != p.digest() and twins[1].digest() == p.digest()
 
 
 # --- whole artifacts -------------------------------------------------------------

@@ -103,21 +103,47 @@ def test_freq_order1_abab_byte_alphabet():
     assert w[ord("a")] == 2 and w.sum() == 257
 
 
+def freq_rows(p: FreqPredictor) -> dict[bytes, np.ndarray]:
+    """The count rows of p's digest payload, by context."""
+    payload = p._kernel.freq_state(p._freq)
+    rows, pos = {}, 0
+    while pos < len(payload):
+        n = payload[pos]
+        key, pos = payload[pos + 1 : pos + 1 + n], pos + 1 + n
+        rows[key] = np.frombuffer(payload, dtype="<i4", count=256, offset=pos)
+        pos += 4 * 256
+    assert pos == len(payload) and list(rows) == sorted(rows)
+    return rows
+
+
 def test_freq_short_context_near_start():
     p = FreqPredictor(PredictorConfig("freq", order=3))
-    p.update(10)  # first byte learned under the empty context
-    assert b"" in p._counts
-    p.update(20)
-    assert bytes([10]) in p._counts
+    seen = []
+    for tok in (10, 20, 30, 40, 50):
+        p.update(tok)
+        seen.append(tok)
+        assert (p.predict_weights() == 1).all()  # every context here is new
+        rows = freq_rows(p)
+        # the token was learned under the bytes before it, at most three
+        key = bytes(seen[-4:-1])
+        assert len(rows) == len(seen) and rows[key][tok] == 2 and rows[key].sum() == 257
+    assert list(freq_rows(p)) == [b"", b"\n", b"\n\x14", b"\n\x14\x1e", b"\x14\x1e("]
+    for tok in (10, 20, 30):  # back in the context 10 20 30, which saw 40 once
+        p.update(tok)
+    assert list(p.predict_weights()[[40, 50]]) == [2, 1]
 
 
 def test_freq_halving_caps_counts():
     p = FreqPredictor(PredictorConfig("freq", order=0))
-    for _ in range((1 << 16) - 1):
+    for _ in range((1 << 16) - 2):
         p.update(7)
-    row = p._counts[b""]
+    row = p.predict_weights()
+    assert row[7] == (1 << 16) - 1 and row[0] == 1  # the largest count a row holds
+    p.update(7)
+    row = p.predict_weights()
     assert row[7] == (1 << 15) and row[0] == 1  # halved once, floor preserved
-    assert row.max() < 1 << 16
+    assert row.max() < 1 << 16 and row.sum() == (1 << 15) + 255
+    assert np.array_equal(freq_rows(p)[b""], row)
 
 
 def test_freq_determinism_and_digest_sensitivity():
