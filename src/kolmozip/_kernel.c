@@ -2,10 +2,10 @@
  * Integer step kernel: a CPython extension, twin of _kernel_numpy.py.
  *
  *   quantize(weights, cum)           coder.quantize_weights
- *   net(..., recent) -> capsule      one NeuralPredictor's arrays, bound with
- *                                    the forward pass for recent in buf
- *   net_step(net, recent, token)     NeuralPredictor's update, then the next
- *                                    forward pass
+ *   net(..., context) -> state       one NeuralPredictor's arrays and context,
+ *                                    bound with its forward pass in buf
+ *   net_step(net, token)             NeuralPredictor's update, then the next
+ *                                    context's forward pass into buf
  *   encoder() -> state               a RangeEncoder's registers and output
  *   encode(enc, cum, sym) -> width   RangeEncoder.encode_symbol
  *   finish(enc) -> bytes             RangeEncoder.finish
@@ -26,10 +26,10 @@
  *   - every right shift of a signed value is a floor shift (floor_shift), the
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free;
- *   - quantize, and net_grad on rows whose weights and total are below 2^46,
- *     divide by a row's total through one reciprocal (div_total), whose
- *     estimate is corrected to the exact integer quotient and remainder;
- *     net_grad divides any other row with `/`, as before;
+ *   - quantize and net_step accept a row by one rule (row_total): every
+ *     weight nonnegative, one positive, and the total below 2^46; both divide
+ *     by that total through one reciprocal (div_total), whose estimate is
+ *     corrected to the exact integer quotient and remainder;
  *   - the step's loops (forward, net_grad, quantize_scratch) are built three
  *     times on x86-64 glibc, for x86-64-v4 (AVX-512; GCC 12 and later only),
  *     for AVX2 and for the baseline ISA, and the CPU picks one at load time
@@ -146,6 +146,23 @@ static int get_int(PyObject *obj, long long lo, long long hi, const char *fmt, l
     return 0;
 }
 
+/* Copy the bytes-like obj, a state's context of at most max bytes (else
+ * ValueError too_long), into out; returns its length, or -1 with an
+ * exception set. */
+static Py_ssize_t get_context(PyObject *obj, unsigned char *out, Py_ssize_t max, const char *too_long)
+{
+    Py_buffer view;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0)
+        return -1;
+    const Py_ssize_t n = view.len <= max ? view.len : -1;
+    if (n < 0)
+        PyErr_SetString(PyExc_ValueError, too_long);
+    else
+        memcpy(out, view.buf, (size_t)n);
+    PyBuffer_Release(&view);
+    return n;
+}
+
 /* --- quantization ------------------------------------------------------ */
 
 static int cmp_i64(const void *a, const void *b)
@@ -215,6 +232,31 @@ static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t 
     return q + over - under;
 }
 
+static const char BAD_WEIGHTS[] = "weights must be nonnegative with one positive";
+
+/* The rule by which quantize and net_step accept a row of m <= 2^16 weights
+ * (_kernel_numpy._row_total): every weight nonnegative, one positive, and
+ * the total below 2^46, which div_total needs.  Sets *total and returns
+ * NULL, or returns the error message. */
+static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
+{
+    /* bits is negative iff a weight is, and below 2^46 iff every weight is;
+     * then at most 2^16 weights sum below 2^62, so the sum cannot wrap.  A
+     * row whose (unsigned) sum may wrap is reported on bits alone. */
+    int64_t bits = 0;
+    uint64_t sum = 0;
+    for (int64_t i = 0; i < m; i++) {
+        bits |= w[i];
+        sum += (uint64_t)w[i];
+    }
+    *total = (int64_t)sum;
+    if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))
+        return "weight total too large; rescale below 2^46";
+    if (bits < 0 || *total == 0)
+        return BAD_WEIGHTS;
+    return NULL;
+}
+
 /* scratch[0..m) holds the weights on entry; scratch has room for 2m values.
  * Mirrors _kernel_numpy.quantize: one slot per symbol up front, floors of
  * w*free/total, then the leftover slots go to the largest composite keys
@@ -223,21 +265,10 @@ static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t 
  * above the one of rank m-leftover.  Returns NULL or the error message. */
 VECTOR_CLONES static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
 {
-    static const char bad_weights[] = "weights must be nonnegative with one positive";
-    /* bits is negative iff a weight is, and below 2^46 iff every weight is;
-     * then at most 2^16 weights sum below 2^62, so the sum cannot wrap.  A
-     * row whose (unsigned) sum may wrap is reported on bits alone. */
-    int64_t bits = 0;
-    uint64_t sum = 0;
-    for (int64_t i = 0; i < m; i++) {
-        bits |= scratch[i];
-        sum += (uint64_t)scratch[i];
-    }
-    const int64_t total = (int64_t)sum;
-    if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))
-        return "weight total too large; rescale below 2^46";
-    if (bits < 0 || total == 0)
-        return bad_weights;
+    int64_t total;
+    const char *error = row_total(scratch, m, &total);
+    if (error)
+        return error;
 
     const int64_t free_slots = PROB_SCALE - m;
     int64_t *key = scratch, *sel = scratch + m, *base = cum + 1;
@@ -251,7 +282,7 @@ VECTOR_CLONES static const char *quantize_scratch(int64_t *scratch, int64_t m, i
     }
     int64_t leftover = free_slots - assigned; /* in [0, m) for valid input */
     if (leftover < 0 || leftover >= m)
-        return bad_weights;
+        return BAD_WEIGHTS;
     if (leftover) {
         for (int64_t i = 0; i < m; i++)
             sel[i] = key[i] = (key[i] << 16) + (m - 1 - i);
@@ -626,8 +657,9 @@ static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t n
 enum { EMB, B1, W2, B2, SOFTMAX, BUF, N_ARRAYS };
 
 /* One NeuralPredictor's arrays (held, so they outlive the predictor's own
- * references) plus its constants and scratch. */
+ * references), its context, its constants and its scratch. */
 typedef struct {
+    PyObject_HEAD
     Py_buffer views[N_ARRAYS];
     int64_t *emb;           /* k x 256 x w */
     int64_t *b1;            /* w */
@@ -640,44 +672,42 @@ typedef struct {
     int width_shift;        /* bit length of w - 1, so the output-layer step is
                              * width-invariant */
     int64_t *dlog;          /* scratch: 256 error-signal entries, then w hidden steps */
-    unsigned char *context; /* scratch: k + 1 bytes */
+    int64_t n;              /* context bytes held, at most k */
+    unsigned char *context; /* the last n bytes coded, oldest first; room for k */
 } kz_net;
 
-static const char NET_CAPSULE[] = "kolmozip._kernel.net";
-
-static void net_free(kz_net *net)
+static void net_free(PyObject *self)
 {
+    kz_net *net = (kz_net *)self;
     for (int i = 0; i < N_ARRAYS; i++)
         if (net->views[i].obj)
             PyBuffer_Release(&net->views[i]);
     PyMem_Free(net->dlog);
     PyMem_Free(net->context);
-    PyMem_Free(net);
+    PyObject_Free(self);
 }
 
-static void net_capsule_free(PyObject *capsule)
+static PyObject *net_context(PyObject *self, void *closure)
 {
-    net_free(PyCapsule_GetPointer(capsule, NET_CAPSULE));
+    (void)closure;
+    const kz_net *net = (const kz_net *)self;
+    return PyBytes_FromStringAndSize((const char *)net->context, net->n);
 }
 
-/* The context bytes, oldest first: acquired from a bytes-like object of at
- * most k bytes (every byte is a symbol of the net's alphabet). */
-static int get_context(const kz_net *net, PyObject *obj, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
-        return -1;
-    if (view->len > net->k) {
-        PyBuffer_Release(view);
-        PyErr_SetString(PyExc_ValueError, "context longer than the net's");
-        return -1;
-    }
-    return 0;
-}
+static PyGetSetDef net_getset[] = {
+    {"context", net_context, NULL, "the last k bytes coded (fewer at the start), oldest first", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
 
-static kz_net *get_net(PyObject *capsule)
-{
-    return PyCapsule_GetPointer(capsule, NET_CAPSULE);
-}
+static PyTypeObject net_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "kolmozip._kernel.net",
+    .tp_basicsize = sizeof(kz_net),
+    .tp_dealloc = net_free,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "a net's arrays and context, made by net(emb, b1, w2, b2, softmax, buf, lr, context)",
+    .tp_getset = net_getset,
+};
 
 /* byte i of the n context bytes sits at embedding position k - n + i */
 static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int64_t n, int64_t i)
@@ -685,10 +715,11 @@ static inline int64_t *emb_row(const kz_net *net, const unsigned char *ctx, int6
     return net->emb + ((net->k - n + i) * ALPHABET + ctx[i]) * net->w;
 }
 
-/* buf = pre | hidden | weights for context ctx[0..n): _kernel_numpy._forward */
-VECTOR_CLONES static void forward(const kz_net *net, const unsigned char *ctx, int64_t n)
+/* buf = pre | hidden | weights for the net's context: _kernel_numpy._forward */
+VECTOR_CLONES static void forward(const kz_net *net)
 {
-    const int64_t w = net->w;
+    const int64_t w = net->w, n = net->n;
+    const unsigned char *ctx = net->context;
     int64_t *pre = net->buf, *hidden = pre + w, *logits = pre + 2 * w;
 
     memcpy(pre, net->b1, (size_t)w * sizeof *pre);
@@ -721,8 +752,8 @@ VECTOR_CLONES static void forward(const kz_net *net, const unsigned char *ctx, i
     }
 }
 
-/* net(emb, b1, w2, b2, softmax, buf, lr, recent) -> capsule, with the
- * forward pass for context recent already in buf */
+/* net(emb, b1, w2, b2, softmax, buf, lr, context) -> state, holding a copy
+ * of context (at most k bytes, oldest first) and its forward pass in buf */
 static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -732,13 +763,13 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     long long lr;
     if (get_int(args[N_ARRAYS], 1, MAX_LR + 1, "learning rate %S outside [1, 2^20]", &lr) < 0)
         return NULL;
-    kz_net *net = PyMem_Calloc(1, sizeof *net);
+    kz_net *net = (kz_net *)PyType_GenericAlloc(&net_type, 0); /* zeroed */
     if (!net)
-        return PyErr_NoMemory();
+        return NULL;
     Py_ssize_t len[N_ARRAYS];
     for (int i = 0; i < N_ARRAYS; i++) {
         if (get_ints(args[i], &net->views[i], 8, 8, i != SOFTMAX, names[i], &len[i]) < 0) {
-            net_free(net);
+            Py_DECREF(net);
             return NULL;
         }
     }
@@ -758,52 +789,42 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
         PyErr_SetString(PyExc_ValueError,
                         "net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
                         "b2 256, buf 2*w + 256 and a nonempty softmax table");
-        net_free(net);
+        Py_DECREF(net);
         return NULL;
     }
     for (int64_t v = net->w - 1; v; v >>= 1)
         net->width_shift++;
     net->dlog = PyMem_Malloc((size_t)(ALPHABET + net->w) * sizeof *net->dlog);
-    net->context = PyMem_Malloc((size_t)net->k + 1);
+    net->context = PyMem_Malloc((size_t)net->k);
     if (!net->dlog || !net->context) {
-        net_free(net);
+        Py_DECREF(net);
         return PyErr_NoMemory();
     }
-    Py_buffer ctx;
-    if (get_context(net, args[N_ARRAYS + 1], &ctx) < 0) {
-        net_free(net);
+    net->n = get_context(args[N_ARRAYS + 1], net->context, net->k, "context longer than the net's");
+    if (net->n < 0) {
+        Py_DECREF(net);
         return NULL;
     }
-    forward(net, ctx.buf, ctx.len);
-    PyBuffer_Release(&ctx);
-    PyObject *capsule = PyCapsule_New(net, NET_CAPSULE, net_capsule_free);
-    if (!capsule)
-        net_free(net);
-    return capsule;
+    forward(net);
+    return (PyObject *)net;
 }
 
-/* The gradient step of net_step on the forward pass held in buf, whose
- * nonnegative weights sum to total > 0, for context ctx[0..n) and the coded
- * token.  small: every weight and the total are below 2^46. */
-VECTOR_CLONES static void net_grad(kz_net *net, const unsigned char *ctx, int64_t n, int64_t token,
-                                   int64_t total, int small)
+/* The gradient step of net_step on the forward pass held in buf, for the
+ * net's context and the coded token; total is the weights' total, which
+ * row_total bounds below 2^46. */
+VECTOR_CLONES static void net_grad(kz_net *net, int64_t token, int64_t total)
 {
-    const int64_t w = net->w, a = ALPHABET, lr = net->lr;
+    const int64_t w = net->w, a = ALPHABET, lr = net->lr, n = net->n;
+    const unsigned char *ctx = net->context;
     const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
     int64_t *dlog = net->dlog, *dpre = dlog + a;
-    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16.  On a small
-     * row every weights[s] * ONE is below 2^62 and its quotient at most ONE,
-     * as div_total needs; any other row, which only a write from outside
-     * leaves, divides with `/`. */
-    if (small) {
-        const double inv = 1.0 / (double)total;
-        int64_t rem;
-        for (int64_t s = 0; s < a; s++)
-            dlog[s] = div_total(weights[s] * ONE, total, inv, &rem);
-    } else {
-        for (int64_t s = 0; s < a; s++)
-            dlog[s] = weights[s] * ONE / total;
-    }
+    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16.  Every
+     * weights[s] * ONE is below 2^62 and its quotient at most ONE, as
+     * div_total needs. */
+    const double inv = 1.0 / (double)total;
+    int64_t rem;
+    for (int64_t s = 0; s < a; s++)
+        dlog[s] = div_total(weights[s] * ONE, total, inv, &rem);
     dlog[token] -= ONE;
 
     /* backprop through the pre-update output layer, zeroed where the hard
@@ -837,53 +858,31 @@ VECTOR_CLONES static void net_grad(kz_net *net, const unsigned char *ctx, int64_
     }
 }
 
-/* net_step(net, recent, token): one NeuralPredictor.update.  The gradient
- * step on the forward pass held in buf (the one for context recent), then
- * the forward pass for the advanced context written back into buf, so the
- * next prediction needs no call of its own.  The predictor keeps its own
- * copy of the context; the rule here is the same: append the token, keep
- * the last k. */
+/* net_step(net, token): one NeuralPredictor.update.  The gradient step on
+ * the forward pass held in buf, whose row quantize's rule must accept; the
+ * token appended to the context, of which the last k bytes are kept; then
+ * the forward pass for that context written back into buf, so the next
+ * prediction needs no call of its own. */
 static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (check_nargs("net_step", nargs, 3) < 0)
+    if (check_nargs("net_step", nargs, 2) < 0)
         return NULL;
-    kz_net *net = get_net(args[0]);
+    kz_net *net = get_state(args[0], &net_type);
     if (!net)
         return NULL;
     long long token;
-    if (get_int(args[2], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
+    if (get_int(args[1], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
         return NULL;
-    Py_buffer ctx_view;
-    if (get_context(net, args[1], &ctx_view) < 0)
-        return NULL;
-    const unsigned char *ctx = ctx_view.buf;
-    const int64_t n = ctx_view.len;
-    const int64_t *weights = net->buf + 2 * net->w;
-    int64_t total = 0, bits = 0;
-    for (int64_t s = 0; s < ALPHABET; s++) {
-        if (weights[s] < 0) {
-            total = 0;
-            break;
-        }
-        total += weights[s];
-        bits |= weights[s];
-    }
-    if (total <= 0) {
-        PyBuffer_Release(&ctx_view);
-        PyErr_SetString(PyExc_ValueError, "corrupted forward pass: weights must be "
-                                          "nonnegative with one positive");
-        return NULL;
-    }
-    /* bits, not total, bounds each weight: a sum of large weights can wrap */
-    net_grad(net, ctx, n, token, total, bits < TOTAL_LIMIT && total < TOTAL_LIMIT);
-
-    /* the advanced context: recent + token, its last k bytes */
-    memcpy(net->context, ctx, (size_t)n);
-    net->context[n] = (unsigned char)token;
-    PyBuffer_Release(&ctx_view);
-    const int64_t drop = n < net->k ? 0 : 1;
-    forward(net, net->context + drop, n + 1 - drop);
+    int64_t total;
+    const char *error = row_total(net->buf + 2 * net->w, ALPHABET, &total);
+    if (error)
+        return PyErr_SetString(PyExc_ValueError, error), NULL;
+    net_grad(net, token, total);
+    if (net->n == net->k)
+        memmove(net->context, net->context + 1, (size_t)--net->n);
+    net->context[net->n++] = (unsigned char)token;
+    forward(net);
     Py_RETURN_NONE;
 }
 
@@ -1149,25 +1148,20 @@ static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t
     f->row = rv->buf;
 
     if (nargs == 4) {
-        Py_buffer payload, context;
+        Py_buffer payload;
         if (PyObject_GetBuffer(args[2], &payload, PyBUF_SIMPLE) < 0) {
             Py_DECREF(f);
             return NULL;
         }
         int failed = freq_restore(f, payload.buf, payload.len);
         PyBuffer_Release(&payload);
-        if (failed || PyObject_GetBuffer(args[3], &context, PyBUF_SIMPLE) < 0) {
+        unsigned char bytes[MAX_ORDER];
+        const Py_ssize_t n = failed ? -1 : get_context(args[3], bytes, f->order, "context longer than the order");
+        if (n < 0) {
             Py_DECREF(f);
             return NULL;
         }
-        if (context.len > f->order) {
-            PyBuffer_Release(&context);
-            PyErr_SetString(PyExc_ValueError, "context longer than the order");
-            Py_DECREF(f);
-            return NULL;
-        }
-        f->ctx = make_key(context.buf, (uint32_t)context.len);
-        PyBuffer_Release(&context);
+        f->ctx = make_key(bytes, (uint32_t)n);
     }
     freq_load_row(f);
     return (PyObject *)f;
@@ -1269,9 +1263,9 @@ static PyMethodDef kz_methods[] = {
     {"quantize", (PyCFunction)(void (*)(void))kz_quantize, METH_FASTCALL,
      "quantize(weights, cum): fill cum with the quantized cumulative table"},
     {"net", (PyCFunction)(void (*)(void))kz_net_new, METH_FASTCALL,
-     "net(emb, b1, w2, b2, softmax, buf, lr, recent) -> capsule, with recent's forward pass in buf"},
+     "net(emb, b1, w2, b2, softmax, buf, lr, context) -> a net state, its forward pass in buf"},
     {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
-     "net_step(net, recent, token): update on token, then the next forward pass"},
+     "net_step(net, token): update on token, then the next context's forward pass"},
     {"encoder", (PyCFunction)(void (*)(void))kz_encoder_new, METH_FASTCALL,
      "encoder() -> a fresh range encoder state"},
     {"encode", (PyCFunction)(void (*)(void))kz_encode, METH_FASTCALL,
@@ -1301,7 +1295,8 @@ static struct PyModuleDef kz_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    if (PyType_Ready(&encoder_type) < 0 || PyType_Ready(&decoder_type) < 0 || PyType_Ready(&freq_type) < 0)
+    if (PyType_Ready(&encoder_type) < 0 || PyType_Ready(&decoder_type) < 0 || PyType_Ready(&net_type) < 0 ||
+        PyType_Ready(&freq_type) < 0)
         return NULL;
     return PyModuleDef_Init(&kz_module);
 }

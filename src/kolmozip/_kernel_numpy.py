@@ -2,8 +2,11 @@
 
 ``kernel.load()`` returns this module when the extension cannot be built:
 the same functions, arguments, results and errors (ValueErrors raised
-before any state is touched, TruncatedStreamError where a payload runs out).  State arithmetic is on int64, which wraps as the
-extension does under -fwrapv; signed right shifts are floor shifts.
+before any state is touched, TruncatedStreamError where a payload runs
+out).  States are namespaces where the extension has types; a net's and a
+count table's hold their context.  State arithmetic is on int64, which
+wraps as the extension does under -fwrapv; signed right shifts are floor
+shifts.
 """
 
 from __future__ import annotations
@@ -40,6 +43,19 @@ def _check(a: np.ndarray, name: str, dtypes: tuple = _INT64, writable: bool = Fa
         raise ValueError(f"{name} must be a C-contiguous{' writable' * writable} {kind} array")
 
 
+def _row_total(w: np.ndarray) -> int:
+    """The total of at most 2^16 int64 weights, if quantize and net_step
+    accept the row: every weight nonnegative, one positive, total below 2^46."""
+    # negative iff a weight is, and below 2^46 iff every weight is, so the sum cannot wrap
+    bits = int(np.bitwise_or.reduce(w))
+    total = int(np.add.reduce(w))
+    if bits >= 0 and (bits >= _TOTAL_LIMIT or total >= _TOTAL_LIMIT):
+        raise ValueError("weight total too large; rescale below 2^46")
+    if bits < 0 or total == 0:
+        raise ValueError(_BAD_WEIGHTS)
+    return total
+
+
 def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     """Fill cum (int64, m + 1 entries) with the table for m int32 or int64 weights:
     one slot per symbol, floors of w * free / total, then the leftover slots to
@@ -55,14 +71,7 @@ def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     if cum.size != m + 1:
         raise ValueError("cum must hold one more entry than weights")
     w = weights if weights.dtype == np.int64 else weights.astype(np.int64)
-    # negative iff a weight is, and below 2^46 iff every weight is, so the
-    # sum of at most 2^16 weights cannot wrap
-    bits = int(np.bitwise_or.reduce(w))
-    total = int(np.add.reduce(w))
-    if bits >= 0 and (bits >= _TOTAL_LIMIT or total >= _TOTAL_LIMIT):
-        raise ValueError("weight total too large; rescale below 2^46")
-    if bits < 0 or total == 0:
-        raise ValueError(_BAD_WEIGHTS)
+    total = _row_total(w)
     free = PROB_SCALE - m
     base, key = np.divmod(w * free, total)  # key <- remainders < 2^46
     leftover = free - int(np.add.reduce(base))
@@ -175,39 +184,36 @@ def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
     return sym
 
 
-def net(emb, b1, w2, b2, softmax, buf, lr: int, recent) -> SimpleNamespace:
-    """One NeuralPredictor's arrays as shaped views, which write through, and
-    its constants; buf (2w + 256) splits into pre | hidden | weights and
-    holds the forward pass for the context bytes recent, oldest first."""
-    names = ("emb", "b1", "w2", "b2", "softmax", "buf")
-    for name, array in zip(names, (emb, b1, w2, b2, softmax, buf)):
-        _check(array, name, writable=name != "softmax")
+def net(emb, b1, w2, b2, softmax, buf, lr: int, context) -> SimpleNamespace:
+    """One NeuralPredictor's arrays as shaped views, which write through, its
+    constants and a copy of context (at most k bytes, oldest first); buf
+    (2w + 256) splits into pre | hidden | weights, that context's forward pass."""
     if not 1 <= lr <= MAX_LR:
         raise ValueError(f"learning rate {lr} outside [1, 2^20]")
+    for name, array in zip(("emb", "b1", "w2", "b2", "softmax", "buf"), (emb, b1, w2, b2, softmax, buf)):
+        _check(array, name, writable=name != "softmax")
     w = b1.size
-    if not (b2.size == ALPHABET and 1 <= w <= MAX_WIDTH and ALPHABET * w <= emb.size and softmax.size):
-        raise ValueError("net arrays out of range")
-    k = emb.size // (ALPHABET * w)  # reshape rejects sizes that disagree
-    pre, hidden, weights = np.split(buf.reshape(2 * w + ALPHABET), [w, 2 * w])
+    k = emb.size // (ALPHABET * w) if w else 0
+    want = (k * ALPHABET * w, w * ALPHABET, ALPHABET, 2 * w + ALPHABET)
+    if not (1 <= w <= MAX_WIDTH and k and (emb.size, w2.size, b2.size, buf.size) == want and softmax.size):
+        raise ValueError("net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
+                         "b2 256, buf 2*w + 256 and a nonempty softmax table")
+    pre, hidden, weights = np.split(buf.reshape(-1), [w, 2 * w])
     n = SimpleNamespace(
         emb=emb.reshape(k, ALPHABET, w), b1=b1.reshape(w), w2=w2.reshape(w, ALPHABET), b2=b2.reshape(ALPHABET),
         softmax=softmax.reshape(-1), pre=pre, hidden=hidden, weights=weights,
-        k=k, lr=int(lr), width_shift=(w - 1).bit_length(),
+        k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=bytes(memoryview(context)),
     )
-    _check_context(n, recent)
-    _forward(n, recent)
+    if len(n.context) > k:
+        raise ValueError("context longer than the net's")
+    _forward(n)
     return n
 
 
-def _check_context(n: SimpleNamespace, recent) -> None:
-    if len(recent) > n.k:
-        raise ValueError("context longer than the net's")
-
-
-def _forward(n: SimpleNamespace, recent) -> None:
+def _forward(n: SimpleNamespace) -> None:
     pre, hidden = n.pre, n.hidden
     pre[:] = n.b1
-    for pos, byte in enumerate(recent, n.k - len(recent)):  # missing context adds nothing
+    for pos, byte in enumerate(n.context, n.k - len(n.context)):  # missing context adds nothing
         pre += n.emb[pos, byte]
     np.minimum(pre, ONE, out=hidden)
     np.maximum(hidden, -ONE, out=hidden)
@@ -219,17 +225,14 @@ def _forward(n: SimpleNamespace, recent) -> None:
     n.softmax.take(gap, out=n.weights, mode="clip")  # outside the table: the nearer end, as in C
 
 
-def net_step(n: SimpleNamespace, recent, token: int) -> None:
-    """NeuralPredictor.update on buf's forward pass (for context recent), then
-    the forward pass for the last k bytes of recent + token into buf."""
+def net_step(n: SimpleNamespace, token: int) -> None:
+    """NeuralPredictor.update on buf's forward pass, if quantize's rule accepts
+    its row; then token onto the context, kept to its last k bytes, and the
+    new context's forward pass into buf."""
     if not 0 <= token < ALPHABET:
         raise ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
-    _check_context(n, recent)
     weights, pre, hidden, lr = n.weights, n.pre, n.hidden, n.lr
-    total = int(np.add.reduce(weights))
-    # the extension also rejects a negative entry, which only a write from outside leaves
-    if total <= 0:
-        raise ValueError("corrupted forward pass: " + _BAD_WEIGHTS)
+    total = _row_total(weights)
     # d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16
     dlog = (weights * ONE) // total  # nonnegative, so // truncates
     dlog[token] -= ONE
@@ -246,12 +249,13 @@ def net_step(n: SimpleNamespace, recent, token: int) -> None:
     step >>= 16
     step1 = lr * dpre
     step1 >>= 16
-    rows = [(n.emb[pos, byte], step1) for pos, byte in enumerate(recent, n.k - len(recent))]
+    rows = [(n.emb[pos, byte], step1) for pos, byte in enumerate(n.context, n.k - len(n.context))]
     for param, delta in [(n.w2, step2), (n.b2, step), (n.b1, step1), *rows]:
         param -= delta
         np.minimum(param, WEIGHT_CLIP, out=param)
         np.maximum(param, -WEIGHT_CLIP, out=param)
-    _forward(n, [*recent, token][-n.k :])
+    n.context = (n.context + bytes([token]))[-n.k :]
+    _forward(n)
 
 
 def freq(order: int, row: np.ndarray, payload=b"", context=b"") -> SimpleNamespace:
@@ -266,7 +270,9 @@ def freq(order: int, row: np.ndarray, payload=b"", context=b"") -> SimpleNamespa
         and row.flags.c_contiguous and row.flags.writeable
     ):
         raise ValueError(_BAD_ROW)
-    f = SimpleNamespace(order=order, row=row, counts=_parse_state(order, bytes(payload)), context=bytes(context))
+    # memoryview takes only bytes-like objects, as the extension's buffers do
+    payload, context = bytes(memoryview(payload)), bytes(memoryview(context))
+    f = SimpleNamespace(order=order, row=row, counts=_parse_state(order, payload), context=context)
     if len(f.context) > order:
         raise ValueError("context longer than the order")
     f.row[:] = f.counts.get(f.context, _ONES)

@@ -1,8 +1,9 @@
 """The per-byte step module: the C extension (``_kernel.c``) or its numpy twin.
 
 It holds the whole per-byte step but the loop around it: quantization, the
-range coder's encoder and decoder states, the neural net's forward pass and
-update, and the freq model's count table (uint16 rows in the extension).
+range coder's encoder and decoder states, and the states of the neural net
+and of the freq model's count table (uint16 rows in the extension), each of
+which owns its context.
 
 ``load()`` never returns None: it returns the extension or, when that
 cannot be built, ``_kernel_numpy``, which exports the same functions with

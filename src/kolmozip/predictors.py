@@ -269,15 +269,16 @@ class NeuralPredictor:
     Digest state payload: emb, b1, w2, b2 as little-endian int64 in that
     order, then the retained context bytes.
 
-    The forward pass for the current context (``_pre``, ``_hidden``,
-    ``_weights``) is always up to date: it is computed on construction and
-    by every update.  Both run in the step module kernel.load() returns:
-    the C extension, or its numpy twin.
+    The net, with its context, lives in the step module kernel.load()
+    returns (the C extension, or its numpy twin), bound to the parameters
+    and to the buffer whose weights predict_weights() views: each update()
+    is one net_step, which trains on the token, appends it to the context
+    (keeping the last K bytes) and leaves the next forward pass there.
     """
 
     is_static = False
-    # rebuilt by __setstate__: the kernel binding and the forward pass
-    _DERIVED_FIELDS = ("_kernel", "_net", "_pre", "_hidden", "_weights")
+    # rebuilt by __setstate__ from the parameters and the context
+    _DERIVED_FIELDS = ("_kernel", "_net", "_weights")
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
@@ -285,7 +286,6 @@ class NeuralPredictor:
         self.w = config.width
         self.lr = config.learning_rate
         self.token_position = 0
-        self._recent = bytearray()
 
         stream = Lcg64(mix64(config.seed, 0x4E455552))
         emb_scale = (ONE << 8) // (2 * math.isqrt(self.k << 16))
@@ -295,7 +295,7 @@ class NeuralPredictor:
         self.w2 = self._draw(stream, (self.w, ALPHABET), w2_scale)
         self.b2 = np.zeros(ALPHABET, dtype=np.int64)
 
-        self._bind_kernel()
+        self._bind_kernel(b"")
 
     @staticmethod
     def _draw(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
@@ -322,27 +322,28 @@ class NeuralPredictor:
         mag = np.abs(u) * scale // 32768
         return np.where(u < 0, -mag, mag).reshape(shape)
 
-    def _bind_kernel(self) -> None:
-        """Bind this instance's arrays to the step module, which runs the
-        forward pass for the current context as it binds.
-
-        The step module (kernel.py) works in place on emb, b1, w2 and b2,
-        which are never rebound, and on the buffer pre | hidden | weights
-        (the forward pass), which _pre, _hidden and _weights view.
-        """
+    def _bind_kernel(self, context: bytes) -> None:
+        """Bind a net at context to this instance's arrays, which it works
+        on in place and which are never rebound, and to a fresh buffer
+        pre | hidden | weights, which it fills with the forward pass; view
+        the weights read-only."""
         self._kernel = kernel.load()
         buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
-        self._net = self._kernel.net(self.emb, self.b1, self.w2, self.b2, _SOFTMAX_TABLE, buf, self.lr, self._recent)
-        self._pre, self._hidden, self._weights = buf[: self.w], buf[self.w : 2 * self.w], buf[2 * self.w :]
+        self._net = self._kernel.net(self.emb, self.b1, self.w2, self.b2, _SOFTMAX_TABLE, buf, self.lr, context)
+        self._weights = buf[2 * self.w :]
+        self._weights.flags.writeable = False
 
     def __getstate__(self) -> dict:
-        # the binding holds this instance's arrays; a copy binds its own and
-        # computes its own forward pass
-        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
+        # a copy binds its own net to its own arrays, at the same context
+        state = {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
+        state["_context"] = self._net.context
+        return state
 
     def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        context = state.pop("_context")
         self.__dict__.update(state)
-        self._bind_kernel()
+        self._bind_kernel(context)
 
     def predict_weights(self) -> np.ndarray:
         # read-only view, valid until the next update(), which consumes the
@@ -350,18 +351,14 @@ class NeuralPredictor:
         return self._weights
 
     def update(self, token: int) -> None:
-        # the step also leaves the next position's forward pass in the buffer
-        self._kernel.net_step(self._net, self._recent, token)
-        self._recent.append(token)
-        if len(self._recent) > self.k:
-            del self._recent[0]
+        self._kernel.net_step(self._net, token)
         self.token_position += 1
 
     def digest(self) -> bytes:
         state = b"".join(
             arr.astype("<i8").tobytes() for arr in (self.emb, self.b1, self.w2, self.b2)
         )
-        return _digest(self.config, self.token_position, state + bytes(self._recent))
+        return _digest(self.config, self.token_position, state + self._net.context)
 
 
 def make_predictor(config: PredictorConfig):

@@ -88,6 +88,25 @@ def test_extension_and_twin_export_the_same_functions():
         assert _functions(kernel.load()) == table
 
 
+def test_extension_and_twin_take_the_same_arguments():
+    # each function's check_nargs in the source (the count it requires)
+    # against the twin's required parameters, so a changed signature on one
+    # side fails even where the extension cannot be built
+    source = kernel.SOURCE.read_text()
+    (members,) = re.findall(r"^enum \{([^}]*N_ARRAYS)\s*\};", source, re.MULTILINE)
+    constants = {name.strip(): i for i, name in enumerate(members.split(","))}
+    required = {
+        fn: eval(count, {}, constants)
+        for fn, count in re.findall(r'check_nargs\("(\w+)", nargs, ([^)]+)\)', source)
+    }
+    twin = {
+        fn: sum(p.default is p.empty for p in inspect.signature(getattr(_kernel_numpy, fn)).parameters.values())
+        for fn in _functions(_kernel_numpy)
+    }
+    assert required == twin
+    assert required["net"] == 8 and required["net_step"] == 2
+
+
 # --- quantize ----------------------------------------------------------------
 
 
@@ -471,16 +490,17 @@ def assert_steps_match_twin(module, context, width, lr, seed, symbols, steps, mo
     ref = _numpy_twin(config, monkeypatch)
     assert fast._kernel is module and ref._kernel is _kernel_numpy
     rng = Lcg64(100 + seed)
-    tok = 0
+    tok, seen = 0, bytearray()
     for step in range(steps):
         # sticky stream: the net learns, saturates and gets surprised
         tok = tok if rng.below(4) else rng.below(symbols)
         assert np.array_equal(fast.predict_weights(), ref.predict_weights()), step
         fast.update(tok)
         ref.update(tok)
+        seen.append(tok)
         for name in ("emb", "b1", "w2", "b2"):
             assert np.array_equal(getattr(fast, name), getattr(ref, name)), (step, name)
-        assert fast._recent == ref._recent
+        assert fast._net.context == ref._net.context == seen[-context:], step
     assert np.array_equal(final_layer_gradient(fast, 1), final_layer_gradient(ref, 1))
     assert fast.digest() == ref.digest()
 
@@ -501,30 +521,39 @@ def _one_short(q: int, total: int) -> np.ndarray:
     return np.concatenate([[w], _spread(255, total - w)])
 
 
-# forward passes written over a net's own: net_grad divides a row through
-# div_total when every weight and the total are below 2^46, else with /
+def _plant(p: NeuralPredictor, row: np.ndarray) -> None:
+    """Write row over p's forward pass: the weights that predict_weights()
+    views read-only, in the buffer pre | hidden | weights the net writes."""
+    p._weights.base[2 * p.w :] = row
+
+
+def _guarded_net(module, monkeypatch) -> NeuralPredictor:
+    config = PredictorConfig("neural", context=2, width=8, seed=6)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "load", lambda: module)
+        p = NeuralPredictor(config)
+    for tok in b"guard":
+        p.update(tok)
+    return p
+
+
+# forward passes written over a net's own: net_grad divides every row that
+# quantize's rule accepts, up to a total of 2^46 - 1, through div_total
 DIVISION_ROWS = {
     "the net's own softmax weights": None,
     "total 2^46-1, spread": _spread(256, _BIG),
     "total 2^46-1, one weight": np.eye(1, 256, 9, dtype=np.int64)[0] * _BIG,
     "total 2^46-1, a quotient one short": _one_short(40503, _BIG),
-    "weights in [2^46, 2^47)": (1 << 46) + np.arange(256, dtype=np.int64) * (1 << 38),
 }
 
 
 def assert_division_matches_twin(module, row: np.ndarray | None, monkeypatch) -> None:
     """One update on row, written as the forward pass of the extension's
     net and of the twin's, leaves both with the same parameters."""
-    config = PredictorConfig("neural", context=2, width=8, seed=6)
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "load", lambda: module)
-        fast = NeuralPredictor(config)
-    ref = _numpy_twin(config, monkeypatch)
-    for tok in b"guard":
-        fast.update(tok)
-        ref.update(tok)
+    fast, ref = _guarded_net(module, monkeypatch), _guarded_net(_kernel_numpy, monkeypatch)
     if row is not None:
-        fast._weights[:] = ref._weights[:] = row
+        _plant(fast, row)
+        _plant(ref, row)
     fast.update(7)
     ref.update(7)
     for name in ("emb", "b1", "w2", "b2", "_weights"):
@@ -537,6 +566,30 @@ def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name, monkeypatch)
     assert_division_matches_twin(kernel.load(), DIVISION_ROWS[name], monkeypatch)
 
 
+# forward passes that quantize's rule rejects, and net_step with it
+BAD_FORWARD_PASSES = {
+    "a negative entry": np.where(np.arange(256) == 5, -1, 1 << 12),
+    "all zeros": np.zeros(256, dtype=np.int64),
+    "weights in [2^46, 2^47)": (1 << 46) + np.arange(256, dtype=np.int64) * (1 << 38),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_FORWARD_PASSES))
+def test_net_step_rejects_the_rows_quantize_rejects_as_numpy(name, step, monkeypatch):
+    row = BAD_FORWARD_PASSES[name]
+    error = _table_or_error(_kernel_numpy, row)  # quantize's (type, message)
+    assert isinstance(error, tuple)
+    for module in dict.fromkeys((step, _kernel_numpy)):
+        p = _guarded_net(module, monkeypatch)
+        before = p.digest(), p._net.context, [a.copy() for a in (p.emb, p.b1, p.w2, p.b2)]
+        _plant(p, row)
+        with pytest.raises(ValueError) as caught:
+            p.update(7)
+        assert (type(caught.value), str(caught.value)) == error
+        assert p.digest() == before[0] and p._net.context == before[1] == b"rd"
+        assert all(np.array_equal(a, b) for a, b in zip((p.emb, p.b1, p.w2, p.b2), before[2]))
+
+
 def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
     p.update(255)
@@ -544,8 +597,6 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     for bad in (256, -1, 1 << 70, -(1 << 70)):
         with pytest.raises(ValueError, match=f"^token {bad} outside"):
             p.update(bad)
-    with pytest.raises(ValueError):  # a context longer than the net's
-        p._kernel.net_step(p._net, b"abc", 1)
     arrays = [p.emb, p.b1, p.w2, p.b2, _SOFTMAX_TABLE, p._weights.base]
     with pytest.raises(ValueError):  # bound to a context longer than the net's
         p._kernel.net(*arrays, p.lr, b"abc")
@@ -558,14 +609,62 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     arrays[3] = p.b2[:255].copy()
     with pytest.raises(ValueError):  # a net codes bytes: b2 needs 256 entries
         p._kernel.net(*arrays, p.lr, b"ab")
-    p._weights[:] = 0  # a corrupted forward pass
+    _plant(p, 0)  # a corrupted forward pass
     with pytest.raises(ValueError):
         p.update(1)
     assert p.digest() == before
 
 
+# (emb, b1, w2, b2, softmax, buf) sizes for k = 2, w = 8 that do not agree
+NET_SIZES = {
+    "short emb": (4095, 8, 2048, 256, 16, 272),
+    "long emb": (4104, 8, 2048, 256, 16, 272),
+    "emb under one position": (2047, 8, 2048, 256, 16, 272),
+    "short w2": (4096, 8, 2047, 256, 16, 272),
+    "short b2": (4096, 8, 2048, 255, 16, 272),
+    "long b2": (4096, 8, 2048, 257, 16, 272),
+    "short buf": (4096, 8, 2048, 256, 16, 271),
+    "zero width": (0, 0, 0, 256, 16, 256),
+    "empty softmax": (4096, 8, 2048, 256, 0, 272),
+}
+
+
+@pytest.mark.parametrize("name", list(NET_SIZES))
+def test_net_rejects_arrays_that_disagree_as_numpy(name, step):
+    arrays = [np.zeros(size, dtype=np.int64) for size in NET_SIZES[name]]
+    errors = set()
+    for module in (step, _kernel_numpy):
+        with pytest.raises(ValueError) as caught:
+            module.net(*arrays, ONE, b"ab")
+        errors.add((type(caught.value), str(caught.value)))
+    assert len(errors) == 1
+    assert next(iter(errors))[1].startswith("net arrays disagree: ")
+
+
+def test_states_take_only_bytes_like_contexts(step):
+    net_arrays = [np.zeros(size, dtype=np.int64) for size in (4096, 8, 2048, 256, 16, 272)]
+    for module in (step, _kernel_numpy):
+        row = np.empty(256, dtype=np.int32)
+        for bad in (lambda: module.net(*net_arrays, ONE, 2), lambda: module.freq(2, row, b"", 2),
+                    lambda: module.freq(2, row, 5, b""), lambda: module.net(*net_arrays, ONE, [1, 2])):
+            with pytest.raises(TypeError):
+                bad()
+
+
 @needs_kernel
-def test_net_capsule_keeps_its_arrays_alive(monkeypatch):
+def test_net_and_freq_states_are_not_interchangeable():
+    ext = kernel.load()
+    net = NeuralPredictor(PredictorConfig("neural", context=2, width=8))._net
+    freq = FreqPredictor(PredictorConfig("freq", order=2))._freq
+    for fn, state in ((ext.net_step, freq), (ext.freq_step, net)):
+        with pytest.raises(TypeError, match="^expected a kolmozip._kernel.(net|freq) state"):
+            fn(state, 1)
+    with pytest.raises(AttributeError):  # the context is the net's alone to move
+        net.context = b"xy"
+
+
+@needs_kernel
+def test_net_state_keeps_its_arrays_alive(monkeypatch):
     config = PredictorConfig("neural", context=2, width=8, seed=5)
     p = NeuralPredictor(config)
     ext, net = p._kernel, p._net
@@ -573,14 +672,15 @@ def test_net_capsule_keeps_its_arrays_alive(monkeypatch):
     del p
     gc.collect()
     assert all(r() is not None for r in held)
-    ext.net_step(net, bytearray(), 9)  # steps arrays only the capsule still holds
+    ext.net_step(net, 9)  # steps arrays only the state still holds
     twin = _numpy_twin(config, monkeypatch)
     twin.update(9)
-    want = (twin.emb, twin.b1, twin.w2, twin.b2, np.concatenate([twin._pre, twin._hidden, twin._weights]))
+    want = (twin.emb, twin.b1, twin.w2, twin.b2, twin._weights.base)
     assert all(np.array_equal(r(), w) for r, w in zip(held, want))
+    assert net.context == twin._net.context == b"\x09"
     del net
     gc.collect()
-    assert all(r() is None for r in held)  # released with the capsule
+    assert all(r() is None for r in held)  # released with the state
 
 
 # --- freq step ---------------------------------------------------------------------

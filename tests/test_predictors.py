@@ -170,6 +170,19 @@ def test_tokens_outside_the_alphabet_are_rejected_before_any_state_changes(spec)
     assert p.digest() == before
 
 
+@pytest.mark.parametrize("spec", ["uniform", "freq:2", "neural:1,8"])
+def test_predicted_weights_are_read_only(spec):
+    p = make_predictor(PredictorConfig.from_spec(spec))
+    for tok in b"ab":
+        p.update(tok)
+    weights = p.predict_weights()
+    before = weights.copy()
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        weights[:] = 0
+    assert np.array_equal(p.predict_weights(), before)
+
+
 # --- exp table -----------------------------------------------------------
 
 
@@ -271,8 +284,8 @@ def test_neural_seed_changes_init():
 def float_model_loss(p: NeuralPredictor, token: int, w2_override: np.ndarray) -> float:
     """Dequantized float forward with a true base-2 softmax (test oracle)."""
     pre = p.b1.astype(float) / ONE
-    k_avail = len(p._recent)
-    for i, byte in enumerate(p._recent):
+    k_avail = len(p._net.context)
+    for i, byte in enumerate(p._net.context):
         pre = pre + p.emb[p.k - k_avail + i, byte].astype(float) / ONE
     hidden = np.clip(pre, -1.0, 1.0)
     logits = hidden @ w2_override + p.b2.astype(float) / ONE
@@ -287,7 +300,8 @@ def final_layer_gradient(p: NeuralPredictor, token: int) -> np.ndarray:
     weights = p.predict_weights()
     p_hat = (weights * ONE) // int(weights.sum())
     p_hat[token] -= ONE
-    return np.outer(p._hidden, p_hat)
+    hidden = p._weights.base[p.w : 2 * p.w]  # the forward pass's buffer: pre | hidden | weights
+    return np.outer(hidden, p_hat)
 
 
 def test_neural_gradient_matches_finite_differences():
