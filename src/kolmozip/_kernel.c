@@ -11,8 +11,8 @@
  *   finish(enc) -> bytes             RangeEncoder.finish
  *   decoder(payload) -> state        a RangeDecoder, its first five bytes read
  *   decode(dec, cum) -> sym          RangeDecoder.decode_symbol
- *   freq(order, row[, payload,       one FreqPredictor's count table, bound
- *        context]) -> state          with its context's counts in row
+ *   freq(order, row, payload,        one FreqPredictor's count table, bound
+ *        context) -> state           with its context's counts in row
  *   freq_step(state, token)          FreqPredictor's update, then the next
  *                                    context's counts into row
  *   freq_state(state) -> bytes       FreqPredictor's digest payload
@@ -37,13 +37,15 @@
  *     so the arithmetic, and every byte it writes, is the same on every CPU;
  *   - freq stores its counts as uint16 (the twin as int32): a count that
  *     reaches 2^16 halves its row at once, so none stored is larger, and a
- *     row is widened to int32 only where it is copied out.
+ *     row is widened only where it is copied out.
  *
- * Arrays arrive through the buffer protocol.  Each function checks the
- * itemsize, format, contiguity and length of what it is given and raises
- * ValueError (MemoryError when scratch cannot be had) before it touches any
- * state.  The GIL is held throughout, so a net's scratch is never shared by
- * two running calls.
+ * Every array arrives through the buffer protocol as one kind: a
+ * one-dimensional, C-contiguous int64 vector, writable where it is written.
+ * get_array checks that (the twin's _check, with the same messages in the
+ * same order); each function then checks lengths, and raises ValueError
+ * (MemoryError when scratch cannot be had) before it touches any state.
+ * The GIL is held throughout, so a net's scratch is never shared by two
+ * running calls.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -92,12 +94,10 @@ static inline int64_t clamp(int64_t x, int64_t limit)
 
 /* --- buffers ----------------------------------------------------------- */
 
-/* Acquire obj as a C-contiguous array of native signed integers whose item
- * size is one of size_a/size_b (pass the same size twice for one); on
- * success *n holds the element count.  Returns 0, or -1 with an exception
- * set and no buffer held. */
-static int get_ints(PyObject *obj, Py_buffer *view, Py_ssize_t size_a, Py_ssize_t size_b,
-                    int writable, const char *name, Py_ssize_t *n)
+/* Acquire obj as a one-dimensional, C-contiguous vector of native int64,
+ * writable if asked; on success *n holds its length.  Returns 0, or -1 with
+ * an exception set and no buffer held. */
+static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *name, Py_ssize_t *n)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
@@ -105,9 +105,10 @@ static int get_ints(PyObject *obj, Py_buffer *view, Py_ssize_t size_a, Py_ssize_
     if (*f == '@')
         f++;
     const char *why = NULL;
-    if ((view->itemsize != size_a && view->itemsize != size_b) || f[1] != '\0' ||
-        (f[0] != 'i' && f[0] != 'l' && f[0] != 'q'))
-        why = size_a == size_b ? "must be int64" : "must be int32 or int64";
+    if (view->itemsize != 8 || f[1] != '\0' || (f[0] != 'i' && f[0] != 'l' && f[0] != 'q'))
+        why = "must be int64";
+    else if (view->ndim != 1)
+        why = "must be one-dimensional";
     else if (!PyBuffer_IsContiguous(view, 'C'))
         why = "must be C-contiguous";
     else if (writable && view->readonly)
@@ -298,8 +299,8 @@ VECTOR_CLONES static const char *quantize_scratch(int64_t *scratch, int64_t m, i
 
 #define STACK_ALPHABET 256 /* quantize's scratch is on the stack up to here */
 
-/* quantize(weights, cum): weights int32 or int64 of length m in [2, 2^16];
- * cum int64 of length m + 1, filled with the cumulative table. */
+/* quantize(weights, cum): m in [2, 2^16] weights; cum, of m + 1 entries,
+ * filled with the cumulative table. */
 static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -307,18 +308,14 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     Py_buffer wv, cv;
     Py_ssize_t m, n_cum;
-    if (get_ints(args[0], &wv, 4, 8, 0, "weights", &m) < 0)
+    if (get_array(args[0], &wv, 0, "weights", &m) < 0)
         return NULL;
-    if (get_ints(args[1], &cv, 8, 8, 1, "cum", &n_cum) < 0) {
+    if (get_array(args[1], &cv, 1, "cum", &n_cum) < 0) {
         PyBuffer_Release(&wv);
         return NULL;
     }
     PyObject *result = NULL;
     int64_t stack[2 * STACK_ALPHABET], *scratch = stack;
-    if (wv.ndim != 1 || cv.ndim != 1) {
-        PyErr_Format(PyExc_ValueError, "%s must be one-dimensional", wv.ndim != 1 ? "weights" : "cum");
-        goto done;
-    }
     if (m < 2 || m > PROB_SCALE) {
         PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
         goto done;
@@ -331,11 +328,7 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         PyErr_NoMemory();
         goto done;
     }
-    if (wv.itemsize == 4)
-        for (Py_ssize_t i = 0; i < m; i++)
-            scratch[i] = ((const int32_t *)wv.buf)[i];
-    else
-        memcpy(scratch, wv.buf, (size_t)m * sizeof *scratch);
+    memcpy(scratch, wv.buf, (size_t)m * sizeof *scratch);
     const char *error = quantize_scratch(scratch, m, cv.buf);
     if (error)
         PyErr_SetString(PyExc_ValueError, error);
@@ -475,16 +468,11 @@ static PyObject *kz_encoder_new(PyObject *module, PyObject *const *args, Py_ssiz
     (void)args;
     if (check_nargs("encoder", nargs, 0) < 0)
         return NULL;
-    kz_encoder *enc = PyObject_New(kz_encoder, &encoder_type);
+    kz_encoder *enc = (kz_encoder *)PyType_GenericAlloc(&encoder_type, 0); /* zeroed */
     if (!enc)
         return NULL;
-    enc->low = 0;
     enc->range = UINT32_MAX;
-    enc->cache = 0;
     enc->pending = 1; /* the phantom leading byte */
-    enc->finished = 0;
-    enc->out = NULL;
-    enc->len = enc->cap = 0;
     return (PyObject *)enc;
 }
 
@@ -501,7 +489,7 @@ static PyObject *kz_encode(PyObject *module, PyObject *const *args, Py_ssize_t n
         return NULL;
     Py_buffer cv;
     Py_ssize_t n;
-    if (get_ints(args[1], &cv, 8, 8, 0, "cum", &n) < 0)
+    if (get_array(args[1], &cv, 0, "cum", &n) < 0)
         return NULL;
     if (enc->finished) {
         PyErr_SetString(PyExc_ValueError, "encoder already finished");
@@ -575,15 +563,11 @@ static PyObject *kz_decoder_new(PyObject *module, PyObject *const *args, Py_ssiz
     (void)module;
     if (check_nargs("decoder", nargs, 1) < 0)
         return NULL;
-    kz_decoder *dec = PyObject_New(kz_decoder, &decoder_type);
+    kz_decoder *dec = (kz_decoder *)PyType_GenericAlloc(&decoder_type, 0); /* zeroed */
     if (!dec)
         return NULL;
-    dec->payload.obj = NULL;
-    dec->cursor = 0;
     dec->range = UINT32_MAX;
-    dec->code = 0;
     if (PyObject_GetBuffer(args[0], &dec->payload, PyBUF_SIMPLE) < 0) {
-        dec->payload.obj = NULL;
         Py_DECREF(dec);
         return NULL;
     }
@@ -599,9 +583,10 @@ static PyObject *kz_decoder_new(PyObject *module, PyObject *const *args, Py_ssiz
 }
 
 /* decode(dec, cum) -> the symbol s whose interval [cum[s], cum[s + 1]) holds
- * the target, found by bisection, then the encoder's narrowing and
- * renormalization.  cum must be a table: int64, holding the target, and
- * every interval inside [0, 2^16]. */
+ * the target, then the encoder's narrowing and renormalization.  s is found
+ * as the twin's searchsorted(side="right") finds it, so the two agree even
+ * on a table that is not increasing.  cum must be a table: holding the
+ * target, and every interval inside [0, 2^16]. */
 static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -612,28 +597,30 @@ static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t n
         return NULL;
     Py_buffer cv;
     Py_ssize_t n;
-    if (get_ints(args[1], &cv, 8, 8, 0, "cum", &n) < 0)
+    if (get_array(args[1], &cv, 0, "cum", &n) < 0)
         return NULL;
     const int64_t *cum = cv.buf;
     const uint64_t r = dec->range;
     int64_t target = (int64_t)(((((uint64_t)dec->code + 1) << 16) - 1) / r);
     if (target >= PROB_SCALE) /* only reachable on corrupted payloads */
         target = PROB_SCALE - 1;
-    if (n < 2 || target < cum[0] || target >= cum[n - 1]) {
+    /* numpy's binary search over [0, n): cum[lo - 1] <= target if lo > 0,
+     * and target < cum[lo] if lo < n */
+    Py_ssize_t lo = 0, hi = n;
+    while (lo < hi) {
+        const Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (cum[mid] <= target)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    const Py_ssize_t sym = lo - 1;
+    if (sym < 0 || sym >= n - 1) {
         PyBuffer_Release(&cv);
         PyErr_SetString(PyExc_ValueError, "decode needs cum[0] <= target < cum[-1]");
         return NULL;
     }
-    /* invariant: cum[lo] <= target < cum[hi] */
-    Py_ssize_t lo = 0, hi = n - 1;
-    while (hi - lo > 1) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (cum[mid] <= target)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    const int64_t c0 = cum[lo], c1 = cum[lo + 1];
+    const int64_t c0 = cum[sym], c1 = cum[sym + 1];
     PyBuffer_Release(&cv);
     if (c0 < 0 || c1 > PROB_SCALE) {
         PyErr_SetString(PyExc_ValueError, "decode needs 0 <= cum[sym] < cum[sym + 1] <= 2^16");
@@ -649,7 +636,7 @@ static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t n
         dec->code = dec->code << 8 | (uint32_t)byte;
         dec->range <<= 8;
     }
-    return PyLong_FromSsize_t(lo);
+    return PyLong_FromSsize_t(sym);
 }
 
 /* --- neural predictor -------------------------------------------------- */
@@ -768,7 +755,7 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
         return NULL;
     Py_ssize_t len[N_ARRAYS];
     for (int i = 0; i < N_ARRAYS; i++) {
-        if (get_ints(args[i], &net->views[i], 8, 8, i != SOFTMAX, names[i], &len[i]) < 0) {
+        if (get_array(args[i], &net->views[i], i != SOFTMAX, names[i], &len[i]) < 0) {
             Py_DECREF(net);
             return NULL;
         }
@@ -904,7 +891,7 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
 typedef struct {
     PyObject_HEAD
     Py_buffer row_view;
-    int32_t *row;      /* the current context's counts, widened, or ones if unseen */
+    int64_t *row;      /* the current context's counts, widened, or ones if unseen */
     int order;
     uint32_t ctx;      /* the current context's key */
     uint16_t *cur;     /* its counts, NULL while unseen */
@@ -976,7 +963,7 @@ static PyTypeObject freq_type = {
     .tp_basicsize = sizeof(kz_freq),
     .tp_dealloc = freq_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "a count table bound to a row, made by freq(order, row)",
+    .tp_doc = "a count table bound to a row, made by freq(order, row, payload, context)",
     .tp_getset = freq_getset,
 };
 
@@ -1062,7 +1049,6 @@ static void freq_load_row(kz_freq *f)
             f->row[s] = 1;
 }
 
-static const char BAD_ROW[] = "row must be a C-contiguous writable int32 array of 256 entries";
 static const char BAD_PAYLOAD[] = "malformed freq state";
 
 /* Restore the rows of a freq_state payload into the empty table f: keys in
@@ -1099,28 +1085,23 @@ bad:
     return -1;
 }
 
-/* freq(order, row[, payload, context]) -> state: a count table for order
- * 0..3 bound to row (256 writable int32), with the counts of a freq_state
- * payload (none by default) and the current context (empty by default) as
- * given, and that context's counts in row */
+/* freq(order, row, payload, context) -> state: a count table for order
+ * 0..3 bound to row (256 entries, writable), with the counts of a
+ * freq_state payload and the current context as given, and that context's
+ * counts in row */
 static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 4 && check_nargs("freq", nargs, 2) < 0)
+    if (check_nargs("freq", nargs, 4) < 0)
         return NULL;
     long long order;
     if (get_int(args[0], 0, MAX_ORDER + 1, "freq order %S outside [0, 3]", &order) < 0)
         return NULL;
-    kz_freq *f = PyObject_New(kz_freq, &freq_type);
+    kz_freq *f = (kz_freq *)PyType_GenericAlloc(&freq_type, 0); /* zeroed */
     if (!f)
         return NULL;
-    f->row_view.obj = NULL;
     f->order = (int)order;
-    f->ctx = 0;
-    f->cur = NULL;
     f->bits = 4;
-    f->rows = f->n_blocks = f->blocks_cap = 0;
-    f->blocks = NULL;
     f->slots = PyMem_Malloc(((size_t)1 << f->bits) * sizeof *f->slots);
     if (!f->slots) {
         Py_DECREF(f);
@@ -1128,41 +1109,32 @@ static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t
     }
     memset(f->slots, 0xFF, ((size_t)1 << f->bits) * sizeof *f->slots);
 
-    Py_buffer *rv = &f->row_view;
-    if (PyObject_GetBuffer(args[1], rv, PyBUF_RECORDS) < 0) {
-        rv->obj = NULL;
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError, BAD_ROW);
+    Py_ssize_t n;
+    if (get_array(args[1], &f->row_view, 1, "row", &n) < 0) {
         Py_DECREF(f);
         return NULL;
     }
-    const char *fmt = rv->format ? rv->format : "B";
-    if (*fmt == '@')
-        fmt++;
-    if (rv->itemsize != 4 || (fmt[0] != 'i' && fmt[0] != 'l') || fmt[1] != '\0' || rv->ndim != 1 ||
-        rv->len != ALPHABET * 4 || !PyBuffer_IsContiguous(rv, 'C')) {
-        PyErr_SetString(PyExc_ValueError, BAD_ROW);
+    if (n != ALPHABET) {
+        PyErr_SetString(PyExc_ValueError, "row must hold 256 entries");
         Py_DECREF(f);
         return NULL;
     }
-    f->row = rv->buf;
+    f->row = f->row_view.buf;
 
-    if (nargs == 4) {
-        Py_buffer payload;
-        if (PyObject_GetBuffer(args[2], &payload, PyBUF_SIMPLE) < 0) {
-            Py_DECREF(f);
-            return NULL;
-        }
-        int failed = freq_restore(f, payload.buf, payload.len);
-        PyBuffer_Release(&payload);
-        unsigned char bytes[MAX_ORDER];
-        const Py_ssize_t n = failed ? -1 : get_context(args[3], bytes, f->order, "context longer than the order");
-        if (n < 0) {
-            Py_DECREF(f);
-            return NULL;
-        }
-        f->ctx = make_key(bytes, (uint32_t)n);
+    Py_buffer payload;
+    if (PyObject_GetBuffer(args[2], &payload, PyBUF_SIMPLE) < 0) {
+        Py_DECREF(f);
+        return NULL;
     }
+    int failed = freq_restore(f, payload.buf, payload.len);
+    PyBuffer_Release(&payload);
+    unsigned char bytes[MAX_ORDER];
+    n = failed ? -1 : get_context(args[3], bytes, f->order, "context longer than the order");
+    if (n < 0) {
+        Py_DECREF(f);
+        return NULL;
+    }
+    f->ctx = make_key(bytes, (uint32_t)n);
     freq_load_row(f);
     return (PyObject *)f;
 }
@@ -1277,7 +1249,7 @@ static PyMethodDef kz_methods[] = {
     {"decode", (PyCFunction)(void (*)(void))kz_decode, METH_FASTCALL,
      "decode(dec, cum) -> the next symbol"},
     {"freq", (PyCFunction)(void (*)(void))kz_freq_new, METH_FASTCALL,
-     "freq(order, row[, payload, context]) -> a count table, its context's counts in row"},
+     "freq(order, row, payload, context) -> a count table, its context's counts in row"},
     {"freq_step", (PyCFunction)(void (*)(void))kz_freq_step, METH_FASTCALL,
      "freq_step(state, token): count token, then the next context's counts into row"},
     {"freq_state", (PyCFunction)(void (*)(void))kz_freq_state, METH_FASTCALL,

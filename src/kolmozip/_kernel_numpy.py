@@ -3,10 +3,12 @@
 ``kernel.load()`` returns this module when the extension cannot be built:
 the same functions, arguments, results and errors (ValueErrors raised
 before any state is touched, TruncatedStreamError where a payload runs
-out).  States are namespaces where the extension has types; a net's and a
-count table's hold their context.  State arithmetic is on int64, which
-wraps as the extension does under -fwrapv; signed right shifts are floor
-shifts.
+out).  Every array argument is a one-dimensional, C-contiguous int64
+vector, writable where it is written, checked by ``_check`` with the
+extension's messages; payloads and contexts are bytes-like.  States are
+namespaces where the extension has types; a net's and a count table's hold
+their context.  State arithmetic is on int64, which wraps as the extension
+does under -fwrapv; signed right shifts are floor shifts.
 """
 
 from __future__ import annotations
@@ -28,19 +30,26 @@ _RENORM = 1 << 24  # renormalize while range < 2^24
 _MASK32 = 0xFFFFFFFF
 _FLUSH_BYTES = 5  # finish() shifts out five bytes
 _BAD_WEIGHTS = "weights must be nonnegative with one positive"
-_INT64 = (np.dtype(np.int64),)
 MAX_ORDER = 3  # freq keys: up to three context bytes
 COUNT_LIMIT = 1 << 16  # a freq row whose count reaches this is halved
-_BAD_ROW = "row must be a C-contiguous writable int32 array of 256 entries"
 _BAD_PAYLOAD = "malformed freq state"
 _ONES = np.ones(ALPHABET, dtype=np.int32)
 
 
-def _check(a: np.ndarray, name: str, dtypes: tuple = _INT64, writable: bool = False) -> None:
-    """Reject an array the extension could not use in place, as it does."""
-    if a.dtype not in dtypes or not a.flags.c_contiguous or (writable and not a.flags.writeable):
-        kind = " or ".join(map(str, dtypes))
-        raise ValueError(f"{name} must be a C-contiguous{' writable' * writable} {kind} array")
+def _check(a: np.ndarray, name: str, writable: bool = False) -> None:
+    """Reject what is not a one-dimensional, C-contiguous int64 vector
+    (writable, if asked), by the extension's get_array rules in its order."""
+    if a.dtype != np.int64:
+        why = "must be int64"
+    elif a.ndim != 1:
+        why = "must be one-dimensional"
+    elif not a.flags.c_contiguous:
+        why = "must be C-contiguous"
+    elif writable and not a.flags.writeable:
+        why = "must be writable"
+    else:
+        return
+    raise ValueError(f"{name} {why}")
 
 
 def _row_total(w: np.ndarray) -> int:
@@ -57,23 +66,19 @@ def _row_total(w: np.ndarray) -> int:
 
 
 def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
-    """Fill cum (int64, m + 1 entries) with the table for m int32 or int64 weights:
-    one slot per symbol, floors of w * free / total, then the leftover slots to
-    the largest keys (remainder << 16) + (m-1-index), which are distinct."""
-    _check(weights, "weights", (np.dtype(np.int32), *_INT64))
+    """Fill cum (m + 1 entries) with the table for m weights: one slot per
+    symbol, floors of w * free / total, then the leftover slots to the
+    largest keys (remainder << 16) + (m-1-index), which are distinct."""
+    _check(weights, "weights")
     _check(cum, "cum", writable=True)
-    for name, array in (("weights", weights), ("cum", cum)):
-        if array.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional")
     m = weights.size
     if not 2 <= m <= PROB_SCALE:
         raise ValueError(f"alphabet size outside [2, {PROB_SCALE}]")
     if cum.size != m + 1:
         raise ValueError("cum must hold one more entry than weights")
-    w = weights if weights.dtype == np.int64 else weights.astype(np.int64)
-    total = _row_total(w)
+    total = _row_total(weights)
     free = PROB_SCALE - m
-    base, key = np.divmod(w * free, total)  # key <- remainders < 2^46
+    base, key = np.divmod(weights * free, total)  # key <- remainders < 2^46
     leftover = free - int(np.add.reduce(base))
     if leftover:
         key <<= 16
@@ -142,10 +147,10 @@ def finish(enc: SimpleNamespace) -> bytes:
 
 
 def decoder(payload) -> SimpleNamespace:
-    """A RangeDecoder state over payload (bytes), with the phantom byte
-    skipped and the next four read.  code = value - low, so there is no low
-    register; the renormalization schedule is the encoder's."""
-    dec = SimpleNamespace(payload=payload, cursor=0, range=_MASK32, code=0)
+    """A RangeDecoder state over a copy of payload (bytes-like), with the
+    phantom byte skipped and the next four read.  code = value - low, so
+    there is no low register; the renormalization schedule is the encoder's."""
+    dec = SimpleNamespace(payload=bytes(memoryview(payload)), cursor=0, range=_MASK32, code=0)
     _next_byte(dec)  # the phantom byte; its content is ignored
     for _ in range(4):
         dec.code = (dec.code << 8) | _next_byte(dec)
@@ -163,7 +168,7 @@ def _next_byte(dec: SimpleNamespace) -> int:
 def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
     """The symbol s whose interval [cum[s], cum[s + 1]) holds the target,
     then the encoder's narrowing and renormalization.  cum must be a table:
-    int64, holding the target, and every interval inside [0, 2^16]."""
+    holding the target, and every interval inside [0, 2^16]."""
     _check(cum, "cum")
     r = dec.range
     target = (((dec.code + 1) << 16) - 1) // r
@@ -185,9 +190,10 @@ def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
 
 
 def net(emb, b1, w2, b2, softmax, buf, lr: int, context) -> SimpleNamespace:
-    """One NeuralPredictor's arrays as shaped views, which write through, its
-    constants and a copy of context (at most k bytes, oldest first); buf
-    (2w + 256) splits into pre | hidden | weights, that context's forward pass."""
+    """One NeuralPredictor's arrays (emb and w2 as shaped views, which write
+    through), its constants and a copy of context (at most k bytes, oldest
+    first); buf (2w + 256) splits into pre | hidden | weights, that
+    context's forward pass."""
     if not 1 <= lr <= MAX_LR:
         raise ValueError(f"learning rate {lr} outside [1, 2^20]")
     for name, array in zip(("emb", "b1", "w2", "b2", "softmax", "buf"), (emb, b1, w2, b2, softmax, buf)):
@@ -198,10 +204,10 @@ def net(emb, b1, w2, b2, softmax, buf, lr: int, context) -> SimpleNamespace:
     if not (1 <= w <= MAX_WIDTH and k and (emb.size, w2.size, b2.size, buf.size) == want and softmax.size):
         raise ValueError("net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
                          "b2 256, buf 2*w + 256 and a nonempty softmax table")
-    pre, hidden, weights = np.split(buf.reshape(-1), [w, 2 * w])
+    pre, hidden, weights = np.split(buf, [w, 2 * w])
     n = SimpleNamespace(
-        emb=emb.reshape(k, ALPHABET, w), b1=b1.reshape(w), w2=w2.reshape(w, ALPHABET), b2=b2.reshape(ALPHABET),
-        softmax=softmax.reshape(-1), pre=pre, hidden=hidden, weights=weights,
+        emb=emb.reshape(k, ALPHABET, w), b1=b1, w2=w2.reshape(w, ALPHABET), b2=b2,
+        softmax=softmax, pre=pre, hidden=hidden, weights=weights,
         k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=bytes(memoryview(context)),
     )
     if len(n.context) > k:
@@ -258,18 +264,15 @@ def net_step(n: SimpleNamespace, token: int) -> None:
     _forward(n)
 
 
-def freq(order: int, row: np.ndarray, payload=b"", context=b"") -> SimpleNamespace:
+def freq(order: int, row: np.ndarray, payload, context) -> SimpleNamespace:
     """One FreqPredictor's count table for order 0..3, bound to row (256
-    writable int32): the counts of a freq_state payload (none by default) by
-    context bytes, the current context (empty by default), and that
-    context's counts in row."""
+    entries, writable): the counts of a freq_state payload by context bytes,
+    the current context, and that context's counts in row."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"freq order {order} outside [0, {MAX_ORDER}]")
-    if not (
-        isinstance(row, np.ndarray) and row.dtype == np.int32 and row.ndim == 1 and row.size == ALPHABET
-        and row.flags.c_contiguous and row.flags.writeable
-    ):
-        raise ValueError(_BAD_ROW)
+    _check(row, "row", writable=True)
+    if row.size != ALPHABET:
+        raise ValueError("row must hold 256 entries")
     # memoryview takes only bytes-like objects, as the extension's buffers do
     payload, context = bytes(memoryview(payload)), bytes(memoryview(context))
     f = SimpleNamespace(order=order, row=row, counts=_parse_state(order, payload), context=context)

@@ -27,8 +27,8 @@ from . import kernel
 PROB_BITS = 16
 PROB_SCALE = 1 << PROB_BITS  # every quantized table sums to this
 MAX_ALPHABET = PROB_SCALE
-# the weight dtypes the kernel's quantize reads as they are (int32, int64)
-_KERNEL_WEIGHTS = np.dtype(np.int32).char + np.dtype(np.int64).char
+# the weight dtype the step module's quantize reads as it is
+_KERNEL_WEIGHTS = np.dtype(np.int64).char
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def quantize_weights(weights: np.ndarray, *, out: np.ndarray | None = None) -> n
 
     A table is the int64 array cum, strictly increasing from cum[0] = 0 to
     cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  A C-contiguous
-    int32 or int64 row goes to the step module as it is; a strided row, or a
-    row of another integer dtype, is first copied to int64.  A row that is
+    int64 row goes to the step module as it is; a strided row, or a row of
+    another integer dtype, is first copied to int64.  A row that is
     not of an integer dtype raises TypeError.  A row that is not a
     distribution (fewer than 2 or more than 2^16 weights, a negative weight,
     none positive, or a total of 2^46 or more) raises ValueError.
@@ -69,7 +69,7 @@ def quantize_weights(weights: np.ndarray, *, out: np.ndarray | None = None) -> n
     C-contiguous int64 array of m + 1 entries, else the step module raises
     ValueError and leaves it as it was.  Otherwise a new array is returned.
     """
-    if weights.dtype.char not in _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
+    if weights.dtype.char != _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
         if not np.issubdtype(weights.dtype, np.integer):
             raise TypeError("quantization needs integer weights; rescale first")
         weights = np.ascontiguousarray(weights, dtype=np.int64)

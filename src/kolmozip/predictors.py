@@ -146,7 +146,7 @@ def _digest(config: PredictorConfig, position: int, state: bytes) -> bytes:
 
 
 # the all-ones row: uniform's only prediction
-_ONES_ROW = np.ones(ALPHABET, dtype=np.int32)
+_ONES_ROW = np.ones(ALPHABET, dtype=np.int64)
 _ONES_ROW.flags.writeable = False
 
 
@@ -180,10 +180,10 @@ class FreqPredictor:
     is simply the bytes available so far; no synthetic start symbol exists.
 
     The count table lives in the step module kernel.load() returns (the C
-    extension, or its numpy twin), bound to the row that predict_weights()
-    views: each update() is one freq_step, which counts the token, advances
-    the context and leaves the new context's counts (ones for a context not
-    yet seen) in that row.
+    extension, or its numpy twin), bound to the int64 row that
+    predict_weights() views: each update() is one freq_step, which counts
+    the token, advances the context and leaves the new context's counts
+    (ones for a context not yet seen) in that row.
 
     Digest state payload: for each context key in lexicographic order,
     u8 key length, key bytes, counts as little-endian int32.
@@ -202,7 +202,7 @@ class FreqPredictor:
         """Bind a count table holding payload's counts (freq_state's form),
         at context, to a fresh row, and view that row read-only."""
         self._kernel = kernel.load()
-        row = np.empty(ALPHABET, dtype=np.int32)
+        row = np.empty(ALPHABET, dtype=np.int64)
         self._freq = self._kernel.freq(self.config.order, row, payload, context)
         self._weights = row.view()
         self._weights.flags.writeable = False
@@ -329,7 +329,9 @@ class NeuralPredictor:
         the weights read-only."""
         self._kernel = kernel.load()
         buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
-        self._net = self._kernel.net(self.emb, self.b1, self.w2, self.b2, _SOFTMAX_TABLE, buf, self.lr, context)
+        self._net = self._kernel.net(
+            self.emb.reshape(-1), self.b1, self.w2.reshape(-1), self.b2, _SOFTMAX_TABLE, buf, self.lr, context
+        )
         self._weights = buf[2 * self.w :]
         self._weights.flags.writeable = False
 

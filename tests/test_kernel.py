@@ -10,6 +10,7 @@ twin when no compiler is there or the compiler fails.
 
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import inspect
@@ -104,14 +105,45 @@ def test_extension_and_twin_take_the_same_arguments():
         for fn in _functions(_kernel_numpy)
     }
     assert required == twin
-    assert required["net"] == 8 and required["net_step"] == 2
+    assert required["net"] == 8 and required["net_step"] == 2 and required["freq"] == 4
+
+
+# a run of adjacent C string literals, which the compiler joins into one
+_C_STRING = r'((?:"(?:[^"\\]|\\.)*"\s*)+)'
+# where _kernel.c spells out a plain ValueError message
+_C_MESSAGES = [
+    rf"PyErr_SetString\(PyExc_ValueError,\s*{_C_STRING}\)",
+    rf"\bwhy = {_C_STRING};",
+    rf"static const char \w+\[\] = {_C_STRING};",
+    rf"\breturn {_C_STRING};",
+]
+
+
+def test_extension_and_twin_spell_the_same_messages():
+    # every plain ValueError message of the source inside one of the twin's
+    # string constants (f-string parts included), so a message reworded on
+    # one side fails even where the extension cannot be built
+    source = kernel.SOURCE.read_text()
+    messages = {
+        "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', run))
+        for pattern in _C_MESSAGES
+        for run in re.findall(pattern, source)
+    }
+    twin = [
+        node.value
+        for node in ast.walk(ast.parse(Path(_kernel_numpy.__file__).read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert {"must be int64", "must be one-dimensional", "must be C-contiguous", "must be writable"} <= messages
+    assert "row must hold 256 entries" in messages and any(m.startswith("net arrays disagree: ") for m in messages)
+    assert [m for m in messages if not any(m in t for t in twin)] == []
 
 
 # --- quantize ----------------------------------------------------------------
 
 
 @needs_kernel
-@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])  # quantize_weights copies int32 rows to int64
 def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
     rng = Lcg64(5)
     for m in (2, 3, 255, 256, 257, 4096):
@@ -190,10 +222,7 @@ def _table_or_error(module, row: np.ndarray) -> bytes | tuple[type, str]:
 
 
 def assert_quantize_matches_twin(module, row: np.ndarray) -> None:
-    want = _table_or_error(_kernel_numpy, row)
-    assert _table_or_error(module, row) == want
-    if row.min() >= np.iinfo(np.int32).min and row.max() <= np.iinfo(np.int32).max:
-        assert _table_or_error(module, row.astype(np.int32)) == want
+    assert _table_or_error(module, row) == _table_or_error(_kernel_numpy, row)
 
 
 @needs_kernel
@@ -281,7 +310,6 @@ def test_quantize_weights_fills_the_table_it_is_given(step):
 SHAPE_CASES = {
     "2-d cum": (np.array([1, 3]), np.zeros((1, 3), dtype=np.int64)),
     "2-d weights": (np.array([[1, 3], [2, 2]]), np.zeros(5, dtype=np.int64)),
-    "2-d int32 weights": (np.array([[1, 3]], dtype=np.int32), np.zeros(3, dtype=np.int64)),
     "0-d weights": (np.array(5), np.zeros(2, dtype=np.int64)),
     "both 2-d": (np.array([[1, 3]]), np.zeros((3, 1), dtype=np.int64)),
 }
@@ -302,29 +330,19 @@ def _payload_at(target: int) -> bytes:
     return b"\0" + (target << 16).to_bytes(4, "big") + bytes(8)
 
 
+_ROW = np.arange(1, 257, dtype=np.int64)
+_TABLE = twin_quantize(_ROW)
+_NET_SIZES = (4096, 8, 2048, 256, 16, 272)  # emb, b1, w2, b2, softmax, buf for k = 2, w = 8
+
+
 def test_kernel_checks_the_arrays_it_is_given():
-    row = np.arange(1, 257, dtype=np.int64)
+    row, table = _ROW, _TABLE
     cum = np.empty(257, dtype=np.int64)
-    read_only = cum.copy()
-    read_only.flags.writeable = False
-    table = twin_quantize(row)
     for ext in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
         enc, dec = ext.encoder(), ext.decoder(_payload_at(0))
         bad_calls = [
-            (ext.quantize, row, np.empty(256, dtype=np.int64)),  # cum too short
-            (ext.quantize, row, np.empty(257, dtype=np.int32)),  # cum of the wrong dtype
-            (ext.quantize, row, read_only),
-            (ext.quantize, row, np.empty(514, dtype=np.int64)[::2]),  # strided cum
-            (ext.quantize, row[::2], np.empty(129, dtype=np.int64)),  # strided weights
-            (ext.quantize, row.astype(np.uint64), cum),
-            (ext.quantize, row.astype(np.int16), cum),
-            (ext.quantize, row.astype(np.float64), cum),
-            (ext.encode, enc, table.astype(np.int32), 5),
-            (ext.encode, enc, np.repeat(table, 2)[::2], 5),  # strided cum
             (ext.encode, enc, table, 1 << 70),  # symbols past int64
             (ext.encode, enc, table, -(1 << 70)),
-            (ext.decode, dec, table.astype(np.int32)),
-            (ext.decode, dec, np.repeat(table, 2)[::2]),
             (ext.decode, dec, np.zeros(1, dtype=np.int64)),  # no symbol at all
             (ext.decode, dec, table + 1),  # the target (0) below the table
             (ext.decode, ext.decoder(_payload_at(PROB_SCALE - 1)), table[:-1]),  # past it
@@ -340,6 +358,79 @@ def test_kernel_checks_the_arrays_it_is_given():
         assert dec.cursor == 5 and ext.decode(dec, table) == 0
         ext.encode(enc, table, 5)
         assert ext.finish(enc) == _coded(_kernel_numpy, [table], [5])
+
+
+def _valid_arguments(module, fn: str) -> list:
+    """Arguments that fn of module accepts, the arrays fresh."""
+    return {
+        "quantize": lambda: [_ROW.copy(), np.full(257, -7, dtype=np.int64)],
+        "encode": lambda: [module.encoder(), _TABLE.copy(), 5],
+        "decode": lambda: [module.decoder(_payload_at(30_000)), _TABLE.copy()],
+        "net": lambda: [np.full(size, 7, dtype=np.int64) for size in _NET_SIZES] + [ONE, b"ab"],
+        "freq": lambda: [2, np.full(256, -7, dtype=np.int64), b"", b""],
+    }[fn]()
+
+
+def _session_after(module, fn: str, args: list):
+    """What the rest of a coding session makes of the state in args, so a
+    state that a rejected call touched shows; None for a function without one."""
+    if fn == "encode":
+        module.encode(args[0], _TABLE, 5)
+        return module.finish(args[0])
+    if fn == "decode":
+        return args[0].cursor, module.decode(args[0], _TABLE), args[0].cursor
+    return None
+
+
+def _contract_breakers(good: np.ndarray, written: bool) -> dict[str, tuple[np.ndarray, str | None]]:
+    """Copies of the vector good that break the array contract one way
+    each, with the reason get_array and _check give (None: a length the
+    function itself rejects)."""
+    breakers = {
+        dtype: (good.astype(dtype), "must be int64") for dtype in ("int32", "uint64", "float64", ">i8")
+    }
+    breakers["2-d"] = good.reshape(1, -1).copy(), "must be one-dimensional"
+    breakers["0-d"] = good[:1].reshape(()).copy(), "must be one-dimensional"
+    breakers["strided"] = np.repeat(good, 2)[::2], "must be C-contiguous"
+    breakers["empty"] = good[:0].copy(), None
+    if written:
+        read_only = good.copy()
+        read_only.flags.writeable = False
+        breakers["read-only"] = read_only, "must be writable"
+    return breakers
+
+
+# each function's array arguments: (function, position, name, whether it is written)
+ARRAY_ARGUMENTS = [
+    ("quantize", 0, "weights", False),
+    ("quantize", 1, "cum", True),
+    ("encode", 1, "cum", False),
+    ("decode", 1, "cum", False),
+    *(("net", i, name, name != "softmax") for i, name in enumerate(("emb", "b1", "w2", "b2", "softmax", "buf"))),
+    ("freq", 1, "row", True),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, position, name, written", ARRAY_ARGUMENTS, ids=[f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
+)
+def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
+    good = _valid_arguments(_kernel_numpy, fn)[position]
+    for kind, (bad, why) in _contract_breakers(good, written).items():
+        outcomes = set()
+        for module in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
+            args = _valid_arguments(module, fn)
+            args[position] = bad
+            before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+            with pytest.raises(Exception) as caught:
+                getattr(module, fn)(*args)
+            after = [a for a in args if isinstance(a, np.ndarray)]
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(after, before)), (kind, module)
+            assert _session_after(module, fn, args) == _session_after(module, fn, _valid_arguments(module, fn))
+            outcomes.add((type(caught.value), str(caught.value)))
+        assert len(outcomes) == 1, (kind, outcomes)
+        ((error, message),) = outcomes
+        assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
 
 
 # --- range coder -----------------------------------------------------------------
@@ -364,6 +455,39 @@ def _decoded(module, payload: bytes, tables) -> tuple[tuple[int, ...], int | Non
         assert str(exc) == f"payload exhausted at byte {len(payload)}; stream is truncated"
         return tuple(symbols), len(symbols), len(payload)
     return tuple(symbols), None, dec.cursor
+
+
+def _decode_outcome(module, payload: bytes, cum: np.ndarray) -> int | tuple[type, str]:
+    try:
+        return module.decode(module.decoder(payload), cum)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_decode_searches_a_table_that_is_not_increasing_as_numpy():
+    # bisection on such a table finds a symbol that depends on the entries
+    # it probes; both step modules probe as searchsorted(side="right") does
+    assert _decode_outcome(kernel.load(), _payload_at(30_000), np.array([0, 40_000, 100, PROB_SCALE])) == 2
+    gen = np.random.default_rng(14)
+    for _ in range(2000):
+        m = int(gen.integers(2, 300))
+        cum = quantize_weights(gen.integers(1, 1000, m))
+        i, j = gen.integers(0, m + 1, 2)
+        cum[[i, j]] = cum[[j, i]]
+        payload = _payload_at(int(gen.integers(0, PROB_SCALE)))
+        outcomes = {_decode_outcome(ext, payload, cum) for ext in dict.fromkeys(STEP_MODULES.values())}
+        assert len(outcomes) == 1, (cum, payload)
+
+
+def test_decoder_takes_only_bytes_like_payloads_as_numpy():
+    symbols = list(range(0, 256, 7))
+    tables = [_TABLE] * len(symbols)
+    payload = _coded(_kernel_numpy, tables, symbols)
+    words = np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.int64)  # its bytes, as int64
+    for module in dict.fromkeys(STEP_MODULES.values()):
+        with pytest.raises(TypeError):
+            module.decoder(list(payload))
+        assert _decoded(module, words, tables) == (tuple(symbols), None, len(payload))
 
 
 def test_decode_finds_the_symbol_holding_the_target():
@@ -597,7 +721,7 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
     for bad in (256, -1, 1 << 70, -(1 << 70)):
         with pytest.raises(ValueError, match=f"^token {bad} outside"):
             p.update(bad)
-    arrays = [p.emb, p.b1, p.w2, p.b2, _SOFTMAX_TABLE, p._weights.base]
+    arrays = [p.emb.reshape(-1), p.b1, p.w2.reshape(-1), p.b2, _SOFTMAX_TABLE, p._weights.base]
     with pytest.raises(ValueError):  # bound to a context longer than the net's
         p._kernel.net(*arrays, p.lr, b"abc")
     # outside PredictorConfig's [1, 2^20], and past int64
@@ -642,9 +766,9 @@ def test_net_rejects_arrays_that_disagree_as_numpy(name, step):
 
 
 def test_states_take_only_bytes_like_contexts(step):
-    net_arrays = [np.zeros(size, dtype=np.int64) for size in (4096, 8, 2048, 256, 16, 272)]
+    net_arrays = [np.zeros(size, dtype=np.int64) for size in _NET_SIZES]
     for module in (step, _kernel_numpy):
-        row = np.empty(256, dtype=np.int32)
+        row = np.empty(256, dtype=np.int64)
         for bad in (lambda: module.net(*net_arrays, ONE, 2), lambda: module.freq(2, row, b"", 2),
                     lambda: module.freq(2, row, 5, b""), lambda: module.net(*net_arrays, ONE, [1, 2])):
             with pytest.raises(TypeError):
@@ -668,7 +792,8 @@ def test_net_state_keeps_its_arrays_alive(monkeypatch):
     config = PredictorConfig("neural", context=2, width=8, seed=5)
     p = NeuralPredictor(config)
     ext, net = p._kernel, p._net
-    held = [weakref.ref(a) for a in (p.emb, p.b1, p.w2, p.b2, p._weights.base)]
+    # the memory of each array: the net holds one-dimensional views of emb and w2
+    held = [weakref.ref(a if a.base is None else a.base) for a in (p.emb, p.b1, p.w2, p.b2, p._weights)]
     del p
     gc.collect()
     assert all(r() is not None for r in held)
@@ -676,7 +801,7 @@ def test_net_state_keeps_its_arrays_alive(monkeypatch):
     twin = _numpy_twin(config, monkeypatch)
     twin.update(9)
     want = (twin.emb, twin.b1, twin.w2, twin.b2, twin._weights.base)
-    assert all(np.array_equal(r(), w) for r, w in zip(held, want))
+    assert all(np.array_equal(r().ravel(), w.ravel()) for r, w in zip(held, want))
     assert net.context == twin._net.context == b"\x09"
     del net
     gc.collect()
@@ -702,8 +827,8 @@ def assert_freq_matches_twin(module, order: int, data: bytes, checkpoints: int) 
     """Step module and twin side by side: the same row before the first step
     and after every one, and the same context and freq_state payload at
     checkpoints spread over data and at its end."""
-    rows = [np.empty(256, dtype=np.int32) for _ in range(2)]
-    fast, ref = module.freq(order, rows[0]), _kernel_numpy.freq(order, rows[1])
+    rows = [np.empty(256, dtype=np.int64) for _ in range(2)]
+    fast, ref = module.freq(order, rows[0], b"", b""), _kernel_numpy.freq(order, rows[1], b"", b"")
     every = max(1, len(data) // checkpoints)
     assert np.array_equal(rows[0], rows[1])
     for i, tok in enumerate(data, 1):
@@ -733,8 +858,8 @@ def test_freq_kernel_matches_numpy_across_table_growths():
 def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
     # keys of every length whose bytes sort differently from their numbers
     data = b"\x00\x00\x01\xff\x00\x01\x00\x00\x00\xff\xff\x01"
-    row = np.empty(256, dtype=np.int32)
-    f = step.freq(3, row)
+    row = np.empty(256, dtype=np.int64)
+    f = step.freq(3, row, b"", b"")
     for tok in data:
         step.freq_step(f, tok)
     payload, keys, pos = step.freq_state(f), [], 0
@@ -749,30 +874,13 @@ def _freq_outcome(module, f, row) -> tuple:
     return module.freq_state(f), f.context, row.tobytes()
 
 
-def test_freq_rejects_bad_rows_and_tokens_as_numpy(step):
-    read_only = np.ones(256, dtype=np.int32)
-    read_only.flags.writeable = False
-    bad_rows = {
-        "int64": np.ones(256, dtype=np.int64),
-        "uint32": np.ones(256, dtype=np.uint32),
-        "float32": np.ones(256, dtype=np.float32),
-        "big-endian": np.ones(256, dtype=">i4"),
-        "short": np.ones(255, dtype=np.int32),
-        "long": np.ones(257, dtype=np.int32),
-        "2-d": np.ones((1, 256), dtype=np.int32),
-        "strided": np.ones(512, dtype=np.int32)[::2],
-        "read-only": read_only,
-    }
-    for row in bad_rows.values():
-        for module in (step, _kernel_numpy):
-            with pytest.raises(ValueError, match="^row must be a C-contiguous writable int32 array of 256 entries$"):
-                module.freq(2, row)
+def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
     for order in (-1, 4, 1 << 70):
         for module in (step, _kernel_numpy):
             with pytest.raises(ValueError, match=f"^freq order {order} outside \\[0, 3\\]$"):
-                module.freq(order, np.empty(256, dtype=np.int32))
-    row = np.empty(256, dtype=np.int32)
-    f = step.freq(2, row)
+                module.freq(order, np.empty(256, dtype=np.int64), b"", b"")
+    row = np.empty(256, dtype=np.int64)
+    f = step.freq(2, row, b"", b"")
     for tok in b"abcab":
         step.freq_step(f, tok)
     before = _freq_outcome(step, f, row)
@@ -783,8 +891,8 @@ def test_freq_rejects_bad_rows_and_tokens_as_numpy(step):
 
 
 def test_freq_restores_from_its_state_as_numpy(step):
-    row = np.empty(256, dtype=np.int32)
-    f = step.freq(2, row)
+    row = np.empty(256, dtype=np.int64)
+    f = step.freq(2, row, b"", b"")
     data = b"abracadabra" * 30
     for tok in data[:200]:
         step.freq_step(f, tok)
@@ -802,12 +910,12 @@ def test_freq_restores_from_its_state_as_numpy(step):
     for blob in bad.values():
         for module in (step, _kernel_numpy):
             with pytest.raises(ValueError, match="^malformed freq state$"):
-                module.freq(2, np.empty(256, dtype=np.int32), blob, context)
+                module.freq(2, np.empty(256, dtype=np.int64), blob, context)
     for module in (step, _kernel_numpy):
         with pytest.raises(ValueError, match="^context longer than the order$"):
-            module.freq(2, np.empty(256, dtype=np.int32), payload, b"abc")
+            module.freq(2, np.empty(256, dtype=np.int64), payload, b"abc")
     # a copy made from the state (and under the twin) steps on exactly as f does
-    copies = [(module, np.empty(256, dtype=np.int32)) for module in (step, _kernel_numpy)]
+    copies = [(module, np.empty(256, dtype=np.int64)) for module in (step, _kernel_numpy)]
     copies = [(module, module.freq(2, r, payload, context), r) for module, r in copies]
     assert all(np.array_equal(r, row) for _, _, r in copies)
     for tok in data[200:]:
