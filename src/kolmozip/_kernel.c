@@ -2,8 +2,8 @@
  * Integer step kernel: a CPython extension, twin of _kernel_numpy.py.
  *
  *   quantize(weights, cum)           coder.quantize_weights
- *   net(..., context) -> state       one NeuralPredictor's arrays and context,
- *                                    bound with its forward pass in buf
+ *   net(..., lr) -> state            one NeuralPredictor's arrays, at the empty
+ *                                    context, its forward pass in buf
  *   net_step(net, token)             NeuralPredictor's update, then the next
  *                                    context's forward pass into buf
  *   encoder() -> state               a RangeEncoder's registers and output
@@ -11,8 +11,8 @@
  *   finish(enc) -> bytes             RangeEncoder.finish
  *   decoder(payload) -> state        a RangeDecoder, its first five bytes read
  *   decode(dec, cum) -> sym          RangeDecoder.decode_symbol
- *   freq(order, row, payload,        one FreqPredictor's count table, bound
- *        context) -> state           with its context's counts in row
+ *   freq(order, row) -> state        one FreqPredictor's count table, empty
+ *                                    and bound to row, which holds ones
  *   freq_step(state, token)          FreqPredictor's update, then the next
  *                                    context's counts into row
  *   freq_state(state) -> bytes       FreqPredictor's digest payload
@@ -145,23 +145,6 @@ static int get_int(PyObject *obj, long long lo, long long hi, const char *fmt, l
         return -1;
     }
     return 0;
-}
-
-/* Copy the bytes-like obj, a state's context of at most max bytes (else
- * ValueError too_long), into out; returns its length, or -1 with an
- * exception set. */
-static Py_ssize_t get_context(PyObject *obj, unsigned char *out, Py_ssize_t max, const char *too_long)
-{
-    Py_buffer view;
-    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0)
-        return -1;
-    const Py_ssize_t n = view.len <= max ? view.len : -1;
-    if (n < 0)
-        PyErr_SetString(PyExc_ValueError, too_long);
-    else
-        memcpy(out, view.buf, (size_t)n);
-    PyBuffer_Release(&view);
-    return n;
 }
 
 /* --- quantization ------------------------------------------------------ */
@@ -692,7 +675,7 @@ static PyTypeObject net_type = {
     .tp_basicsize = sizeof(kz_net),
     .tp_dealloc = net_free,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "a net's arrays and context, made by net(emb, b1, w2, b2, softmax, buf, lr, context)",
+    .tp_doc = "a net's arrays and context, made by net(emb, b1, w2, b2, softmax, buf, lr)",
     .tp_getset = net_getset,
 };
 
@@ -739,13 +722,13 @@ VECTOR_CLONES static void forward(const kz_net *net)
     }
 }
 
-/* net(emb, b1, w2, b2, softmax, buf, lr, context) -> state, holding a copy
- * of context (at most k bytes, oldest first) and its forward pass in buf */
+/* net(emb, b1, w2, b2, softmax, buf, lr) -> state at the empty context,
+ * its forward pass in buf */
 static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     static const char *names[N_ARRAYS] = {"emb", "b1", "w2", "b2", "softmax", "buf"};
-    if (check_nargs("net", nargs, N_ARRAYS + 2) < 0)
+    if (check_nargs("net", nargs, N_ARRAYS + 1) < 0)
         return NULL;
     long long lr;
     if (get_int(args[N_ARRAYS], 1, MAX_LR + 1, "learning rate %S outside [1, 2^20]", &lr) < 0)
@@ -786,11 +769,6 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
     if (!net->dlog || !net->context) {
         Py_DECREF(net);
         return PyErr_NoMemory();
-    }
-    net->n = get_context(args[N_ARRAYS + 1], net->context, net->k, "context longer than the net's");
-    if (net->n < 0) {
-        Py_DECREF(net);
-        return NULL;
     }
     forward(net);
     return (PyObject *)net;
@@ -919,15 +897,6 @@ static inline uint32_t key_len(uint32_t key)
     return key >> 24;
 }
 
-/* the key of the n context bytes at bytes, oldest first */
-static uint32_t make_key(const unsigned char *bytes, uint32_t n)
-{
-    uint32_t key = n << 24;
-    for (uint32_t i = 0; i < n; i++)
-        key |= (uint32_t)bytes[i] << 8 * (n - 1 - i);
-    return key;
-}
-
 /* the key's context bytes, oldest first, into out; returns their number */
 static uint32_t key_bytes(uint32_t key, unsigned char *out)
 {
@@ -963,7 +932,7 @@ static PyTypeObject freq_type = {
     .tp_basicsize = sizeof(kz_freq),
     .tp_dealloc = freq_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "a count table bound to a row, made by freq(order, row, payload, context)",
+    .tp_doc = "a count table bound to a row, made by freq(order, row)",
     .tp_getset = freq_getset,
 };
 
@@ -1049,50 +1018,13 @@ static void freq_load_row(kz_freq *f)
             f->row[s] = 1;
 }
 
-static const char BAD_PAYLOAD[] = "malformed freq state";
-
-/* Restore the rows of a freq_state payload into the empty table f: keys in
- * ascending order, none longer than the order, every count in [1, 2^16).
- * Returns 0, or -1 with ValueError or MemoryError set. */
-static int freq_restore(kz_freq *f, const unsigned char *p, Py_ssize_t len)
-{
-    const unsigned char *end = p + len;
-    uint64_t last = 0; /* the previous sort key + 1; 0 before the first */
-    while (p < end) {
-        const uint32_t n = *p++;
-        if (n > (uint32_t)f->order || end - p < (Py_ssize_t)(n + 4 * ALPHABET))
-            goto bad;
-        const uint32_t key = make_key(p, n);
-        p += n;
-        if (sort_key(key) < last)
-            goto bad;
-        last = (uint64_t)sort_key(key) + 1;
-        uint16_t counts[ALPHABET];
-        for (int s = 0; s < ALPHABET; s++, p += 4) {
-            const uint32_t c = p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
-            if (c < 1 || c >= COUNT_LIMIT)
-                goto bad;
-            counts[s] = (uint16_t)c;
-        }
-        uint16_t *row = freq_insert(f, key);
-        if (!row)
-            return -1;
-        memcpy(row, counts, sizeof counts);
-    }
-    return 0;
-bad:
-    PyErr_SetString(PyExc_ValueError, BAD_PAYLOAD);
-    return -1;
-}
-
-/* freq(order, row, payload, context) -> state: a count table for order
- * 0..3 bound to row (256 entries, writable), with the counts of a
- * freq_state payload and the current context as given, and that context's
- * counts in row */
+/* freq(order, row) -> state: an empty count table for order 0..3 at the
+ * empty context, bound to row (256 entries, writable), which it fills with
+ * ones */
 static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (check_nargs("freq", nargs, 4) < 0)
+    if (check_nargs("freq", nargs, 2) < 0)
         return NULL;
     long long order;
     if (get_int(args[0], 0, MAX_ORDER + 1, "freq order %S outside [0, 3]", &order) < 0)
@@ -1120,21 +1052,6 @@ static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     }
     f->row = f->row_view.buf;
-
-    Py_buffer payload;
-    if (PyObject_GetBuffer(args[2], &payload, PyBUF_SIMPLE) < 0) {
-        Py_DECREF(f);
-        return NULL;
-    }
-    int failed = freq_restore(f, payload.buf, payload.len);
-    PyBuffer_Release(&payload);
-    unsigned char bytes[MAX_ORDER];
-    n = failed ? -1 : get_context(args[3], bytes, f->order, "context longer than the order");
-    if (n < 0) {
-        Py_DECREF(f);
-        return NULL;
-    }
-    f->ctx = make_key(bytes, (uint32_t)n);
     freq_load_row(f);
     return (PyObject *)f;
 }
@@ -1235,7 +1152,7 @@ static PyMethodDef kz_methods[] = {
     {"quantize", (PyCFunction)(void (*)(void))kz_quantize, METH_FASTCALL,
      "quantize(weights, cum): fill cum with the quantized cumulative table"},
     {"net", (PyCFunction)(void (*)(void))kz_net_new, METH_FASTCALL,
-     "net(emb, b1, w2, b2, softmax, buf, lr, context) -> a net state, its forward pass in buf"},
+     "net(emb, b1, w2, b2, softmax, buf, lr) -> a net state, its forward pass in buf"},
     {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
      "net_step(net, token): update on token, then the next context's forward pass"},
     {"encoder", (PyCFunction)(void (*)(void))kz_encoder_new, METH_FASTCALL,
@@ -1249,7 +1166,7 @@ static PyMethodDef kz_methods[] = {
     {"decode", (PyCFunction)(void (*)(void))kz_decode, METH_FASTCALL,
      "decode(dec, cum) -> the next symbol"},
     {"freq", (PyCFunction)(void (*)(void))kz_freq_new, METH_FASTCALL,
-     "freq(order, row, payload, context) -> a count table, its context's counts in row"},
+     "freq(order, row) -> an empty count table, ones in row"},
     {"freq_step", (PyCFunction)(void (*)(void))kz_freq_step, METH_FASTCALL,
      "freq_step(state, token): count token, then the next context's counts into row"},
     {"freq_state", (PyCFunction)(void (*)(void))kz_freq_state, METH_FASTCALL,

@@ -5,10 +5,11 @@ the same functions, arguments, results and errors (ValueErrors raised
 before any state is touched, TruncatedStreamError where a payload runs
 out).  Every array argument is a one-dimensional, C-contiguous int64
 vector, writable where it is written, checked by ``_check`` with the
-extension's messages; payloads and contexts are bytes-like.  States are
+extension's messages; a payload is bytes-like and C-contiguous.  States are
 namespaces where the extension has types; a net's and a count table's hold
-their context.  State arithmetic is on int64, which wraps as the extension
-does under -fwrapv; signed right shifts are floor shifts.
+their context, which starts empty: a state is only ever made fresh and
+stepped, never restored.  State arithmetic is on int64, which wraps as the
+extension does under -fwrapv; signed right shifts are floor shifts.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ _FLUSH_BYTES = 5  # finish() shifts out five bytes
 _BAD_WEIGHTS = "weights must be nonnegative with one positive"
 MAX_ORDER = 3  # freq keys: up to three context bytes
 COUNT_LIMIT = 1 << 16  # a freq row whose count reaches this is halved
-_BAD_PAYLOAD = "malformed freq state"
 _ONES = np.ones(ALPHABET, dtype=np.int32)
 
 
-def _check(a: np.ndarray, name: str, writable: bool = False) -> None:
-    """Reject what is not a one-dimensional, C-contiguous int64 vector
-    (writable, if asked), by the extension's get_array rules in its order."""
+def _check(a, name: str, writable: bool = False) -> np.ndarray:
+    """a as an ndarray, which it is or views through the buffer protocol as
+    the extension's get_array does (TypeError if it has no buffer); reject
+    what is not a one-dimensional, C-contiguous int64 vector (writable, if
+    asked), by get_array's rules in its order."""
+    if not isinstance(a, np.ndarray):
+        a = np.asarray(memoryview(a))
     if a.dtype != np.int64:
         why = "must be int64"
     elif a.ndim != 1:
@@ -48,7 +52,7 @@ def _check(a: np.ndarray, name: str, writable: bool = False) -> None:
     elif writable and not a.flags.writeable:
         why = "must be writable"
     else:
-        return
+        return a
     raise ValueError(f"{name} {why}")
 
 
@@ -69,8 +73,8 @@ def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     """Fill cum (m + 1 entries) with the table for m weights: one slot per
     symbol, floors of w * free / total, then the leftover slots to the
     largest keys (remainder << 16) + (m-1-index), which are distinct."""
-    _check(weights, "weights")
-    _check(cum, "cum", writable=True)
+    weights = _check(weights, "weights")
+    cum = _check(cum, "cum", writable=True)
     m = weights.size
     if not 2 <= m <= PROB_SCALE:
         raise ValueError(f"alphabet size outside [2, {PROB_SCALE}]")
@@ -102,7 +106,7 @@ def encode(enc: SimpleNamespace, cum: np.ndarray, sym: int) -> int:
     """Narrow the range to sym's interval of the table cum, renormalize, and
     return its width cum[sym + 1] - cum[sym].  The interval must be a
     nonempty part of [0, 2^16]: an empty one would renormalize forever."""
-    _check(cum, "cum")
+    cum = _check(cum, "cum")
     if enc.finished:
         raise ValueError("encoder already finished")
     if not 0 <= sym < cum.size - 1:
@@ -147,10 +151,13 @@ def finish(enc: SimpleNamespace) -> bytes:
 
 
 def decoder(payload) -> SimpleNamespace:
-    """A RangeDecoder state over a copy of payload (bytes-like), with the
-    phantom byte skipped and the next four read.  code = value - low, so
-    there is no low register; the renormalization schedule is the encoder's."""
-    dec = SimpleNamespace(payload=bytes(memoryview(payload)), cursor=0, range=_MASK32, code=0)
+    """A RangeDecoder state over a copy of payload (bytes-like and
+    C-contiguous), with the phantom byte skipped and the next four read.
+    code = value - low, so there is no low register; the renormalization
+    schedule is the encoder's."""
+    # frombuffer asks for one contiguous block of bytes, as the extension
+    # does, so the exporter refuses the same payloads with the same errors
+    dec = SimpleNamespace(payload=np.frombuffer(payload, dtype=np.uint8).tobytes(), cursor=0, range=_MASK32, code=0)
     _next_byte(dec)  # the phantom byte; its content is ignored
     for _ in range(4):
         dec.code = (dec.code << 8) | _next_byte(dec)
@@ -169,7 +176,7 @@ def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
     """The symbol s whose interval [cum[s], cum[s + 1]) holds the target,
     then the encoder's narrowing and renormalization.  cum must be a table:
     holding the target, and every interval inside [0, 2^16]."""
-    _check(cum, "cum")
+    cum = _check(cum, "cum")
     r = dec.range
     target = (((dec.code + 1) << 16) - 1) // r
     if target >= PROB_SCALE:  # only reachable on corrupted payloads
@@ -189,15 +196,16 @@ def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
     return sym
 
 
-def net(emb, b1, w2, b2, softmax, buf, lr: int, context) -> SimpleNamespace:
+def net(emb, b1, w2, b2, softmax, buf, lr: int) -> SimpleNamespace:
     """One NeuralPredictor's arrays (emb and w2 as shaped views, which write
-    through), its constants and a copy of context (at most k bytes, oldest
-    first); buf (2w + 256) splits into pre | hidden | weights, that
-    context's forward pass."""
+    through) and its constants, at the empty context; buf (2w + 256) splits
+    into pre | hidden | weights, that context's forward pass."""
     if not 1 <= lr <= MAX_LR:
         raise ValueError(f"learning rate {lr} outside [1, 2^20]")
-    for name, array in zip(("emb", "b1", "w2", "b2", "softmax", "buf"), (emb, b1, w2, b2, softmax, buf)):
-        _check(array, name, writable=name != "softmax")
+    names = ("emb", "b1", "w2", "b2", "softmax", "buf")
+    emb, b1, w2, b2, softmax, buf = (
+        _check(a, name, writable=name != "softmax") for a, name in zip((emb, b1, w2, b2, softmax, buf), names)
+    )
     w = b1.size
     k = emb.size // (ALPHABET * w) if w else 0
     want = (k * ALPHABET * w, w * ALPHABET, ALPHABET, 2 * w + ALPHABET)
@@ -208,10 +216,8 @@ def net(emb, b1, w2, b2, softmax, buf, lr: int, context) -> SimpleNamespace:
     n = SimpleNamespace(
         emb=emb.reshape(k, ALPHABET, w), b1=b1, w2=w2.reshape(w, ALPHABET), b2=b2,
         softmax=softmax, pre=pre, hidden=hidden, weights=weights,
-        k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=bytes(memoryview(context)),
+        k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=b"",
     )
-    if len(n.context) > k:
-        raise ValueError("context longer than the net's")
     _forward(n)
     return n
 
@@ -264,39 +270,17 @@ def net_step(n: SimpleNamespace, token: int) -> None:
     _forward(n)
 
 
-def freq(order: int, row: np.ndarray, payload, context) -> SimpleNamespace:
-    """One FreqPredictor's count table for order 0..3, bound to row (256
-    entries, writable): the counts of a freq_state payload by context bytes,
-    the current context, and that context's counts in row."""
+def freq(order: int, row: np.ndarray) -> SimpleNamespace:
+    """One FreqPredictor's count table for order 0..3, empty and at the
+    empty context, bound to row (256 entries, writable), which it fills
+    with ones."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"freq order {order} outside [0, {MAX_ORDER}]")
-    _check(row, "row", writable=True)
+    row = _check(row, "row", writable=True)
     if row.size != ALPHABET:
         raise ValueError("row must hold 256 entries")
-    # memoryview takes only bytes-like objects, as the extension's buffers do
-    payload, context = bytes(memoryview(payload)), bytes(memoryview(context))
-    f = SimpleNamespace(order=order, row=row, counts=_parse_state(order, payload), context=context)
-    if len(f.context) > order:
-        raise ValueError("context longer than the order")
-    f.row[:] = f.counts.get(f.context, _ONES)
-    return f
-
-
-def _parse_state(order: int, payload: bytes) -> dict:
-    """freq_state's inverse: keys ascending, none longer than order, every
-    count in [1, 2^16)."""
-    counts, pos, last = {}, 0, None
-    while pos < len(payload):
-        n = payload[pos]
-        key, end = payload[pos + 1 : pos + 1 + n], pos + 1 + n + 4 * ALPHABET
-        if n > order or end > len(payload) or (last is not None and key <= last):
-            raise ValueError(_BAD_PAYLOAD)
-        row = np.frombuffer(payload, dtype="<i4", count=ALPHABET, offset=pos + 1 + n).astype(np.int32)
-        if row.min() < 1 or row.max() >= COUNT_LIMIT:
-            raise ValueError(_BAD_PAYLOAD)
-        counts[key] = row
-        last, pos = key, end
-    return counts
+    row[:] = _ONES
+    return SimpleNamespace(order=order, row=row, counts={}, context=b"")
 
 
 def freq_step(f: SimpleNamespace, token: int) -> None:

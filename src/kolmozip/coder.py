@@ -27,8 +27,9 @@ from . import kernel
 PROB_BITS = 16
 PROB_SCALE = 1 << PROB_BITS  # every quantized table sums to this
 MAX_ALPHABET = PROB_SCALE
-# the weight dtype the step module's quantize reads as it is
-_KERNEL_WEIGHTS = np.dtype(np.int64).char
+# the one weight dtype the step module's quantize reads: native int64
+# (dtypes compare by byte order too, so a big-endian row is copied)
+_INT64 = np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def quantize_weights(weights: np.ndarray, *, out: np.ndarray | None = None) -> n
     C-contiguous int64 array of m + 1 entries, else the step module raises
     ValueError and leaves it as it was.  Otherwise a new array is returned.
     """
-    if weights.dtype.char != _KERNEL_WEIGHTS or not weights.flags.c_contiguous:
+    if weights.dtype != _INT64 or not weights.flags.c_contiguous:
         if not np.issubdtype(weights.dtype, np.integer):
             raise TypeError("quantization needs integer weights; rescale first")
         weights = np.ascontiguousarray(weights, dtype=np.int64)

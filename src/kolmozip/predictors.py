@@ -183,40 +183,24 @@ class FreqPredictor:
     extension, or its numpy twin), bound to the int64 row that
     predict_weights() views: each update() is one freq_step, which counts
     the token, advances the context and leaves the new context's counts
-    (ones for a context not yet seen) in that row.
+    (ones for a context not yet seen) in that row.  The table starts empty
+    and only update() fills it, so a predictor's state exists only as the
+    replay of its tokens; a predictor cannot be copied or pickled.
 
     Digest state payload: for each context key in lexicographic order,
     u8 key length, key bytes, counts as little-endian int32.
     """
 
     is_static = False
-    # rebuilt by __setstate__ from the counts and the context
-    _DERIVED_FIELDS = ("_kernel", "_freq", "_weights")
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.token_position = 0
-        self._bind_kernel(b"", b"")
-
-    def _bind_kernel(self, payload: bytes, context: bytes) -> None:
-        """Bind a count table holding payload's counts (freq_state's form),
-        at context, to a fresh row, and view that row read-only."""
         self._kernel = kernel.load()
         row = np.empty(ALPHABET, dtype=np.int64)
-        self._freq = self._kernel.freq(self.config.order, row, payload, context)
+        self._freq = self._kernel.freq(config.order, row)
         self._weights = row.view()
         self._weights.flags.writeable = False
-
-    def __getstate__(self) -> dict:
-        state = {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
-        state["_table"] = (self._kernel.freq_state(self._freq), self._freq.context)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        payload, context = state.pop("_table")
-        self.__dict__.update(state)
-        self._bind_kernel(payload, context)
 
     def predict_weights(self) -> np.ndarray:
         # read-only view of the row, valid until the next update()
@@ -274,11 +258,12 @@ class NeuralPredictor:
     and to the buffer whose weights predict_weights() views: each update()
     is one net_step, which trains on the token, appends it to the context
     (keeping the last K bytes) and leaves the next forward pass there.
+    The net starts at the empty context and only update() moves it, so a
+    predictor's state exists only as the replay of its tokens; a predictor
+    cannot be copied or pickled.
     """
 
     is_static = False
-    # rebuilt by __setstate__ from the parameters and the context
-    _DERIVED_FIELDS = ("_kernel", "_net", "_weights")
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
@@ -295,7 +280,15 @@ class NeuralPredictor:
         self.w2 = self._draw(stream, (self.w, ALPHABET), w2_scale)
         self.b2 = np.zeros(ALPHABET, dtype=np.int64)
 
-        self._bind_kernel(b"")
+        # the net works on these arrays in place, and they are never rebound;
+        # buf is pre | hidden | weights, the forward pass it keeps current
+        self._kernel = kernel.load()
+        buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
+        self._net = self._kernel.net(
+            self.emb.reshape(-1), self.b1, self.w2.reshape(-1), self.b2, _SOFTMAX_TABLE, buf, self.lr
+        )
+        self._weights = buf[2 * self.w :]
+        self._weights.flags.writeable = False
 
     @staticmethod
     def _draw(stream: Lcg64, shape: tuple, scale: int) -> np.ndarray:
@@ -321,31 +314,6 @@ class NeuralPredictor:
         u = (states >> np.uint64(48)).astype(np.int64) - 32768  # uniform in [-32768, 32767]
         mag = np.abs(u) * scale // 32768
         return np.where(u < 0, -mag, mag).reshape(shape)
-
-    def _bind_kernel(self, context: bytes) -> None:
-        """Bind a net at context to this instance's arrays, which it works
-        on in place and which are never rebound, and to a fresh buffer
-        pre | hidden | weights, which it fills with the forward pass; view
-        the weights read-only."""
-        self._kernel = kernel.load()
-        buf = np.empty(2 * self.w + ALPHABET, dtype=np.int64)
-        self._net = self._kernel.net(
-            self.emb.reshape(-1), self.b1, self.w2.reshape(-1), self.b2, _SOFTMAX_TABLE, buf, self.lr, context
-        )
-        self._weights = buf[2 * self.w :]
-        self._weights.flags.writeable = False
-
-    def __getstate__(self) -> dict:
-        # a copy binds its own net to its own arrays, at the same context
-        state = {k: v for k, v in self.__dict__.items() if k not in self._DERIVED_FIELDS}
-        state["_context"] = self._net.context
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        context = state.pop("_context")
-        self.__dict__.update(state)
-        self._bind_kernel(context)
 
     def predict_weights(self) -> np.ndarray:
         # read-only view, valid until the next update(), which consumes the

@@ -204,7 +204,8 @@ def test_quantize_rejects_non_integer_weights():
             quantize_weights(row)
     # integer rows of any dtype or layout are copied to int64
     want = quantize_weights(np.array([3, 1, 2], dtype=np.int64))
-    others = [np.array([3, 1, 2], dtype=dtype) for dtype in (np.uint8, np.int16)] + [np.array([3, 0, 1, 0, 2])[::2]]
+    dtypes = (np.uint8, np.int16, ">i8", ">i4")  # big-endian rows are copied too
+    others = [np.array([3, 1, 2], dtype=dtype) for dtype in dtypes] + [np.array([3, 0, 1, 0, 2])[::2]]
     for row in others:
         assert np.array_equal(quantize_weights(row), want)
 

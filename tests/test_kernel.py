@@ -35,7 +35,7 @@ from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
-from kolmozip.predictors import _SOFTMAX_TABLE, ONE, FreqPredictor, NeuralPredictor, PredictorConfig
+from kolmozip.predictors import _SOFTMAX_TABLE, ONE, FreqPredictor, NeuralPredictor, PredictorConfig, make_predictor
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
@@ -105,7 +105,7 @@ def test_extension_and_twin_take_the_same_arguments():
         for fn in _functions(_kernel_numpy)
     }
     assert required == twin
-    assert required["net"] == 8 and required["net_step"] == 2 and required["freq"] == 4
+    assert required["net"] == 7 and required["net_step"] == 2 and required["freq"] == 2
 
 
 # a run of adjacent C string literals, which the compiler joins into one
@@ -119,16 +119,50 @@ _C_MESSAGES = [
 ]
 
 
+def _joined(run: str) -> str:
+    return "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', run))
+
+
+def _twin_message_parts() -> list[str]:
+    """The literal parts of every raise ValueError(...) in the twin: its
+    strings and the literal text of its f-strings, with a name bound to
+    string literals read as each of them."""
+    tree = ast.parse(Path(_kernel_numpy.__file__).read_text())
+    bound: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, []).append(node.value.value)
+
+    def parts(node) -> list[str]:
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        if isinstance(node, ast.Name):
+            return bound[node.id]  # a message the test cannot read fails here
+        if isinstance(node, ast.FormattedValue):
+            # the text of a name bound to literals; none for a value known only at run time
+            return bound.get(node.value.id, []) if isinstance(node.value, ast.Name) else []
+        assert isinstance(node, ast.JoinedStr), ast.dump(node)
+        return [text for value in node.values for text in parts(value)]
+
+    return [
+        text
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+        for text in parts(node.exc.args[0])
+    ]
+
+
 def test_extension_and_twin_spell_the_same_messages():
     # every plain ValueError message of the source inside one of the twin's
-    # string constants (f-string parts included), so a message reworded on
-    # one side fails even where the extension cannot be built
+    # string constants (f-string parts included), and every literal part of
+    # the twin's ValueError messages inside one of the source's strings, so
+    # a message reworded or dropped on one side fails even where the
+    # extension cannot be built
     source = kernel.SOURCE.read_text()
-    messages = {
-        "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', run))
-        for pattern in _C_MESSAGES
-        for run in re.findall(pattern, source)
-    }
+    messages = {_joined(run) for pattern in _C_MESSAGES for run in re.findall(pattern, source)}
     twin = [
         node.value
         for node in ast.walk(ast.parse(Path(_kernel_numpy.__file__).read_text()))
@@ -137,6 +171,10 @@ def test_extension_and_twin_spell_the_same_messages():
     assert {"must be int64", "must be one-dimensional", "must be C-contiguous", "must be writable"} <= messages
     assert "row must hold 256 entries" in messages and any(m.startswith("net arrays disagree: ") for m in messages)
     assert [m for m in messages if not any(m in t for t in twin)] == []
+    literals = [_joined(run) for run in re.findall(_C_STRING, source)]
+    parts = _twin_message_parts()
+    assert "must be int64" in parts and any(p.startswith("net arrays disagree: ") for p in parts)
+    assert [p for p in parts if not any(p in c for c in literals)] == []
 
 
 # --- quantize ----------------------------------------------------------------
@@ -366,8 +404,8 @@ def _valid_arguments(module, fn: str) -> list:
         "quantize": lambda: [_ROW.copy(), np.full(257, -7, dtype=np.int64)],
         "encode": lambda: [module.encoder(), _TABLE.copy(), 5],
         "decode": lambda: [module.decoder(_payload_at(30_000)), _TABLE.copy()],
-        "net": lambda: [np.full(size, 7, dtype=np.int64) for size in _NET_SIZES] + [ONE, b"ab"],
-        "freq": lambda: [2, np.full(256, -7, dtype=np.int64), b"", b""],
+        "net": lambda: [np.full(size, 7, dtype=np.int64) for size in _NET_SIZES] + [ONE],
+        "freq": lambda: [2, np.full(256, -7, dtype=np.int64)],
     }[fn]()
 
 
@@ -433,6 +471,30 @@ def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
         assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
 
 
+def _call_outcome(module, fn: str, position: int, wrap) -> tuple:
+    """fn of module on valid arguments, the one at position passed as
+    wrap(it): the result where it is a number, and every array argument
+    afterwards."""
+    args = _valid_arguments(module, fn)
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    args[position] = wrap(args[position])
+    result = getattr(module, fn)(*args)
+    return (result if isinstance(result, int) else None), [a.tolist() for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "fn, position, name, written", ARRAY_ARGUMENTS, ids=[f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
+)
+def test_array_arguments_are_read_through_the_buffer_protocol_as_numpy(fn, position, name, written):
+    # as get_array reads them: an int64 memoryview is the vector it views
+    # (and written through), and an object without a buffer is a TypeError
+    want = _call_outcome(_kernel_numpy, fn, position, lambda a: a)
+    for module in dict.fromkeys(STEP_MODULES.values()):
+        assert _call_outcome(module, fn, position, memoryview) == want, module
+        with pytest.raises(TypeError):
+            _call_outcome(module, fn, position, np.ndarray.tolist)
+
+
 # --- range coder -----------------------------------------------------------------
 
 
@@ -487,6 +549,8 @@ def test_decoder_takes_only_bytes_like_payloads_as_numpy():
     for module in dict.fromkeys(STEP_MODULES.values()):
         with pytest.raises(TypeError):
             module.decoder(list(payload))
+        with pytest.raises(ValueError):  # the payload must be one contiguous block
+            module.decoder(np.frombuffer(payload, dtype=np.uint8).repeat(2)[::2])
         assert _decoded(module, words, tables) == (tuple(symbols), None, len(payload))
 
 
@@ -722,17 +786,15 @@ def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
         with pytest.raises(ValueError, match=f"^token {bad} outside"):
             p.update(bad)
     arrays = [p.emb.reshape(-1), p.b1, p.w2.reshape(-1), p.b2, _SOFTMAX_TABLE, p._weights.base]
-    with pytest.raises(ValueError):  # bound to a context longer than the net's
-        p._kernel.net(*arrays, p.lr, b"abc")
     # outside PredictorConfig's [1, 2^20], and past int64
     for lr in (0, -5, (1 << 20) + 1, 1 << 70, -(1 << 70)):
         with pytest.raises(ValueError, match=f"^learning rate {lr} outside"):
-            p._kernel.net(*arrays, lr, b"ab")
+            p._kernel.net(*arrays, lr)
     for lr in (1, 1 << 20):  # bound to copies: a bound net writes its forward pass
-        p._kernel.net(*(a.copy() for a in arrays), lr, b"ab")
+        p._kernel.net(*(a.copy() for a in arrays), lr)
     arrays[3] = p.b2[:255].copy()
     with pytest.raises(ValueError):  # a net codes bytes: b2 needs 256 entries
-        p._kernel.net(*arrays, p.lr, b"ab")
+        p._kernel.net(*arrays, p.lr)
     _plant(p, 0)  # a corrupted forward pass
     with pytest.raises(ValueError):
         p.update(1)
@@ -759,20 +821,10 @@ def test_net_rejects_arrays_that_disagree_as_numpy(name, step):
     errors = set()
     for module in (step, _kernel_numpy):
         with pytest.raises(ValueError) as caught:
-            module.net(*arrays, ONE, b"ab")
+            module.net(*arrays, ONE)
         errors.add((type(caught.value), str(caught.value)))
     assert len(errors) == 1
     assert next(iter(errors))[1].startswith("net arrays disagree: ")
-
-
-def test_states_take_only_bytes_like_contexts(step):
-    net_arrays = [np.zeros(size, dtype=np.int64) for size in _NET_SIZES]
-    for module in (step, _kernel_numpy):
-        row = np.empty(256, dtype=np.int64)
-        for bad in (lambda: module.net(*net_arrays, ONE, 2), lambda: module.freq(2, row, b"", 2),
-                    lambda: module.freq(2, row, 5, b""), lambda: module.net(*net_arrays, ONE, [1, 2])):
-            with pytest.raises(TypeError):
-                bad()
 
 
 @needs_kernel
@@ -828,7 +880,7 @@ def assert_freq_matches_twin(module, order: int, data: bytes, checkpoints: int) 
     and after every one, and the same context and freq_state payload at
     checkpoints spread over data and at its end."""
     rows = [np.empty(256, dtype=np.int64) for _ in range(2)]
-    fast, ref = module.freq(order, rows[0], b"", b""), _kernel_numpy.freq(order, rows[1], b"", b"")
+    fast, ref = module.freq(order, rows[0]), _kernel_numpy.freq(order, rows[1])
     every = max(1, len(data) // checkpoints)
     assert np.array_equal(rows[0], rows[1])
     for i, tok in enumerate(data, 1):
@@ -859,7 +911,7 @@ def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
     # keys of every length whose bytes sort differently from their numbers
     data = b"\x00\x00\x01\xff\x00\x01\x00\x00\x00\xff\xff\x01"
     row = np.empty(256, dtype=np.int64)
-    f = step.freq(3, row, b"", b"")
+    f = step.freq(3, row)
     for tok in data:
         step.freq_step(f, tok)
     payload, keys, pos = step.freq_state(f), [], 0
@@ -878,9 +930,9 @@ def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
     for order in (-1, 4, 1 << 70):
         for module in (step, _kernel_numpy):
             with pytest.raises(ValueError, match=f"^freq order {order} outside \\[0, 3\\]$"):
-                module.freq(order, np.empty(256, dtype=np.int64), b"", b"")
+                module.freq(order, np.empty(256, dtype=np.int64))
     row = np.empty(256, dtype=np.int64)
-    f = step.freq(2, row, b"", b"")
+    f = step.freq(2, row)
     for tok in b"abcab":
         step.freq_step(f, tok)
     before = _freq_outcome(step, f, row)
@@ -890,57 +942,19 @@ def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
         assert _freq_outcome(step, f, row) == before
 
 
-def test_freq_restores_from_its_state_as_numpy(step):
-    row = np.empty(256, dtype=np.int64)
-    f = step.freq(2, row, b"", b"")
-    data = b"abracadabra" * 30
-    for tok in data[:200]:
-        step.freq_step(f, tok)
-    payload, context = step.freq_state(f), f.context
-    entry = 1 + 2 + 4 * 256  # one order-2 entry of the payload
-    counts = payload.index(b"\x02ab") + 3
-    bad = {
-        "truncated": payload[:-1],
-        "a key past the order": payload + b"\x03zzz" + payload[-4 * 256 :],
-        "keys out of order": payload[-entry:] + payload[:-entry],
-        "a key twice": payload + payload[-entry:],
-        "a zero count": payload[:counts] + bytes(4) + payload[counts + 4 :],
-        "a count of 2^16": payload[:counts] + (1 << 16).to_bytes(4, "little") + payload[counts + 4 :],
-    }
-    for blob in bad.values():
-        for module in (step, _kernel_numpy):
-            with pytest.raises(ValueError, match="^malformed freq state$"):
-                module.freq(2, np.empty(256, dtype=np.int64), blob, context)
-    for module in (step, _kernel_numpy):
-        with pytest.raises(ValueError, match="^context longer than the order$"):
-            module.freq(2, np.empty(256, dtype=np.int64), payload, b"abc")
-    # a copy made from the state (and under the twin) steps on exactly as f does
-    copies = [(module, np.empty(256, dtype=np.int64)) for module in (step, _kernel_numpy)]
-    copies = [(module, module.freq(2, r, payload, context), r) for module, r in copies]
-    assert all(np.array_equal(r, row) for _, _, r in copies)
-    for tok in data[200:]:
-        step.freq_step(f, tok)
-        for module, g, r in copies:
-            module.freq_step(g, tok)
-            assert np.array_equal(r, row)
-    assert all(_freq_outcome(m, g, r) == _freq_outcome(step, f, row) for m, g, r in copies)
-
-
-def test_freq_copies_continue_independently(step):
-    p = FreqPredictor(PredictorConfig("freq", order=3, seed=4))
+@pytest.mark.parametrize("spec", ["freq:2", "neural:2,8"])
+def test_predictor_state_is_never_copied(spec, step):
+    # a predictor's state exists only as the replay of its tokens: the step
+    # module's states cannot be copied, so neither can the predictors
+    p = make_predictor(PredictorConfig.from_spec(spec))
     for tok in b"hello, world":
-        p.predict_weights()
         p.update(tok)
-    twins = [copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
-    assert all(np.array_equal(q.predict_weights(), p.predict_weights()) for q in twins)
-    for tok in b"again, world":
-        for q in (p, *twins):
-            q.update(tok)
-    assert all(q.digest() == p.digest() for q in twins)
-    assert all(np.array_equal(q.predict_weights(), p.predict_weights()) for q in twins)
-    assert all(q.predict_weights().base is not p.predict_weights().base for q in twins)
-    twins[0].update(7)  # a copy's steps leave the original as it was
-    assert twins[0].digest() != p.digest() and twins[1].digest() == p.digest()
+    with pytest.raises(TypeError):
+        copy.deepcopy(p)
+    with pytest.raises(TypeError):
+        pickle.dumps(p)
+    uniform = make_predictor(PredictorConfig("uniform"))
+    assert pickle.loads(pickle.dumps(uniform)).digest() == copy.deepcopy(uniform).digest() == uniform.digest()
 
 
 # --- whole artifacts -------------------------------------------------------------
@@ -1149,19 +1163,3 @@ def test_concurrent_first_builds_all_load(tmp_path):
         assert out.strip() == str(PROB_SCALE).encode()
     names = [p.name for p in (tmp_path / "kolmozip").iterdir()]
     assert len(names) == 1 and names[0].startswith("kernel-")
-
-
-@pytest.mark.parametrize("path", ["kernel", "numpy"])
-def test_neural_copies_continue_independently(path, monkeypatch):
-    if path == "numpy":
-        pin_twin(monkeypatch)
-    p = NeuralPredictor(PredictorConfig("neural", context=2, width=8, seed=4))
-    for tok in b"hello, world":
-        p.predict_weights()
-        p.update(tok)
-    twins = [copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
-    for tok in b"again":
-        for q in (p, *twins):
-            q.update(tok)
-    assert all(q.digest() == p.digest() for q in twins)
-    assert all(q.w2 is not p.w2 for q in twins)
