@@ -1,14 +1,6 @@
 """kolmozip: lossless compression by online learning, plus a shortest-program workbench."""
 
-from .coder import (
-    Distribution,
-    IdealInterval,
-    RangeDecoder,
-    RangeEncoder,
-    ideal_refine,
-    quantize_distribution,
-    shortest_binary_in_interval,
-)
+from .coder import RangeDecoder, RangeEncoder
 from .errors import FormatError, KolmozipError, TruncatedStreamError
 from .kclab import (
     KcEstimate,
@@ -16,11 +8,9 @@ from .kclab import (
     TinyProgram,
     family_max_gap,
     joint_bound_report,
-    literal_program,
     pair_encode,
     phi,
     phi_curve,
-    prefix_decode,
     prefix_encode,
     run_program,
 )
@@ -50,9 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompressedArtifact",
-    "Distribution",
     "FormatError",
-    "IdealInterval",
     "KcEstimate",
     "KolmozipError",
     "MachineResult",
@@ -71,21 +59,16 @@ __all__ = [
     "entropy_rate",
     "family_max_gap",
     "generate",
-    "ideal_refine",
     "joint_bound_report",
-    "literal_program",
     "make_predictor",
     "pair_encode",
     "phi",
     "phi_curve",
-    "prefix_decode",
     "prefix_encode",
-    "quantize_distribution",
     "read_worksheet",
     "run_program",
     "scaling_ladder",
     "serialize",
-    "shortest_binary_in_interval",
     "worksheet_corpus",
     "worksheet_stream",
     "write_worksheet",

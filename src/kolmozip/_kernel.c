@@ -102,7 +102,9 @@ static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *n
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
     const char *f = view->format ? view->format : "B";
-    if (*f == '@')
+    /* native order: none, '@', '=' or the host's own ('<' on little-endian);
+     * the itemsize check rejects the 4-byte standard-size 'i' and 'l' */
+    if (*f == '@' || *f == '=' || *f == (PY_BIG_ENDIAN ? '>' : '<'))
         f++;
     const char *why = NULL;
     if (view->itemsize != 8 || f[1] != '\0' || (f[0] != 'i' && f[0] != 'l' && f[0] != 'q'))

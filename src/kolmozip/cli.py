@@ -243,10 +243,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_AUDIT_HELP = (
+    "report a state digest chain; it hashes the model's whole state after"
+    " every token, so its cost grows with that state (for freq, the counts"
+    " of every context seen so far)"
+)
+
+
 def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True, help="uniform | freq:K | neural:K,W")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--audit", action="store_true", help="report a state digest chain")
+    sub.add_argument("--audit", action="store_true", help=_AUDIT_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("infile")
     sub.add_argument("outfile")
     sub.add_argument("--context", help="context file for conditional artifacts")
-    sub.add_argument("--audit", action="store_true")
+    sub.add_argument("--audit", action="store_true", help=_AUDIT_HELP)
     sub.set_defaults(func=_cmd_decompress)
 
     sub = commands.add_parser("ccompress", help="code a file given a context file")

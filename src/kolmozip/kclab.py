@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import FormatError
-
 OUT0, OUT1, CPY, DBL, INV, REVA, NOP, HALT = range(8)
 OP_NAMES = ("OUT0", "OUT1", "CPY", "DBL", "INV", "REVA", "NOP", "HALT")
 _CODE_OF = {name: code for code, name in enumerate(OP_NAMES)}
@@ -108,12 +106,6 @@ def run_program(
     return MachineResult(HALTED, out, steps)
 
 
-def literal_program(x: str) -> TinyProgram:
-    """One OUT per bit; its 3*l(x) bits are the ceiling for phi."""
-    _check_bits(x, "x")
-    return TinyProgram(tuple(OUT1 if b == "1" else OUT0 for b in x))
-
-
 @dataclass(frozen=True)
 class KcEstimate:
     """phi output: shortest-found program length in bits, under budget t."""
@@ -197,18 +189,6 @@ def prefix_encode(s: str) -> str:
     """Self-delimiting 1^l(s) 0 s; length 2*l(s)+1."""
     _check_bits(s, "s")
     return "1" * len(s) + "0" + s
-
-
-def prefix_decode(bits: str) -> tuple[str, str]:
-    """Inverse of prefix_encode; returns (s, remainder)."""
-    _check_bits(bits, "bits")
-    marker = bits.find("0")
-    if marker < 0:
-        raise FormatError("prefix code missing its 0 marker")
-    body = bits[marker + 1 : marker + 1 + marker]
-    if len(body) < marker:
-        raise FormatError("prefix code shorter than its declared length")
-    return body, bits[marker + 1 + marker :]
 
 
 def pair_encode(x: str, y: str) -> str:

@@ -15,12 +15,6 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV2
-from kolmozip.coder import (
-    Distribution,
-    IdealInterval,
-    ideal_refine,
-    shortest_binary_in_interval,
-)
 from kolmozip.kclab import all_bit_strings, family_max_gap, phi, phi_curve
 from kolmozip.pipeline import (
     compress,
@@ -31,6 +25,7 @@ from kolmozip.pipeline import (
 )
 from kolmozip.predictors import PredictorConfig, make_predictor
 from kolmozip.sources import MarkovSpec, entropy_rate, generate
+from oracle import Distribution, IdealInterval, ideal_refine, shortest_binary_in_interval
 
 KINDS = ("uniform", "freq:2", "neural:1,8")
 

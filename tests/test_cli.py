@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import stat
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kolmozip
-from kolmozip.cli import main
+from kolmozip.cli import build_parser, main
 from kolmozip.pipeline import CompressedArtifact, deserialize, serialize
 from kolmozip.rng import Lcg64
 from kolmozip.sources import read_worksheet
@@ -167,11 +168,13 @@ def test_ladder_reports_in_config_order(tmp_path, sample, capsys):
 
 
 def test_cli_import_loads_neither_the_kernel_nor_a_process_pool(sample):
-    # nor does a ladder: it runs its models one after another in this process
+    # nor fractions, which only the exact-rational test oracles use; nor
+    # does a ladder: it runs its models one after another in this process
     code = (
         "import sys, kolmozip.cli; from kolmozip import kernel; "
         "assert kernel.load.cache_info().currsize == 0, 'kernel loaded'; "
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'; "
+        "assert 'fractions' not in sys.modules, 'fractions imported'; "
         f"assert kolmozip.cli.main(['ladder', {str(sample)!r}, '--models', 'freq:0,freq:1,freq:2']) == 0; "
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by the ladder'; "
         "assert 'concurrent.futures.process' not in sys.modules, 'process pool imported'"
@@ -184,6 +187,20 @@ def test_cli_import_loads_neither_the_kernel_nor_a_process_pool(sample):
         "freq:1",
         "freq:2",
     ]
+
+
+def test_audit_help_is_one_text_that_states_its_cost():
+    # compress, ccompress and decompress describe --audit the same way
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {
+        name: action.help
+        for name in ("compress", "ccompress", "decompress")
+        for action in commands.choices[name]._actions
+        if "--audit" in action.option_strings
+    }
+    assert set(helps) == {"compress", "ccompress", "decompress"}
+    (text,) = set(helps.values())
+    assert "cost grows" in text
 
 
 def test_ladder_splits_neural_specs_despite_inner_comma(tmp_path, sample, capsys):

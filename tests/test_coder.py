@@ -16,21 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmozip import _kernel_numpy, kernel
-from kolmozip.coder import (
-    PROB_BITS,
-    PROB_SCALE,
-    Distribution,
-    IdealInterval,
-    RangeDecoder,
-    RangeEncoder,
-    UNIT_INTERVAL,
-    ideal_refine,
-    quantize_distribution,
-    quantize_weights,
-    shortest_binary_in_interval,
-)
+from kolmozip.coder import PROB_BITS, PROB_SCALE, RangeDecoder, RangeEncoder, quantize_weights
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.rng import Lcg64
+from oracle import (
+    UNIT_INTERVAL,
+    Distribution,
+    IdealInterval,
+    ideal_refine,
+    quantize_distribution,
+    shortest_binary_in_interval,
+)
 
 
 # --- oracles -------------------------------------------------------------

@@ -28,14 +28,13 @@ from kolmozip.kclab import (
     bits_of,
     family_max_gap,
     joint_bound_report,
-    literal_program,
     pair_encode,
     phi,
     phi_curve,
-    prefix_decode,
     prefix_encode,
     run_program,
 )
+from oracle import literal_program, prefix_decode
 
 bitstrings = st.text(alphabet="01", max_size=40)
 

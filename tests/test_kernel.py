@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import ctypes
 import gc
 import inspect
 import os
@@ -482,15 +483,21 @@ def _call_outcome(module, fn: str, position: int, wrap) -> tuple:
     return (result if isinstance(result, int) else None), [a.tolist() for a in arrays]
 
 
+def _ctypes_view(a: np.ndarray):
+    return (ctypes.c_int64 * a.size).from_buffer(a)
+
+
 @pytest.mark.parametrize(
     "fn, position, name, written", ARRAY_ARGUMENTS, ids=[f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
 )
 def test_array_arguments_are_read_through_the_buffer_protocol_as_numpy(fn, position, name, written):
-    # as get_array reads them: an int64 memoryview is the vector it views
-    # (and written through), and an object without a buffer is a TypeError
+    # as get_array reads them: an int64 memoryview or ctypes array (format
+    # '<q' on little-endian) is the vector it views (and written through),
+    # and an object without a buffer is a TypeError
     want = _call_outcome(_kernel_numpy, fn, position, lambda a: a)
     for module in dict.fromkeys(STEP_MODULES.values()):
         assert _call_outcome(module, fn, position, memoryview) == want, module
+        assert _call_outcome(module, fn, position, _ctypes_view) == want, module
         with pytest.raises(TypeError):
             _call_outcome(module, fn, position, np.ndarray.tolist)
 
