@@ -30,11 +30,11 @@
  *     weight nonnegative, one positive, and the total below 2^46; both divide
  *     by that total through one reciprocal (div_total), whose estimate is
  *     corrected to the exact integer quotient and remainder;
- *   - the step's loops (forward, net_grad, quantize_scratch) are built three
- *     times on x86-64 glibc, for x86-64-v4 (AVX-512; GCC 12 and later only),
- *     for AVX2 and for the baseline ISA, and the CPU picks one at load time
- *     (VECTOR_CLONES).  Every clone is compiled from the same integer code,
- *     so the arithmetic, and every byte it writes, is the same on every CPU;
+ *   - the step's loops (forward, net_grad, quantize_scratch) are built twice
+ *     on x86-64 glibc, for AVX2 and for the baseline ISA, and the CPU picks
+ *     one at load time (VECTOR_CLONES).  Both clones are compiled from the
+ *     same integer code, so the arithmetic, and every byte it writes, is the
+ *     same on every CPU;
  *   - freq stores its counts as uint16 (the twin as int32): a count that
  *     reaches 2^16 halves its row at once, so none stored is larger, and a
  *     row is widened only where it is copied out.
@@ -65,15 +65,11 @@
 #define TOTAL_LIMIT (INT64_C(1) << 46) /* rows div_total divides: weights and total below */
 
 /* target_clones resolves through an ifunc, which needs x86-64 and glibc;
- * elsewhere the plain functions are built.  Only GCC 12 and later resolve an
- * x86-64-v4 (AVX-512) clone; other compilers get the AVX2 one alone. */
+ * elsewhere the plain functions are built.  AVX-512 hosts run the AVX2 clone
+ * too: an x86-64-v4 clone ran the net step slower on such a host. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
-#define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-#else
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
 #endif
 #endif
 #ifndef VECTOR_CLONES

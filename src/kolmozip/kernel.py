@@ -13,18 +13,18 @@ compiles the source with the system ``cc`` against the interpreter's
 headers into a per-user cache (``$XDG_CACHE_HOME/kolmozip``, else
 ``~/.cache/kolmozip``), under a name keyed by the hash of the source,
 flags, include directory, extension suffix and platform, and later calls
-and processes reuse that file.  The key does not depend on the CPU: the
+and processes reuse that file; a cached file that will not load is built
+again once.  The key does not depend on the CPU: on x86-64 with glibc the
 step's loops (the net's forward pass and gradient step, and quantize) carry
-an x86-64-v4 (AVX-512) clone, where the compiler is GCC 12 or later, and an
-AVX2 clone beside the baseline one, and the running CPU picks among them
-when the file loads, so one cached file serves any x86-64 machine, with the
-same bytes out.
+an AVX2 clone beside the baseline one, and the running CPU picks one when
+the file loads, so one cached file serves any x86-64 machine, with the same
+bytes out.
 
 - No ``cc`` on PATH: the twin, without a word.
 - A compiler that fails (for instance without the Python headers), a cache
-  that cannot be written or loaded, or no cache at all because neither
-  ``$XDG_CACHE_HOME`` nor the home directory is an absolute path: one
-  RuntimeWarning naming the error, then the twin.
+  that cannot be written, a freshly built file that will not load, or no
+  cache at all because neither ``$XDG_CACHE_HOME`` nor the home directory is
+  an absolute path: one RuntimeWarning naming the error, then the twin.
 
 The module is compiled to a temporary file in the cache directory and
 published with ``os.replace``, so concurrent processes (CLI invocations,
@@ -120,8 +120,12 @@ def build_and_load() -> ModuleType | None:
         build = (" ".join(_FLAGS), *_include_dirs(), suffix, sys.platform, platform.machine())
         key = hashlib.sha256(b"\0".join((source, *(s.encode() for s in build)))).hexdigest()[:20]
         target = _cache_dir() / f"kernel-{key}{suffix}"
-        if not target.is_file():
-            _compile(compiler, source, target)
+        if target.is_file():
+            try:
+                return _import(target)
+            except ImportError:  # left truncated or corrupt, say by a crash: build it again
+                pass
+        _compile(compiler, source, target)
         return _import(target)
     except (OSError, ImportError, subprocess.SubprocessError) as exc:
         warnings.warn(
