@@ -1,20 +1,26 @@
 """Command-line front end: compression, generation, experiments, KC lab.
 
 Machine-readable reports go to stdout as one JSON object per line; human
-summaries go to stderr.  Output files are written to a temp file in the
-destination directory and renamed into place, so a failing run never
-leaves a partial file.  Exit codes: 0 success, 1 usage error, 2 malformed
-or undecodable input.
+summaries go to stderr.  A file argument "-" is stdin or stdout; when the
+data go to stdout, the report goes to stderr.  An output file is written to
+a temp file in the directory of the file it names (the target, for a
+symlink) and renamed into place, so a failing run never leaves a partial
+file; an existing output that is not a regular file (a FIFO or a device) is
+opened and written through.  An input that is the output file is refused
+before anything is written.  Exit codes: 0 success, 1 usage error, 2
+malformed or undecodable input.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 
@@ -32,17 +38,49 @@ from .predictors import PredictorConfig
 from .sources import MarkovSpec, generate, worksheet_corpus, write_worksheet
 
 
-def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record) + "\n")
+def _emit(record: dict, outfile: str | None = None) -> None:
+    # stdout is the data's when the output file is "-"
+    (sys.stderr if outfile == "-" else sys.stdout).write(json.dumps(record) + "\n")
 
 
 def _say(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kolmozip-")
+def _check_paths(inputs: list[str | None], outfile: str) -> None:
+    """Refuse, before anything is read or written, two inputs read from
+    stdin and an input that is the output file."""
+    named = [path for path in inputs if path]
+    if named.count("-") > 1:
+        raise ValueError("only one input can be read from stdin ('-')")
+    if outfile != "-" and os.path.exists(outfile):
+        for path in named:
+            if path != "-" and os.path.exists(path) and os.path.samefile(path, outfile):
+                raise ValueError(f"{path} and {outfile} are the same file")
+
+
+def _write_output(path: str, data: bytes) -> None:
+    """Write data to path: stdout for "-", straight into an existing file
+    that is not regular, else through a temporary file renamed into place."""
+    if path == "-":
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+        return
+    try:
+        mode = os.stat(path).st_mode  # through any symlink
+    except FileNotFoundError:
+        mode = stat.S_IFREG
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):  # a FIFO, socket or device: renaming over it would replace it
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    target = os.path.realpath(path)  # a symlink's target is replaced, in its own directory
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kolmozip-")
+    except OSError as exc:  # name the file the user gave, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -51,7 +89,7 @@ def _write_atomic(path: str, data: bytes) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -78,10 +116,11 @@ def _schedule(text: str) -> list[int]:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    _check_paths([args.infile], args.outfile)
     config = PredictorConfig.from_spec(args.model, seed=args.seed)
     data = _read_file(args.infile)
     artifact, stats = compress(data, config, audit=args.audit)
-    _write_atomic(args.outfile, serialize(artifact))
+    _write_output(args.outfile, serialize(artifact))
     record = {
         "config": config.spec_string(),
         "input_bytes": len(data),
@@ -91,7 +130,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     }
     if args.audit:
         record["digest_chain"] = _digest_chain(stats.digests)
-    _emit(record)
+    _emit(record, args.outfile)
     _say(
         f"{args.outfile}: {len(data)} -> {len(artifact.payload)} payload bytes"
         f" ({stats.payload_bpb:.3f} bpb)"
@@ -100,30 +139,32 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    _check_paths([args.infile, args.context], args.outfile)
     artifact = deserialize(_read_file(args.infile))
     context = _read_file(args.context) if args.context else b""
     if args.audit:
         data, digests = decompress(artifact, context, audit=True)
     else:
         data, digests = decompress(artifact, context), []
-    _write_atomic(args.outfile, data)
+    _write_output(args.outfile, data)
     record = {
         "config": artifact.config.spec_string(),
         "output_bytes": len(data),
     }
     if args.audit:
         record["digest_chain"] = _digest_chain(digests)
-    _emit(record)
+    _emit(record, args.outfile)
     _say(f"{args.outfile}: {len(data)} bytes")
     return 0
 
 
 def _cmd_ccompress(args: argparse.Namespace) -> int:
+    _check_paths([args.target, args.context], args.outfile)
     config = PredictorConfig.from_spec(args.model, seed=args.seed)
     target = _read_file(args.target)
     context = _read_file(args.context)
     artifact, stats = compress_conditional(target, context, config, audit=args.audit)
-    _write_atomic(args.outfile, serialize(artifact))
+    _write_output(args.outfile, serialize(artifact))
     record = {
         "config": config.spec_string(),
         "input_bytes": len(target),
@@ -134,7 +175,7 @@ def _cmd_ccompress(args: argparse.Namespace) -> int:
     }
     if args.audit:
         record["digest_chain"] = _digest_chain(stats.digests)
-    _emit(record)
+    _emit(record, args.outfile)
     _say(
         f"{args.outfile}: {len(target)} bytes given {len(context)} context bytes"
         f" ({stats.payload_bpb:.3f} bpb)"
@@ -144,7 +185,7 @@ def _cmd_ccompress(args: argparse.Namespace) -> int:
 
 def _cmd_gen_markov(args: argparse.Namespace) -> int:
     spec = MarkovSpec(args.order, args.alphabet, args.concentration, args.seed)
-    _write_atomic(args.outfile, generate(spec, args.len))
+    _write_output(args.outfile, generate(spec, args.len))
     _emit(
         {
             "kind": "markov",
@@ -153,7 +194,8 @@ def _cmd_gen_markov(args: argparse.Namespace) -> int:
             "concentration": spec.concentration,
             "seed": spec.seed,
             "bytes": args.len,
-        }
+        },
+        args.outfile,
     )
     _say(f"{args.outfile}: {args.len} bytes of order-{spec.order} chain")
     return 0
@@ -163,14 +205,15 @@ def _cmd_gen_worksheet(args: argparse.Namespace) -> int:
     records = worksheet_corpus(args.seed, args.count)
     buf = io.BytesIO()
     write_worksheet(records, buf)
-    _write_atomic(args.outfile, buf.getvalue())
+    _write_output(args.outfile, buf.getvalue())
     _emit(
         {
             "kind": "worksheet",
             "seed": args.seed,
             "count": args.count,
             "bytes": buf.tell(),
-        }
+        },
+        args.outfile,
     )
     _say(f"{args.outfile}: {args.count} records, {buf.tell()} bytes")
     return 0
@@ -228,6 +271,8 @@ def _cmd_kc_joint(args: argparse.Namespace) -> int:
 
 
 def _read_file(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,15 +122,17 @@ class PredictorConfig:
         name, _, args = text.strip().partition(":")
         try:
             if name == KIND_UNIFORM and not args:
-                return cls(KIND_UNIFORM, seed=seed)
-            if name == KIND_FREQ:
-                return cls(KIND_FREQ, order=int(args), seed=seed)
-            if name == KIND_NEURAL:
+                config = cls(KIND_UNIFORM)
+            elif name == KIND_FREQ:
+                config = cls(KIND_FREQ, order=int(args))
+            elif name == KIND_NEURAL:
                 k, w = args.split(",")
-                return cls(KIND_NEURAL, context=int(k), width=int(w), seed=seed)
+                config = cls(KIND_NEURAL, context=int(k), width=int(w))
+            else:
+                raise ValueError("want uniform | freq:K | neural:K,W")
         except ValueError as exc:
             raise ValueError(f"bad model spec {text!r}: {exc}") from None
-        raise ValueError(f"bad model spec {text!r}; want uniform | freq:K | neural:K,W")
+        return replace(config, seed=seed)  # a bad seed is reported as the seed's fault
 
 
 def _bad_token(token: int) -> ValueError:

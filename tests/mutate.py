@@ -1,0 +1,197 @@
+"""Mutation check for the step module's tests.
+
+Each mutant below changes one line of ``src/kolmozip/_kernel.c`` or
+``src/kolmozip/_kernel_numpy.py``: a comparison flipped, a bound off by
+one, a check dropped, a clamp removed, a message reworded.  For each
+mutant the script copies ``src/`` into a temporary directory, applies the
+mutant there, builds the extension into a temporary ``XDG_CACHE_HOME`` and
+runs ``pytest tests/test_kernel.py -x -q`` against the copy, one mutant at a
+time.  A mutant is killed when that run fails (or outlives its timeout).
+Nothing is written into ``src/``.
+
+    python tests/mutate.py                                        # every mutant
+    python tests/mutate.py c-search-side-left np-state-unsorted   # these two
+
+The last line printed is the kill set as JSON.  Hypothesis runs with a fixed
+seed, so a second run of the same suite kills the same mutants.  A step
+function added to the module adds its mutants to MUTANTS.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SUITE = REPO / "tests" / "test_kernel.py"
+C = "_kernel.c"
+NP = "_kernel_numpy.py"
+TIMEOUT_S = 300
+
+# name: (file, the text of one line, what replaces it); the text occurs once in the file
+MUTANTS = {
+    # get_array and the array contract
+    "c-ndim-check-dropped": (C, "else if (view->ndim != 1)", "else if (0)"),
+    "c-contiguity-check-dropped": (
+        C, "else if (!PyBuffer_IsContiguous(view, 'C'))", "else if (!PyBuffer_IsContiguous(view, 'C') && 0)"
+    ),
+    "c-writable-check-dropped": (C, "else if (writable && view->readonly)", "else if (0 && view->readonly)"),
+    "c-byte-order-flipped": (C, "*f == (PY_BIG_ENDIAN ? '>' : '<')", "*f == (PY_BIG_ENDIAN ? '<' : '>')"),
+    "c-int64-message-changed": (C, 'why = "must be int64";', 'why = "must be an int64";'),
+    # quantize
+    "c-alphabet-bound-off-by-one": (C, "if (m < 2 || m > PROB_SCALE) {", "if (m < 2 || m > PROB_SCALE + 1) {"),
+    "c-cum-length-check-loosened": (C, "if (n_cum != m + 1) {", "if (n_cum < m + 1) {"),
+    "c-total-limit-off-by-one": (
+        C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))",
+        "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total > TOTAL_LIMIT))",
+    ),
+    "c-zero-total-check-dropped": (C, "if (bits < 0 || *total == 0)", "if (bits < 0)"),
+    "c-ties-to-higher-index": (
+        C, "sel[i] = key[i] = (key[i] << 16) + (m - 1 - i);", "sel[i] = key[i] = (key[i] << 16) + i;"
+    ),
+    "c-leftover-threshold-off-by-one": (C, "base[i] += key[i] >= threshold;", "base[i] += key[i] > threshold;"),
+    "c-div-total-correction-off-by-one": (
+        C, "const int64_t under = r < 0, over = r >= total;", "const int64_t under = r < 0, over = r > total;"
+    ),
+    "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
+    # range coder
+    "c-symbol-bound-off-by-one": (
+        C, 'get_int(args[2], 0, n - 1, "symbol %S outside [0, %lld)", &sym)',
+        'get_int(args[2], 0, n, "symbol %S outside [0, %lld)", &sym)',
+    ),
+    "c-encode-interval-top-off-by-one": (
+        C, "if (c0 < 0 || c0 >= c1 || c1 > PROB_SCALE) {", "if (c0 < 0 || c0 >= c1 || c1 > PROB_SCALE + 1) {"
+    ),
+    "c-encode-finished-check-dropped": (C, "    if (enc->finished) {", "    if (0) {"),
+    "c-cache-byte-shift": (
+        C, "enc->cache = (unsigned)(low >> 24) & 0xFF;", "enc->cache = (unsigned)(low >> 16) & 0xFF;"
+    ),
+    "c-flush-one-byte-short": (C, "for (int i = 0; i < FLUSH_BYTES; i++)", "for (int i = 0; i < FLUSH_BYTES - 1; i++)"),
+    "c-decoder-reads-four-bytes": (C, "for (int i = 0; i < 5; i++) {", "for (int i = 0; i < 4; i++) {"),
+    "c-target-clamp-off-by-one": (C, "if (target >= PROB_SCALE) /*", "if (target > PROB_SCALE) /*"),
+    "c-search-side-left": (C, "if (cum[mid] <= target)", "if (cum[mid] < target)"),
+    "c-decode-symbol-bound-off-by-one": (C, "if (sym < 0 || sym >= n - 1) {", "if (sym < 0 || sym >= n) {"),
+    "c-decode-interval-check-dropped": (C, "    if (c0 < 0 || c1 > PROB_SCALE) {", "    if (c0 < 0) {"),
+    "c-truncation-message-changed": (
+        C, '"payload exhausted at byte %zd; stream is truncated"', '"payload exhausted at byte %zd; truncated"'
+    ),
+    # net
+    "c-empty-softmax-accepted": (C, "net->softmax_len < 1) {", "net->softmax_len < 0) {"),
+    "c-learning-rate-bound-off-by-one": (
+        C, 'get_int(args[N_ARRAYS], 1, MAX_LR + 1,', 'get_int(args[N_ARRAYS], 1, MAX_LR + 2,'
+    ),
+    "c-hidden-clamp-off-by-one": (C, "hidden[j] = clamp(pre[j], ONE);", "hidden[j] = clamp(pre[j], ONE - 1);"),
+    "c-softmax-gap-shift": (
+        C, "int64_t gap = floor_shift(top - logits[s], 8);", "int64_t gap = floor_shift(top - logits[s], 7);"
+    ),
+    "c-floor-shift-truncates": (C, "return x >= 0 ? x >> s : ~(~x >> s);", "return x >= 0 ? x >> s : -(-x >> s);"),
+    "c-saturation-mask-flipped": (
+        C, "dpre[j] = hidden[j] == pre[j] ? floor_shift(acc, 16) : 0;",
+        "dpre[j] = hidden[j] != pre[j] ? floor_shift(acc, 16) : 0;",
+    ),
+    "c-w2-clamp-removed": (
+        C, "row[s] = clamp(row[s] - floor_shift(hl * dlog[s], shift2), WEIGHT_CLIP);",
+        "row[s] = row[s] - floor_shift(hl * dlog[s], shift2);",
+    ),
+    "c-output-shift-off-by-one": (
+        C, "const int shift2 = 32 + net->width_shift;", "const int shift2 = 31 + net->width_shift;"
+    ),
+    "c-b1-step-sign-flipped": (
+        C, "net->b1[j] = clamp(net->b1[j] - dpre[j], WEIGHT_CLIP);",
+        "net->b1[j] = clamp(net->b1[j] + dpre[j], WEIGHT_CLIP);",
+    ),
+    # freq
+    "c-freq-order-bound-off-by-one": (
+        C, 'get_int(args[0], 0, MAX_ORDER + 1, "freq order', 'get_int(args[0], 0, MAX_ORDER + 2, "freq order'
+    ),
+    "c-freq-row-length-check-loosened": (C, "if (n != ALPHABET) {", "if (n < ALPHABET) {"),
+    "c-halving-threshold-off-by-one": (C, "if (c >= COUNT_LIMIT) {", "if (c > COUNT_LIMIT) {"),
+    "c-halving-floor-removed": (C, "counts[s] = half ? half : 1;", "counts[s] = half;"),
+    "c-context-grows-past-order": (
+        C, "(key_len(f->ctx) < (uint32_t)f->order);", "(key_len(f->ctx) <= (uint32_t)f->order);"
+    ),
+    "c-sort-key-unaligned": (
+        C, "return (key & 0xFFFFFF) << 8 * (MAX_ORDER - n) << 8 | n;", "return (key & 0xFFFFFF) << 8 | n;"
+    ),
+    "c-state-high-byte-dropped": (C, "p[1] = (unsigned char)(counts[s] >> 8);", "p[1] = 0;"),
+    # the twin
+    "np-ndim-check-loosened": (NP, "    elif a.ndim != 1:", "    elif a.ndim > 1:"),
+    "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),
+    "np-zero-total-check-dropped": (NP, "    if bits < 0 or total == 0:", "    if bits < 0:"),
+    "np-alphabet-bound-off-by-one": (NP, "    if not 2 <= m <= PROB_SCALE:", "    if not 1 <= m <= PROB_SCALE:"),
+    "np-ties-to-higher-index": (
+        NP, "key += np.arange(m - 1, -1, -1, dtype=np.int64)", "key += np.arange(m, dtype=np.int64)"
+    ),
+    "np-cache-byte-mask": (NP, "enc.cache = (low >> 24) & 0xFF", "enc.cache = (low >> 24) & 0x7F"),
+    "np-target-clamp-off-by-one": (NP, "        target = PROB_SCALE - 1", "        target = PROB_SCALE"),
+    "np-search-side-left": (NP, 'cum.searchsorted(target, "right")', 'cum.searchsorted(target, "left")'),
+    "np-learning-rate-bound-off-by-one": (NP, "if not 1 <= lr <= MAX_LR:", "if not 1 <= lr < MAX_LR:"),
+    "np-saturation-mask-flipped": (NP, "dpre *= hidden == pre", "dpre *= hidden != pre"),
+    "np-softmax-wraps": (
+        NP, 'n.softmax.take(gap, out=n.weights, mode="clip")', 'n.softmax.take(gap, out=n.weights, mode="wrap")'
+    ),
+    "np-halving-threshold-off-by-one": (NP, "if counts[token] >= COUNT_LIMIT:", "if counts[token] > COUNT_LIMIT:"),
+    "np-state-unsorted": (NP, "for key in sorted(f.counts):", "for key in f.counts:"),
+    "np-freq-row-length-check-loosened": (NP, "if row.size != ALPHABET:", "if row.size < ALPHABET:"),
+    "np-weights-message-changed": (
+        NP, '_BAD_WEIGHTS = "weights must be nonnegative with one positive"',
+        '_BAD_WEIGHTS = "weights must be non-negative with one positive"',
+    ),
+}
+
+
+def apply(src: Path, name: str) -> None:
+    """Write mutant name into the copy of the package under src."""
+    file, old, new = MUTANTS[name]
+    path = src / "kolmozip" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times in {file}")
+    path.write_text(text.replace(old, new))
+
+
+def run(name: str) -> str:
+    """killed, survived or unbuilt: the suite's verdict on mutant name."""
+    with tempfile.TemporaryDirectory(prefix="kolmozip-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(REPO / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        apply(work / "src", name)
+        env = dict(
+            os.environ, PYTHONPATH=str(work / "src"), XDG_CACHE_HOME=str(work / "cache"),
+            HYPOTHESIS_STORAGE_DIRECTORY=str(work / "hypothesis"),
+        )
+        if name.startswith("c-"):  # a C mutant that does not compile tests nothing
+            build = [sys.executable, "-c", "from kolmozip import kernel; raise SystemExit(not kernel.build_and_load())"]
+            if subprocess.run(build, env=env, cwd=work, capture_output=True).returncode:
+                return "unbuilt"
+        suite = [sys.executable, "-m", "pytest", str(SUITE), "-x", "-q"]
+        suite += ["-p", "no:cacheprovider", "--hypothesis-seed=0"]
+        try:
+            done = subprocess.run(suite, env=env, cwd=work, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+        return "killed" if done.returncode else "survived"
+
+
+def main(names: list[str]) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {' '.join(unknown)}")
+    killed = []
+    for name in names or MUTANTS:
+        start = time.monotonic()
+        verdict = run(name)
+        print(f"{verdict:9} {time.monotonic() - start:6.1f} s  {name}", flush=True)
+        killed += [name] if verdict == "killed" else []
+    print(json.dumps(sorted(killed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,4 @@
-"""CLI surface: exit codes, JSONL reports, atomic output files."""
+"""CLI surface: exit codes, JSONL reports, atomic output files, "-" and special files."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,73 @@ def test_kc_joint_report_fields(capsys):
     assert code == 0
     rec = records[0]
     assert rec["pair_bits"] == 12 and rec["decomposed_bits"] == 10 and rec["gap"] == 2
+
+
+def _reader(fifo: Path) -> tuple[threading.Thread, list[bytes]]:
+    """A thread reading fifo to its end, and the list it leaves the bytes in."""
+    got: list[bytes] = []
+    thread = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    thread.start()
+    return thread, got
+
+
+def test_special_outputs_are_written_through_or_refused(tmp_path, sample, capsys):
+    art = tmp_path / "s.kz"
+    assert run(capsys, "compress", str(sample), str(art), "--model", "freq:1")[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    thread, got = _reader(fifo)
+    code = run(capsys, "compress", str(sample), str(fifo), "--model", "freq:1")[0]
+    thread.join(timeout=30)
+    assert code == 0 and stat.S_ISFIFO(fifo.stat().st_mode) and got == [art.read_bytes()]
+    # a directory is refused, named as it was given, and left empty
+    directory = tmp_path / "d"
+    directory.mkdir()
+    code, _, err = run(capsys, "compress", str(sample), str(directory), "--model", "freq:1")
+    assert code == 1 and f"Is a directory: '{directory}'" in err and list(directory.iterdir()) == []
+
+
+def test_a_symlink_output_replaces_its_target(tmp_path, sample, capsys):
+    art, target, link = tmp_path / "s.kz", tmp_path / "real.kz", tmp_path / "link.kz"
+    assert run(capsys, "compress", str(sample), str(art), "--model", "freq:1")[0] == 0
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert run(capsys, "compress", str(sample), str(link), "--model", "freq:1")[0] == 0
+    assert link.is_symlink() and target.read_bytes() == art.read_bytes()
+
+
+def test_an_input_that_is_the_output_is_refused_before_writing(tmp_path, sample, capsys):
+    before = sample.read_bytes()
+    code, records, err = run(capsys, "compress", str(sample), str(sample), "--model", "freq:1")
+    assert code == 1 and records == [] and "same file" in err
+    target = tmp_path / "t.bin"
+    target.write_bytes(b"abc" * 50)
+    code, _, err = run(capsys, "ccompress", str(target), str(sample), "--context", str(sample), "--model", "freq:1")
+    assert code == 1 and "same file" in err
+    assert sample.read_bytes() == before
+
+
+def test_a_bad_seed_is_reported_as_the_seed(tmp_path, sample, capsys):
+    out = tmp_path / "o.kz"
+    code, _, err = run(capsys, "compress", str(sample), str(out), "--model", "uniform", "--seed", "-1")
+    assert code == 1 and "seed must fit in 64 bits" in err and "model spec" not in err
+    assert not out.exists()
+
+
+def test_dash_reads_stdin_and_writes_stdout(tmp_path, sample, capsys):
+    art = tmp_path / "s.kz"
+    _, records, _ = run(capsys, "compress", str(sample), str(art), "--model", "freq:1")
+    env = dict(os.environ, PYTHONPATH=str(Path(kolmozip.__file__).parents[1]))
+
+    def cli(*argv: str, data: bytes) -> subprocess.CompletedProcess:
+        argv = [sys.executable, "-m", "kolmozip.cli", *argv]
+        return subprocess.run(argv, input=data, env=env, capture_output=True, timeout=120)
+
+    done = cli("compress", "-", "-", "--model", "freq:1", data=sample.read_bytes())
+    assert done.returncode == 0 and done.stdout == art.read_bytes()
+    # the report goes to stderr, unchanged, ahead of the summary
+    assert json.loads(done.stderr.splitlines()[0]) == records[0]
+    done = cli("decompress", "-", "-", data=art.read_bytes())
+    assert done.returncode == 0 and done.stdout == sample.read_bytes()
+    done = cli("decompress", "-", str(tmp_path / "out"), "--context", "-", data=art.read_bytes())
+    assert done.returncode == 1 and b"stdin" in done.stderr and not (tmp_path / "out").exists()

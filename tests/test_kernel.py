@@ -1,11 +1,24 @@
 """The C step kernel against its numpy twin, and the kernel build.
 
 Every function of the extension must reproduce its twin in
-``_kernel_numpy`` bit for bit: the same cumulative tables, the same decoded
-symbols, the same neural weights after every step, the same artifacts.  Both
-must export the same functions and reject the same input before touching
-state.  The build must be safe to run concurrently and must degrade to the
-twin when no compiler is there or the compiler fails.
+``_kernel_numpy`` bit for bit, through one differential harness.
+``Twins.call`` makes each call on the fast module, then on the twin, and
+compares the outcome (the result, or the error's type and message; only the
+type of a TypeError, which the interpreter words) and every state made so
+far: an encoder's registers (its payload when finished), a decoder's
+cursor, a count table's ``freq_state``, context and row, a net's arrays and
+context, and the call's array arguments.  A ValueError or TypeError must
+leave all of them as they were.  ``StepMachine``, a Hypothesis rule-based
+state machine, drives random sessions through it: encoders, decoders over
+payloads, their cuts and any bytes, count tables and nets (small k and w,
+and the extremes k = 8 and w = 256), with valid and invalid tokens, rows
+written over a net's forward pass, and any array argument in a form that
+breaks the array contract or through a buffer wrapper (``FORMS``).  It runs
+against ``kernel.load()``, the clone-free build and each clone this CPU can
+run.  Explicit cases (the hardest rows, guards and streams) go through the
+same calls.  Both modules must also export the same functions, take the
+same arguments and spell the same messages, and the build must be safe to
+run concurrently and degrade to the twin when there is no working compiler.
 """
 
 from __future__ import annotations
@@ -30,20 +43,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule, run_state_machine_as_test
 
 from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
-from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
-from kolmozip.predictors import _SOFTMAX_TABLE, ONE, FreqPredictor, NeuralPredictor, PredictorConfig, make_predictor
+from kolmozip.predictors import _SOFTMAX_TABLE, ALPHABET, ONE, FreqPredictor, NeuralPredictor, PredictorConfig
+from kolmozip.predictors import make_predictor
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
 from conftest import pseudo_text
 from test_coder import oracle_largest_remainder, twin_quantize
-from test_predictors import final_layer_gradient
 
 needs_kernel = pytest.mark.skipif(
     kernel.load() is _kernel_numpy, reason="the C extension did not build here"
@@ -179,18 +192,352 @@ def test_extension_and_twin_spell_the_same_messages():
     assert [p for p in parts if not any(p in c for c in literals)] == []
 
 
-# --- quantize ----------------------------------------------------------------
+# --- the harness -------------------------------------------------------------
 
 
-@needs_kernel
-@pytest.mark.parametrize("dtype", [np.int64, np.int32])  # quantize_weights copies int32 rows to int64
-def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
-    rng = Lcg64(5)
-    for m in (2, 3, 255, 256, 257, 4096):
-        for _ in range(20):
-            # mostly small counts with a few large ones, as a count row looks
-            row = np.array([1 + rng.below(4) ** rng.below(12) for _ in range(m)], dtype=dtype)
-            assert np.array_equal(quantize_weights(row), twin_quantize(row)), (m, row)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# ways to pass an array argument: each breaker of the array contract with
+# the reason get_array and _check give (None: a length the function itself
+# rejects), then the buffer wrappers, which view the array and write through
+# (ctypes as format '<q' on little-endian), and a list, which has no buffer
+BREAKERS = {
+    "int32": "must be int64", "uint64": "must be int64", "float64": "must be int64", ">i8": "must be int64",
+    "2-d": "must be one-dimensional", "0-d": "must be one-dimensional", "strided": "must be C-contiguous",
+    "empty": None, "read-only": "must be writable",
+}
+FORMS = {
+    **{dtype: lambda a, dtype=dtype: a.astype(dtype) for dtype in ("int32", "uint64", "float64", ">i8")},
+    "2-d": lambda a: a.reshape(1, -1).copy(),
+    "0-d": lambda a: np.full((), a[0] if a.size else 0, dtype=a.dtype),
+    "strided": lambda a: np.repeat(a, 2)[::2],
+    "empty": lambda a: a[:0].copy(),
+    "read-only": _read_only,
+    "memoryview": memoryview,
+    "ctypes": lambda a: (ctypes.c_int64 * a.size).from_buffer(a),
+    "list": np.ndarray.tolist,
+}
+MAKERS = ("encoder", "decoder", "net", "freq")  # the functions that make a state
+
+
+def _same(a, b) -> bool:
+    """Whether two views (arrays, bytes and numbers, nested in tuples and
+    lists) hold the same values; arrays are compared in place, uncopied."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return isinstance(b, (tuple, list)) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class Side:
+    """One step module and the states made on it, each (kind, state, arrays)."""
+
+    def __init__(self, module):
+        self.module, self.states = module, []
+
+    def view(self, handle: int) -> tuple:
+        """What is compared of a state: an encoder's registers, a decoder's
+        cursor, a net's context and arrays, a count table's freq_state,
+        context and row."""
+        kind, state, arrays = self.states[handle]
+        if kind == "encoder":
+            return state.low, state.range
+        if kind == "decoder":
+            return (state.cursor,)
+        held = (state.context, *arrays)
+        return (self.module.freq_state(state), *held) if kind == "freq" else held
+
+    def views(self) -> list:
+        return [self.view(h) for h in range(len(self.states))]
+
+    def call(self, fn, args: list) -> tuple:
+        """fn on args: the result, or the error's type and message (only the
+        type of a TypeError, which the interpreter words), and whether the
+        error is one that must leave every state as it was."""
+        try:
+            return (getattr(self.module, fn)(*args) if isinstance(fn, str) else fn(self.module, *args)), False
+        except Exception as exc:
+            outcome = type(exc), None if isinstance(exc, TypeError) else str(exc)
+            return outcome, isinstance(exc, (ValueError, TypeError))
+
+
+class Twins:
+    """The same calls on a fast step module and on the twin, compared."""
+
+    def __init__(self, fast):
+        self.sides = (Side(fast), Side(_kernel_numpy))
+        self.last = None  # the fast side's outcome and array arguments in the last call
+
+    def call(self, fn, args_for, form=None):
+        """fn(*args_for(side)) on each side, the fast one first: fn names a
+        step function, or is a function of the module and those arguments.
+        form = (position, name) passes that argument through FORMS[name].
+        Returns the outcome: the result (a new state's handle), or the
+        error.  Both sides must agree on it, on every state and on every
+        array argument afterwards, and a ValueError or TypeError must leave
+        them as they were: as the twin, not yet called, still has them."""
+        name = fn if isinstance(fn, str) else fn.__name__
+        (fast, fast_args, fast_arrays), (twin, twin_args, twin_arrays) = calls = [
+            (side, *self._arguments(side, args_for, form)) for side in self.sides
+        ]
+        out, rejected = fast.call(fn, fast_args)
+        untouched = not rejected or _same((fast.views(), fast_arrays), (twin.views(), twin_arrays))
+        assert untouched, f"{name} raised {out} after changing state"
+        twin_out, _ = twin.call(fn, twin_args)
+        if fn in MAKERS and not isinstance(out, tuple) and not isinstance(twin_out, tuple):
+            for (side, _, arrays), state in zip(calls, (out, twin_out)):
+                side.states.append((fn, state, arrays))
+            out = twin_out = len(fast.states) - 1
+        assert out == twin_out, f"{name}: {out!r:.300} against the twin's {twin_out!r:.300}"
+        differ = [h for h, (a, b) in enumerate(zip(fast.views(), twin.views())) if not _same(a, b)]
+        assert not differ, f"{name}: states {differ} differ from the twin's"
+        assert _same(fast_arrays, twin_arrays), f"{name}: its array arguments differ from the twin's"
+        self.last = out, fast_arrays
+        return out
+
+    @staticmethod
+    def _arguments(side, args_for, form) -> tuple[list, list]:
+        """The arguments for side, one passed in a form if asked, and every
+        array among them (the one in the form too, if it is an array)."""
+        args = args_for(side)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        if form:
+            args[form[0]] = FORMS[form[1]](args[form[0]])
+            arrays += [args[form[0]]] if isinstance(args[form[0]], np.ndarray) else []
+        return args, arrays
+
+    def snapshot(self) -> tuple:
+        """The fast side's last outcome, states and array arguments, as bytes."""
+        out, arrays = self.last
+        views = [[v.tobytes() if isinstance(v, np.ndarray) else v for v in view] for view in self.sides[0].views()]
+        return out, views, [a.tobytes() for a in arrays]
+
+    def state(self, handle: int):
+        """The fast side's state object."""
+        return self.sides[0].states[handle][1]
+
+    def quantize(self, row, form=None):
+        row = np.asarray(row)
+        return self.call("quantize", lambda s: [row.copy(), np.full(row.size + 1, -7, dtype=np.int64)], form)
+
+    def encoder(self):
+        return self.call("encoder", lambda s: [])
+
+    def encode(self, enc: int, cum, sym: int, form=None):
+        return self.call("encode", lambda s: [s.states[enc][1], np.array(cum, dtype=np.int64), sym], form)
+
+    def finish(self, enc: int):
+        return self.call("finish", lambda s: [s.states[enc][1]])
+
+    def decoder(self, payload):
+        return self.call("decoder", lambda s: [payload])
+
+    def decode(self, dec: int, cum, form=None):
+        return self.call("decode", lambda s: [s.states[dec][1], np.array(cum, dtype=np.int64)], form)
+
+    def net(self, k=2, w=8, seed=0, lr=ONE, softmax=_SOFTMAX_TABLE.size, off=None, form=None):
+        """A net of context k and width w, its parameters drawn from seed,
+        each array up to a bound from 0.5 to the clip, 8.0; off = (i, d)
+        makes array i (emb, b1, w2, b2, softmax, buf) d longer."""
+
+        def arrays(side) -> list:
+            gen = np.random.default_rng(seed)
+            sizes = (k * ALPHABET * w, w, w * ALPHABET, ALPHABET)
+            bounds = [_kernel_numpy.WEIGHT_CLIP >> int(gen.integers(0, 5)) for _ in sizes]
+            made = [gen.integers(-bound, bound + 1, n) for n, bound in zip(sizes, bounds)]
+            made += [_SOFTMAX_TABLE[:softmax].copy(), np.zeros(2 * w + ALPHABET, dtype=np.int64)]
+            if off:
+                made[off[0]] = np.resize(made[off[0]], max(0, made[off[0]].size + off[1]))
+            return [*made, lr]
+
+        return self.call("net", arrays, form)
+
+    def net_step(self, net: int, token: int):
+        return self.call("net_step", lambda s: [s.states[net][1], token])
+
+    def plant(self, net: int, row) -> None:
+        """Write row over a net's forward pass: the weights net_step trains on."""
+        for side in self.sides:
+            buf = side.states[net][2][5]
+            buf[buf.size - ALPHABET :] = row
+
+    def freq(self, order=2, size=ALPHABET, form=None):
+        return self.call("freq", lambda s: [order, np.full(size, -7, dtype=np.int64)], form)
+
+    def freq_step(self, f: int, token: int):
+        return self.call("freq_step", lambda s: [s.states[f][1], token])
+
+    def freq_run(self, f: int, data: bytes):
+        return self.call(_freq_run, lambda s: [s.states[f][1], s.states[f][2][0], data])
+
+
+def _freq_run(module, f, row: np.ndarray, data: bytes) -> bytes:
+    """freq_step on each byte of data, and a running fold of the row after
+    every step, so that a row that differs at any step shows."""
+    fold = np.zeros(ALPHABET, dtype=np.int64)
+    for tok in data:
+        module.freq_step(f, tok)
+        fold *= 1_000_003  # wraps, as int64 does
+        fold += row
+    return fold.tobytes()
+
+
+@st.composite
+def _weight_rows(draw, m: int | None = None) -> np.ndarray:
+    """Rows on either scratch path, of any magnitude up to past the total
+    limit; drawn from a few values (many ties), spread, or with a negative."""
+    m = m or draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 257, 4096, PROB_SCALE])))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = 1 << draw(st.integers(0, 47))
+    if draw(st.booleans()):
+        row = gen.choice(gen.integers(0, high, draw(st.integers(1, 4))), m)
+    else:
+        row = gen.integers(0, high, m)
+    if draw(st.integers(0, 9)) == 0:
+        row[gen.integers(m)] = -draw(st.integers(1, 1 << 46))
+    return row
+
+
+@st.composite
+def _tables(draw) -> np.ndarray:
+    """A table for any alphabet, quantized from weights of random magnitude
+    (zeros included), or a broken one: two entries swapped, every entry
+    shifted, or one entry overwritten."""
+    m = draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 4096, PROB_SCALE])))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
+    weights[gen.integers(m)] += 1
+    cum = twin_quantize(weights)
+    i, j = gen.integers(0, m + 1, 2)
+    broken = draw(st.sampled_from([None, None, "swap", "shift", "poke"]))
+    if broken == "swap":
+        cum[[i, j]] = cum[[j, i]]
+    elif broken == "shift":
+        cum += int(gen.integers(-PROB_SCALE, PROB_SCALE + 1))
+    elif broken == "poke":
+        cum[i] = gen.integers(-2 * PROB_SCALE, 2 * PROB_SCALE + 1)
+    return cum
+
+
+def _forms(*positions: int):
+    """A valid call, or one array argument passed in one of FORMS."""
+    return st.none() | st.tuples(st.sampled_from(positions), st.sampled_from(list(FORMS)))
+
+
+_TOKENS = st.integers(0, ALPHABET - 1) | st.sampled_from([ALPHABET, -1, 1 << 70, -(1 << 70)])
+
+
+def _made(handle):
+    """A new state's handle for its bundle, or nothing where the call failed."""
+    return handle if isinstance(handle, int) else multiple()
+
+
+class StepMachine(RuleBasedStateMachine):
+    """Random sessions of step calls, each made on both sides by Twins."""
+
+    fast = _kernel_numpy  # the module held to the twin, set by run_machine
+
+    encoders = Bundle("encoders")
+    payloads = Bundle("payloads")
+    decoders = Bundle("decoders")
+    nets = Bundle("nets")
+    freqs = Bundle("freqs")
+
+    def __init__(self):
+        super().__init__()
+        self.twins = Twins(self.fast)
+
+    @rule(row=_weight_rows(), form=_forms(0, 1))
+    def quantize(self, row, form):
+        self.twins.quantize(row, form)
+
+    @rule(target=encoders)
+    def encoder(self):
+        return self.twins.encoder()
+
+    # a symbol of the table, one past it, or outside int64
+    @rule(enc=encoders, cum=_tables(), sym=st.integers(0, PROB_SCALE) | st.sampled_from([-1, 1 << 70]), form=_forms(1))
+    def encode(self, enc, cum, sym, form):
+        self.twins.encode(enc, cum, sym % cum.size if 0 <= sym <= PROB_SCALE else sym, form)
+
+    @rule(target=payloads, enc=encoders)
+    def finish(self, enc):
+        return self.twins.finish(enc)
+
+    # a finished payload, any bytes, or all 0xFF after the phantom byte: the
+    # target a corrupted payload is clamped to
+    @rule(
+        target=decoders,
+        payload=payloads | st.binary(max_size=40) | st.integers(0, 40).map(lambda k: b"\0" + b"\xff" * k),
+        cut=st.integers(0, 6),
+    )
+    def decoder(self, payload, cut):
+        return _made(self.twins.decoder(payload[: max(0, len(payload) - cut)]))
+
+    @rule(dec=decoders, cum=_tables(), form=_forms(1))
+    def decode(self, dec, cum, form):
+        self.twins.decode(dec, cum, form)
+
+    @rule(
+        target=nets,
+        shape=st.sampled_from([(1, 1), (1, 8), (2, 3), (3, 16), (8, 2), (2, 256)]),  # (k, w)
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.sampled_from([1, ONE, 1 << 20, 0, (1 << 20) + 1, -(1 << 70)]) | st.integers(1, 1 << 20),
+        softmax=st.sampled_from([_SOFTMAX_TABLE.size, 1, 2, 300, 0]),
+        off=st.none() | st.tuples(st.integers(0, 5), st.sampled_from([-1, 1])),
+        form=_forms(0, 1, 2, 3, 4, 5),
+    )
+    def net(self, shape, **arguments):
+        return _made(self.twins.net(*shape, **arguments))
+
+    @rule(net=nets, tokens=st.lists(_TOKENS, min_size=1, max_size=40))
+    def net_step(self, net, tokens):
+        for token in tokens:
+            self.twins.net_step(net, token)
+
+    @rule(net=nets, row=_weight_rows(ALPHABET))
+    def plant(self, net, row):
+        self.twins.plant(net, row)
+
+    @rule(
+        target=freqs,
+        order=st.integers(-1, 4) | st.just(1 << 70),
+        size=st.sampled_from([ALPHABET, ALPHABET, 0, 255, 257]),
+        form=_forms(1),
+    )
+    def freq(self, order, size, form):
+        return _made(self.twins.freq(order, size, form))
+
+    @rule(f=freqs, tokens=st.lists(_TOKENS, min_size=1, max_size=100))
+    def freq_step(self, f, tokens):
+        for token in tokens:
+            self.twins.freq_step(f, token)
+
+    def teardown(self):
+        # every encoder's payload, where no failure has left the sides apart
+        fast, twin = (side.states for side in self.twins.sides)
+        if len(fast) == len(twin):
+            for handle, (kind, _, _) in enumerate(fast):
+                if kind == "encoder":
+                    self.twins.finish(handle)
+
+
+def run_machine(module, examples: int) -> None:
+    """StepMachine holding module to the twin over examples random sessions."""
+    machine = type("StepMachine", (StepMachine,), {"fast": module})
+    options = settings(
+        max_examples=examples, stateful_step_count=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    run_state_machine_as_test(machine, settings=options)
+
+
+# --- explicit cases: quantize ----------------------------------------------------
 
 
 def _near_multiples(m: int, copies: int, total: int, q: int, below: int) -> np.ndarray:
@@ -234,6 +581,7 @@ HARD_ROWS = {
     "all equal, m=255": _spread(255, 255 << 37),
     "all equal, m=257": _spread(257, 257 * 7),
     "all equal, m=1000": _spread(1000, _BIG - _BIG % 1000),
+    "all equal, m=2, a quotient the reciprocal puts one under": _spread(2, 2 * 21799),
     "no leftover, m=256": _spread(256, 256),
     "no leftover, m=4": _spread(4, 1 << 45),
     "no leftover, m=2^15": _spread(1 << 15, 1 << 15),
@@ -251,47 +599,21 @@ HARD_ROWS = {
 }
 
 
-def _table_or_error(module, row: np.ndarray) -> bytes | tuple[type, str]:
-    """module's table for row, or the type and message of the error it raises."""
-    cum = np.empty(row.size + 1, dtype=np.int64)
-    try:
-        module.quantize(row, cum)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return cum.tobytes()
-
-
-def assert_quantize_matches_twin(module, row: np.ndarray) -> None:
-    assert _table_or_error(module, row) == _table_or_error(_kernel_numpy, row)
-
-
 @needs_kernel
 @pytest.mark.parametrize("name", list(HARD_ROWS))
 def test_quantize_kernel_matches_numpy_on_hard_rows(name):
-    assert_quantize_matches_twin(kernel.load(), HARD_ROWS[name])
-
-
-@st.composite
-def _weight_rows(draw) -> np.ndarray:
-    """Rows on either scratch path, of any magnitude up to past the total
-    limit; drawn from a few values (many ties), spread, or with a negative."""
-    m = draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 257, 4096, PROB_SCALE])))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    high = 1 << draw(st.integers(0, 47))
-    if draw(st.booleans()):
-        row = gen.choice(gen.integers(0, high, draw(st.integers(1, 4))), m)
-    else:
-        row = gen.integers(0, high, m)
-    if draw(st.integers(0, 9)) == 0:
-        row[gen.integers(m)] = -draw(st.integers(1, 1 << 46))
-    return row
+    Twins(kernel.load()).quantize(HARD_ROWS[name])
 
 
 @needs_kernel
-@given(row=_weight_rows())
-@settings(max_examples=300, deadline=None)
-def test_quantize_kernel_matches_numpy_on_any_row(row):
-    assert_quantize_matches_twin(kernel.load(), row)
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])  # quantize_weights copies int32 rows to int64
+def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
+    rng = Lcg64(5)
+    for m in (2, 3, 255, 256, 257, 4096):
+        for _ in range(20):
+            # mostly small counts with a few large ones, as a count row looks
+            row = np.array([1 + rng.below(4) ** rng.below(12) for _ in range(m)], dtype=dtype)
+            assert np.array_equal(quantize_weights(row), twin_quantize(row)), (m, row)
 
 
 @pytest.mark.parametrize("path", ["public", "numpy"])
@@ -359,9 +681,11 @@ SHAPE_CASES = {
 def test_quantize_rejects_arrays_that_are_not_one_dimensional(name, step):
     weights, cum = SHAPE_CASES[name]
     want = "cum" if weights.ndim == 1 else "weights"
-    with pytest.raises(ValueError, match=f"^{want} must be one-dimensional$"):
-        step.quantize(weights, cum)
-    assert not cum.any()  # nothing written
+    outcome = Twins(step).call("quantize", lambda s: [weights.copy(), cum.copy()])
+    assert outcome == (ValueError, f"{want} must be one-dimensional")
+
+
+# --- explicit cases: every array argument in every form ------------------------------
 
 
 def _payload_at(target: int) -> bytes:
@@ -372,74 +696,15 @@ def _payload_at(target: int) -> bytes:
 
 _ROW = np.arange(1, 257, dtype=np.int64)
 _TABLE = twin_quantize(_ROW)
-_NET_SIZES = (4096, 8, 2048, 256, 16, 272)  # emb, b1, w2, b2, softmax, buf for k = 2, w = 8
 
-
-def test_kernel_checks_the_arrays_it_is_given():
-    row, table = _ROW, _TABLE
-    cum = np.empty(257, dtype=np.int64)
-    for ext in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
-        enc, dec = ext.encoder(), ext.decoder(_payload_at(0))
-        bad_calls = [
-            (ext.encode, enc, table, 1 << 70),  # symbols past int64
-            (ext.encode, enc, table, -(1 << 70)),
-            (ext.decode, dec, np.zeros(1, dtype=np.int64)),  # no symbol at all
-            (ext.decode, dec, table + 1),  # the target (0) below the table
-            (ext.decode, ext.decoder(_payload_at(PROB_SCALE - 1)), table[:-1]),  # past it
-            (ext.decode, dec, np.array([-1, 1, PROB_SCALE])),  # an interval outside [0, 2^16]
-            (ext.decode, ext.decoder(_payload_at(9)), np.array([0, 5, 1 << 17])),
-        ]
-        for fn, *args in bad_calls:
-            with pytest.raises(ValueError):
-                fn(*args)
-        ext.quantize(row, cum)
-        assert np.array_equal(cum, twin_quantize(row))
-        # the rejected calls left both coders as they were
-        assert dec.cursor == 5 and ext.decode(dec, table) == 0
-        ext.encode(enc, table, 5)
-        assert ext.finish(enc) == _coded(_kernel_numpy, [table], [5])
-
-
-def _valid_arguments(module, fn: str) -> list:
-    """Arguments that fn of module accepts, the arrays fresh."""
-    return {
-        "quantize": lambda: [_ROW.copy(), np.full(257, -7, dtype=np.int64)],
-        "encode": lambda: [module.encoder(), _TABLE.copy(), 5],
-        "decode": lambda: [module.decoder(_payload_at(30_000)), _TABLE.copy()],
-        "net": lambda: [np.full(size, 7, dtype=np.int64) for size in _NET_SIZES] + [ONE],
-        "freq": lambda: [2, np.full(256, -7, dtype=np.int64)],
-    }[fn]()
-
-
-def _session_after(module, fn: str, args: list):
-    """What the rest of a coding session makes of the state in args, so a
-    state that a rejected call touched shows; None for a function without one."""
-    if fn == "encode":
-        module.encode(args[0], _TABLE, 5)
-        return module.finish(args[0])
-    if fn == "decode":
-        return args[0].cursor, module.decode(args[0], _TABLE), args[0].cursor
-    return None
-
-
-def _contract_breakers(good: np.ndarray, written: bool) -> dict[str, tuple[np.ndarray, str | None]]:
-    """Copies of the vector good that break the array contract one way
-    each, with the reason get_array and _check give (None: a length the
-    function itself rejects)."""
-    breakers = {
-        dtype: (good.astype(dtype), "must be int64") for dtype in ("int32", "uint64", "float64", ">i8")
-    }
-    breakers["2-d"] = good.reshape(1, -1).copy(), "must be one-dimensional"
-    breakers["0-d"] = good[:1].reshape(()).copy(), "must be one-dimensional"
-    breakers["strided"] = np.repeat(good, 2)[::2], "must be C-contiguous"
-    breakers["empty"] = good[:0].copy(), None
-    if written:
-        read_only = good.copy()
-        read_only.flags.writeable = False
-        breakers["read-only"] = read_only, "must be writable"
-    return breakers
-
-
+# a valid call of each function, one argument passed in a form if given
+VALID_CALLS = {
+    "quantize": lambda t, form: t.quantize(_ROW, form),
+    "encode": lambda t, form: t.encode(t.encoder(), _TABLE, 5, form),
+    "decode": lambda t, form: t.decode(t.decoder(_payload_at(30_000)), _TABLE, form),
+    "net": lambda t, form: t.net(form=form),
+    "freq": lambda t, form: t.freq(form=form),
+}
 # each function's array arguments: (function, position, name, whether it is written)
 ARRAY_ARGUMENTS = [
     ("quantize", 0, "weights", False),
@@ -449,117 +714,58 @@ ARRAY_ARGUMENTS = [
     *(("net", i, name, name != "softmax") for i, name in enumerate(("emb", "b1", "w2", "b2", "softmax", "buf"))),
     ("freq", 1, "row", True),
 ]
+_ARGUMENT_IDS = [f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
 
 
-@pytest.mark.parametrize(
-    "fn, position, name, written", ARRAY_ARGUMENTS, ids=[f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
-)
+@pytest.mark.parametrize("fn, position, name, written", ARRAY_ARGUMENTS, ids=_ARGUMENT_IDS)
 def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
-    good = _valid_arguments(_kernel_numpy, fn)[position]
-    for kind, (bad, why) in _contract_breakers(good, written).items():
-        outcomes = set()
-        for module in dict.fromkeys(STEP_MODULES.values()):  # the twin once where nothing built
-            args = _valid_arguments(module, fn)
-            args[position] = bad
-            before = [a.copy() for a in args if isinstance(a, np.ndarray)]
-            with pytest.raises(Exception) as caught:
-                getattr(module, fn)(*args)
-            after = [a for a in args if isinstance(a, np.ndarray)]
-            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(after, before)), (kind, module)
-            assert _session_after(module, fn, args) == _session_after(module, fn, _valid_arguments(module, fn))
-            outcomes.add((type(caught.value), str(caught.value)))
-        assert len(outcomes) == 1, (kind, outcomes)
-        ((error, message),) = outcomes
-        assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
+    for kind, why in BREAKERS.items():
+        if kind != "read-only" or written:
+            error, message = VALID_CALLS[fn](Twins(kernel.load()), (position, kind))
+            assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
 
 
-def _call_outcome(module, fn: str, position: int, wrap) -> tuple:
-    """fn of module on valid arguments, the one at position passed as
-    wrap(it): the result where it is a number, and every array argument
-    afterwards."""
-    args = _valid_arguments(module, fn)
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
-    args[position] = wrap(args[position])
-    result = getattr(module, fn)(*args)
-    return (result if isinstance(result, int) else None), [a.tolist() for a in arrays]
-
-
-def _ctypes_view(a: np.ndarray):
-    return (ctypes.c_int64 * a.size).from_buffer(a)
-
-
-@pytest.mark.parametrize(
-    "fn, position, name, written", ARRAY_ARGUMENTS, ids=[f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
-)
+@pytest.mark.parametrize("fn, position, name, written", ARRAY_ARGUMENTS, ids=_ARGUMENT_IDS)
 def test_array_arguments_are_read_through_the_buffer_protocol_as_numpy(fn, position, name, written):
-    # as get_array reads them: an int64 memoryview or ctypes array (format
-    # '<q' on little-endian) is the vector it views (and written through),
-    # and an object without a buffer is a TypeError
-    want = _call_outcome(_kernel_numpy, fn, position, lambda a: a)
-    for module in dict.fromkeys(STEP_MODULES.values()):
-        assert _call_outcome(module, fn, position, memoryview) == want, module
-        assert _call_outcome(module, fn, position, _ctypes_view) == want, module
-        with pytest.raises(TypeError):
-            _call_outcome(module, fn, position, np.ndarray.tolist)
+    # a memoryview or ctypes array of an int64 vector is the vector (and is
+    # written through); a list, which has no buffer, is a TypeError
+    def outcome(form):
+        twins = Twins(kernel.load())
+        VALID_CALLS[fn](twins, form)
+        return twins.snapshot()
+
+    assert outcome((position, "memoryview")) == outcome(None) == outcome((position, "ctypes"))
+    assert outcome((position, "list"))[0] == (TypeError, None)
 
 
-# --- range coder -----------------------------------------------------------------
+# --- explicit cases: range coder ---------------------------------------------------
 
 
-def _coded(module, tables, symbols) -> bytes:
-    enc = module.encoder()
-    for cum, sym in zip(tables, symbols):
-        assert module.encode(enc, cum, sym) == cum[sym + 1] - cum[sym]
-    return module.finish(enc)
+def test_kernel_checks_the_arrays_it_is_given():
+    t = Twins(kernel.load())
+    enc, dec = t.encoder(), t.decoder(_payload_at(0))
+    rejected = [
+        t.encode(enc, _TABLE, 1 << 70),  # symbols past int64
+        t.encode(enc, _TABLE, -(1 << 70)),
+        t.decode(dec, [0]),  # no symbol at all
+        t.decode(dec, _TABLE + 1),  # the target (0) below the table
+        t.decode(t.decoder(_payload_at(PROB_SCALE - 1)), _TABLE[:-1]),  # past it
+        t.decode(dec, [-1, 1, PROB_SCALE]),  # an interval outside [0, 2^16]
+        t.decode(t.decoder(_payload_at(9)), [0, 5, 1 << 17]),
+    ]
+    assert all(error is ValueError for error, _ in rejected)
+    # the rejected calls left both coders as they were
+    assert t.state(dec).cursor == 5 and t.decode(dec, _TABLE) == 0
+    fresh = Twins(kernel.load())
+    alone = fresh.encoder()
+    fresh.encode(alone, _TABLE, 5)
+    t.encode(enc, _TABLE, 5)
+    assert t.finish(enc) == fresh.finish(alone)
+    assert t.encode(enc, _TABLE, 5) == (ValueError, "encoder already finished")
 
 
-def _decoded(module, payload: bytes, tables) -> tuple[tuple[int, ...], int | None, int]:
-    """The symbols payload decodes to under tables, the index of the symbol
-    at which it ran out (None if it did not) and the cursor at the end."""
-    symbols = []
-    try:
-        dec = module.decoder(payload)
-        for cum in tables:
-            symbols.append(module.decode(dec, cum))
-    except TruncatedStreamError as exc:
-        assert str(exc) == f"payload exhausted at byte {len(payload)}; stream is truncated"
-        return tuple(symbols), len(symbols), len(payload)
-    return tuple(symbols), None, dec.cursor
-
-
-def _decode_outcome(module, payload: bytes, cum: np.ndarray) -> int | tuple[type, str]:
-    try:
-        return module.decode(module.decoder(payload), cum)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def test_decode_searches_a_table_that_is_not_increasing_as_numpy():
-    # bisection on such a table finds a symbol that depends on the entries
-    # it probes; both step modules probe as searchsorted(side="right") does
-    assert _decode_outcome(kernel.load(), _payload_at(30_000), np.array([0, 40_000, 100, PROB_SCALE])) == 2
-    gen = np.random.default_rng(14)
-    for _ in range(2000):
-        m = int(gen.integers(2, 300))
-        cum = quantize_weights(gen.integers(1, 1000, m))
-        i, j = gen.integers(0, m + 1, 2)
-        cum[[i, j]] = cum[[j, i]]
-        payload = _payload_at(int(gen.integers(0, PROB_SCALE)))
-        outcomes = {_decode_outcome(ext, payload, cum) for ext in dict.fromkeys(STEP_MODULES.values())}
-        assert len(outcomes) == 1, (cum, payload)
-
-
-def test_decoder_takes_only_bytes_like_payloads_as_numpy():
-    symbols = list(range(0, 256, 7))
-    tables = [_TABLE] * len(symbols)
-    payload = _coded(_kernel_numpy, tables, symbols)
-    words = np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.int64)  # its bytes, as int64
-    for module in dict.fromkeys(STEP_MODULES.values()):
-        with pytest.raises(TypeError):
-            module.decoder(list(payload))
-        with pytest.raises(ValueError):  # the payload must be one contiguous block
-            module.decoder(np.frombuffer(payload, dtype=np.uint8).repeat(2)[::2])
-        assert _decoded(module, words, tables) == (tuple(symbols), None, len(payload))
+def _first_symbols(module, payloads: list[bytes], cum: np.ndarray) -> list[int]:
+    return [module.decode(module.decoder(payload), cum) for payload in payloads]
 
 
 def test_decode_finds_the_symbol_holding_the_target():
@@ -571,63 +777,38 @@ def test_decode_finds_the_symbol_holding_the_target():
             # for wide tables), random targets, and the target a corrupted
             # payload is clamped to (2^16 - 1)
             edges = np.concatenate([cum[:-1], cum[1:-1] - 1])[:: 1 + m // 1000]
-            targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200))]
-            payloads = [*map(_payload_at, targets), b"\0" + b"\xff" * 12]
-            for payload in payloads:
-                target = int.from_bytes(payload[1:5], "big") >> 16
-                want = int(np.searchsorted(cum, target, side="right")) - 1
-                for ext in dict.fromkeys(STEP_MODULES.values()):
-                    assert ext.decode(ext.decoder(payload), cum) == want, (m, target)
+            targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200)), PROB_SCALE - 1]
+            payloads = [*map(_payload_at, targets[:-1]), b"\0" + b"\xff" * 12]
+            want = [int(np.searchsorted(cum, target, side="right")) - 1 for target in targets]
+            assert Twins(kernel.load()).call(_first_symbols, lambda s: [payloads, cum.copy()]) == want, m
 
 
-def _tables(seed: int, alphabets: list[int]) -> list[np.ndarray]:
-    """One table per alphabet size, from weights of random magnitude, zeros
-    included."""
-    gen = np.random.default_rng(seed)
-    tables = []
-    for m in alphabets:
-        weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
-        weights[gen.integers(m)] += 1
-        tables.append(quantize_weights(weights))
-    return tables
+def test_decode_searches_a_table_that_is_not_increasing_as_numpy():
+    # bisection on such a table finds a symbol that depends on the entries
+    # it probes; both step modules probe as searchsorted(side="right") does
+    t = Twins(kernel.load())
+    assert t.decode(t.decoder(_payload_at(30_000)), [0, 40_000, 100, PROB_SCALE]) == 2
+    gen = np.random.default_rng(14)
+    for _ in range(2000):
+        m = int(gen.integers(2, 300))
+        cum = twin_quantize(gen.integers(1, 1000, m))
+        i, j = gen.integers(0, m + 1, 2)
+        cum[[i, j]] = cum[[j, i]]
+        t = Twins(kernel.load())
+        t.decode(t.decoder(_payload_at(int(gen.integers(0, PROB_SCALE)))), cum)
 
 
-_ALPHABETS = st.lists(st.integers(2, PROB_SCALE), min_size=1, max_size=3)
-
-
-@given(alphabets=_ALPHABETS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_extension_and_twin_code_the_same_bytes(alphabets, seed, n, data):
-    tables = _tables(seed, alphabets)
-    gen = np.random.default_rng(seed + 1)
-    stream = [tables[i] for i in gen.integers(0, len(tables), n)]
-    symbols = tuple(int(gen.integers(0, cum.size - 1)) for cum in stream)
-    modules = dict.fromkeys(STEP_MODULES.values())
-    payloads = {_coded(ext, stream, symbols) for ext in modules}
-    assert len(payloads) == 1
-    (payload,) = payloads
-    for ext in modules:
-        assert _decoded(ext, payload, stream) == (symbols, None, len(payload))
-    # a valid stream reads its last byte, so any cut runs out, at one symbol on both
-    cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
-    truncated = {_decoded(ext, payload[:cut], stream) for ext in modules}
-    assert len(truncated) == 1
-    ((read, ran_out, _),) = truncated
-    assert ran_out is not None and read == symbols[:ran_out]
-
-
-@given(
-    alphabets=_ALPHABETS,
-    seed=st.integers(0, 2**32 - 1),
-    # all 0xFF after the phantom byte: the clamped target 2^16 - 1
-    payload=st.one_of(st.binary(max_size=200), st.integers(0, 200).map(lambda k: b"\0" + b"\xff" * k)),
-)
-@settings(max_examples=80, deadline=None)
-def test_extension_and_twin_decode_any_payload_alike(alphabets, seed, payload):
-    tables = _tables(seed, alphabets)
-    stream = [tables[i % len(tables)] for i in range(400)]
-    results = {_decoded(ext, payload, stream) for ext in dict.fromkeys(STEP_MODULES.values())}
-    assert len(results) == 1
+def test_decoder_takes_only_bytes_like_payloads_as_numpy():
+    t = Twins(kernel.load())
+    enc, symbols = t.encoder(), list(range(0, 256, 7))
+    for sym in symbols:
+        t.encode(enc, _TABLE, sym)
+    payload = t.finish(enc)
+    assert t.decoder(list(payload)) == (TypeError, None)
+    # the payload must be one contiguous block
+    assert t.decoder(np.frombuffer(payload, dtype=np.uint8).repeat(2)[::2])[0] is ValueError
+    dec = t.decoder(np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.int64))  # its bytes, as int64
+    assert [t.decode(dec, _TABLE) for _ in symbols] == symbols and t.state(dec).cursor == len(payload)
 
 
 @pytest.mark.parametrize("module", list(STEP_MODULES))
@@ -661,13 +842,7 @@ assert enc.finish() == good.finish()
     assert done.returncode == 0, done.stderr.decode()
 
 
-# --- neural step ---------------------------------------------------------------
-
-
-def _numpy_twin(config: PredictorConfig, monkeypatch) -> NeuralPredictor:
-    with monkeypatch.context() as m:
-        pin_twin(m)
-        return NeuralPredictor(config)
+# --- explicit cases: neural step -------------------------------------------------
 
 
 NEURAL_CASES = [
@@ -678,35 +853,18 @@ NEURAL_CASES = [
 ]
 
 
-def assert_steps_match_twin(module, context, width, lr, seed, symbols, steps, monkeypatch) -> None:
-    config = PredictorConfig("neural", context=context, width=width, seed=seed, learning_rate=lr)
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "load", lambda: module)
-        fast = NeuralPredictor(config)
-    ref = _numpy_twin(config, monkeypatch)
-    assert fast._kernel is module and ref._kernel is _kernel_numpy
-    rng = Lcg64(100 + seed)
-    tok, seen = 0, bytearray()
-    for step in range(steps):
+def check_steps(t: Twins, context, width, lr, seed, symbols, steps) -> None:
+    net, rng, tok = t.net(context, width, seed, lr), Lcg64(100 + seed), 0
+    for _ in range(steps):
         # sticky stream: the net learns, saturates and gets surprised
         tok = tok if rng.below(4) else rng.below(symbols)
-        assert np.array_equal(fast.predict_weights(), ref.predict_weights()), step
-        fast.update(tok)
-        ref.update(tok)
-        seen.append(tok)
-        for name in ("emb", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(fast, name), getattr(ref, name)), (step, name)
-        assert fast._net.context == ref._net.context == seen[-context:], step
-    assert np.array_equal(final_layer_gradient(fast, 1), final_layer_gradient(ref, 1))
-    assert fast.digest() == ref.digest()
+        assert t.net_step(net, tok) is None
 
 
 @needs_kernel
 @pytest.mark.parametrize("context, width, lr, seed, symbols, steps", NEURAL_CASES)
-def test_neural_kernel_matches_numpy_step_by_step(
-    context, width, lr, seed, symbols, steps, monkeypatch
-):
-    assert_steps_match_twin(kernel.load(), context, width, lr, seed, symbols, steps, monkeypatch)
+def test_neural_kernel_matches_numpy_step_by_step(context, width, lr, seed, symbols, steps):
+    check_steps(Twins(kernel.load()), context, width, lr, seed, symbols, steps)
 
 
 def _one_short(q: int, total: int) -> np.ndarray:
@@ -717,20 +875,11 @@ def _one_short(q: int, total: int) -> np.ndarray:
     return np.concatenate([[w], _spread(255, total - w)])
 
 
-def _plant(p: NeuralPredictor, row: np.ndarray) -> None:
-    """Write row over p's forward pass: the weights that predict_weights()
-    views read-only, in the buffer pre | hidden | weights the net writes."""
-    p._weights.base[2 * p.w :] = row
-
-
-def _guarded_net(module, monkeypatch) -> NeuralPredictor:
-    config = PredictorConfig("neural", context=2, width=8, seed=6)
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "load", lambda: module)
-        p = NeuralPredictor(config)
+def _guarded_net(t: Twins) -> int:
+    net = t.net(2, 8, seed=6)
     for tok in b"guard":
-        p.update(tok)
-    return p
+        t.net_step(net, tok)
+    return net
 
 
 # forward passes written over a net's own: net_grad divides every row that
@@ -743,23 +892,17 @@ DIVISION_ROWS = {
 }
 
 
-def assert_division_matches_twin(module, row: np.ndarray | None, monkeypatch) -> None:
-    """One update on row, written as the forward pass of the extension's
-    net and of the twin's, leaves both with the same parameters."""
-    fast, ref = _guarded_net(module, monkeypatch), _guarded_net(_kernel_numpy, monkeypatch)
+def check_division(t: Twins, row: np.ndarray | None) -> None:
+    net = _guarded_net(t)
     if row is not None:
-        _plant(fast, row)
-        _plant(ref, row)
-    fast.update(7)
-    ref.update(7)
-    for name in ("emb", "b1", "w2", "b2", "_weights"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+        t.plant(net, row)
+    assert t.net_step(net, 7) is None
 
 
 @needs_kernel
 @pytest.mark.parametrize("name", list(DIVISION_ROWS))
-def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name, monkeypatch):
-    assert_division_matches_twin(kernel.load(), DIVISION_ROWS[name], monkeypatch)
+def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name):
+    check_division(Twins(kernel.load()), DIVISION_ROWS[name])
 
 
 # forward passes that quantize's rule rejects, and net_step with it
@@ -770,43 +913,32 @@ BAD_FORWARD_PASSES = {
 }
 
 
+def check_bad_forward_pass(t: Twins, row: np.ndarray) -> None:
+    net = _guarded_net(t)
+    t.plant(net, row)
+    error = t.quantize(row)  # quantize's (type, message)
+    assert error[0] is ValueError and t.net_step(net, 7) == error
+    assert t.state(net).context == b"rd"
+
+
 @pytest.mark.parametrize("name", list(BAD_FORWARD_PASSES))
-def test_net_step_rejects_the_rows_quantize_rejects_as_numpy(name, step, monkeypatch):
-    row = BAD_FORWARD_PASSES[name]
-    error = _table_or_error(_kernel_numpy, row)  # quantize's (type, message)
-    assert isinstance(error, tuple)
-    for module in dict.fromkeys((step, _kernel_numpy)):
-        p = _guarded_net(module, monkeypatch)
-        before = p.digest(), p._net.context, [a.copy() for a in (p.emb, p.b1, p.w2, p.b2)]
-        _plant(p, row)
-        with pytest.raises(ValueError) as caught:
-            p.update(7)
-        assert (type(caught.value), str(caught.value)) == error
-        assert p.digest() == before[0] and p._net.context == before[1] == b"rd"
-        assert all(np.array_equal(a, b) for a, b in zip((p.emb, p.b1, p.w2, p.b2), before[2]))
+def test_net_step_rejects_the_rows_quantize_rejects_as_numpy(name, step):
+    check_bad_forward_pass(Twins(step), BAD_FORWARD_PASSES[name])
 
 
 def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
-    p = NeuralPredictor(PredictorConfig("neural", context=2, width=8))
-    p.update(255)
-    before = p.digest()
+    t = Twins(step)
+    net = t.net()
+    t.net_step(net, 255)
     for bad in (256, -1, 1 << 70, -(1 << 70)):
-        with pytest.raises(ValueError, match=f"^token {bad} outside"):
-            p.update(bad)
-    arrays = [p.emb.reshape(-1), p.b1, p.w2.reshape(-1), p.b2, _SOFTMAX_TABLE, p._weights.base]
+        assert t.net_step(net, bad) == (ValueError, f"token {bad} outside the alphabet [0, 256)")
     # outside PredictorConfig's [1, 2^20], and past int64
     for lr in (0, -5, (1 << 20) + 1, 1 << 70, -(1 << 70)):
-        with pytest.raises(ValueError, match=f"^learning rate {lr} outside"):
-            p._kernel.net(*arrays, lr)
-    for lr in (1, 1 << 20):  # bound to copies: a bound net writes its forward pass
-        p._kernel.net(*(a.copy() for a in arrays), lr)
-    arrays[3] = p.b2[:255].copy()
-    with pytest.raises(ValueError):  # a net codes bytes: b2 needs 256 entries
-        p._kernel.net(*arrays, p.lr)
-    _plant(p, 0)  # a corrupted forward pass
-    with pytest.raises(ValueError):
-        p.update(1)
-    assert p.digest() == before
+        assert t.net(lr=lr) == (ValueError, f"learning rate {lr} outside [1, 2^20]")
+    assert all(isinstance(t.net(lr=lr), int) for lr in (1, 1 << 20))
+    assert t.net(off=(3, -1))[0] is ValueError  # a net codes bytes: b2 needs 256 entries
+    t.plant(net, 0)  # a corrupted forward pass
+    assert t.net_step(net, 1)[0] is ValueError
 
 
 # (emb, b1, w2, b2, softmax, buf) sizes for k = 2, w = 8 that do not agree
@@ -825,14 +957,8 @@ NET_SIZES = {
 
 @pytest.mark.parametrize("name", list(NET_SIZES))
 def test_net_rejects_arrays_that_disagree_as_numpy(name, step):
-    arrays = [np.zeros(size, dtype=np.int64) for size in NET_SIZES[name]]
-    errors = set()
-    for module in (step, _kernel_numpy):
-        with pytest.raises(ValueError) as caught:
-            module.net(*arrays, ONE)
-        errors.add((type(caught.value), str(caught.value)))
-    assert len(errors) == 1
-    assert next(iter(errors))[1].startswith("net arrays disagree: ")
+    error, message = Twins(step).call("net", lambda s: [*(np.zeros(n, dtype=np.int64) for n in NET_SIZES[name]), ONE])
+    assert error is ValueError and message.startswith("net arrays disagree: ")
 
 
 @needs_kernel
@@ -858,7 +984,8 @@ def test_net_state_keeps_its_arrays_alive(monkeypatch):
     gc.collect()
     assert all(r() is not None for r in held)
     ext.net_step(net, 9)  # steps arrays only the state still holds
-    twin = _numpy_twin(config, monkeypatch)
+    pin_twin(monkeypatch)
+    twin = NeuralPredictor(config)
     twin.update(9)
     want = (twin.emb, twin.b1, twin.w2, twin.b2, twin._weights.base)
     assert all(np.array_equal(r().ravel(), w.ravel()) for r, w in zip(held, want))
@@ -868,7 +995,7 @@ def test_net_state_keeps_its_arrays_alive(monkeypatch):
     assert all(r() is None for r in held)  # released with the state
 
 
-# --- freq step ---------------------------------------------------------------------
+# --- explicit cases: freq step ---------------------------------------------------
 
 
 def _freq_streams() -> dict[str, bytes]:
@@ -883,28 +1010,21 @@ def _freq_streams() -> dict[str, bytes]:
 FREQ_STREAMS = _freq_streams()
 
 
-def assert_freq_matches_twin(module, order: int, data: bytes, checkpoints: int) -> None:
-    """Step module and twin side by side: the same row before the first step
-    and after every one, and the same context and freq_state payload at
-    checkpoints spread over data and at its end."""
-    rows = [np.empty(256, dtype=np.int64) for _ in range(2)]
-    fast, ref = module.freq(order, rows[0]), _kernel_numpy.freq(order, rows[1])
-    every = max(1, len(data) // checkpoints)
-    assert np.array_equal(rows[0], rows[1])
-    for i, tok in enumerate(data, 1):
-        module.freq_step(fast, tok)
-        _kernel_numpy.freq_step(ref, tok)
-        assert np.array_equal(rows[0], rows[1]), i
-        if i % every == 0 or i == len(data):
-            assert fast.context == ref.context == data[max(0, i - order) : i]
-            assert module.freq_state(fast) == _kernel_numpy.freq_state(ref), i
+def check_freq_stream(t: Twins, order: int, data: bytes, checkpoints: int) -> None:
+    """The same row after every step, and the same context and freq_state
+    payload at checkpoints spread over data and at its end."""
+    f, every = t.freq(order), max(1, len(data) // checkpoints)
+    for start in range(0, len(data), every):
+        t.freq_run(f, data[start : start + every])
+        end = min(len(data), start + every)
+        assert t.state(f).context == data[max(0, end - order) : end]
 
 
 @needs_kernel
 @pytest.mark.parametrize("order", range(4))
 @pytest.mark.parametrize("stream", list(FREQ_STREAMS))
 def test_freq_kernel_matches_numpy_step_by_step(stream, order):
-    assert_freq_matches_twin(kernel.load(), order, FREQ_STREAMS[stream], 8)
+    check_freq_stream(Twins(kernel.load()), order, FREQ_STREAMS[stream], 8)
 
 
 @needs_kernel
@@ -912,17 +1032,16 @@ def test_freq_kernel_matches_numpy_across_table_growths():
     # about 50 000 distinct order-3 contexts: several hundred row blocks and
     # a table that doubles a dozen times
     gen = np.random.default_rng(8)
-    assert_freq_matches_twin(kernel.load(), 3, gen.integers(0, 256, 50_000).astype(np.uint8).tobytes(), 3)
+    check_freq_stream(Twins(kernel.load()), 3, gen.integers(0, 256, 50_000).astype(np.uint8).tobytes(), 3)
 
 
 def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
     # keys of every length whose bytes sort differently from their numbers
     data = b"\x00\x00\x01\xff\x00\x01\x00\x00\x00\xff\xff\x01"
-    row = np.empty(256, dtype=np.int64)
-    f = step.freq(3, row)
-    for tok in data:
-        step.freq_step(f, tok)
-    payload, keys, pos = step.freq_state(f), [], 0
+    t = Twins(step)
+    f = t.freq(3)
+    t.freq_run(f, data)
+    payload, keys, pos = step.freq_state(t.state(f)), [], 0
     while pos < len(payload):
         n = payload[pos]
         keys.append(payload[pos + 1 : pos + 1 + n])
@@ -930,24 +1049,14 @@ def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
     assert pos == len(payload) and keys == sorted({data[max(0, i - 3) : i] for i in range(len(data))})
 
 
-def _freq_outcome(module, f, row) -> tuple:
-    return module.freq_state(f), f.context, row.tobytes()
-
-
 def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
+    t = Twins(step)
     for order in (-1, 4, 1 << 70):
-        for module in (step, _kernel_numpy):
-            with pytest.raises(ValueError, match=f"^freq order {order} outside \\[0, 3\\]$"):
-                module.freq(order, np.empty(256, dtype=np.int64))
-    row = np.empty(256, dtype=np.int64)
-    f = step.freq(2, row)
-    for tok in b"abcab":
-        step.freq_step(f, tok)
-    before = _freq_outcome(step, f, row)
+        assert t.freq(order) == (ValueError, f"freq order {order} outside [0, 3]")
+    f = t.freq(2)
+    t.freq_run(f, b"abcab")
     for bad in (256, -1, 1 << 70, -(1 << 70)):
-        with pytest.raises(ValueError, match=f"^token {bad} outside the alphabet \\[0, 256\\)$"):
-            step.freq_step(f, bad)
-        assert _freq_outcome(step, f, row) == before
+        assert t.freq_step(f, bad) == (ValueError, f"token {bad} outside the alphabet [0, 256)")
 
 
 @pytest.mark.parametrize("spec", ["freq:2", "neural:2,8"])
@@ -963,6 +1072,14 @@ def test_predictor_state_is_never_copied(spec, step):
         pickle.dumps(p)
     uniform = make_predictor(PredictorConfig("uniform"))
     assert pickle.loads(pickle.dumps(uniform)).digest() == copy.deepcopy(uniform).digest() == uniform.digest()
+
+
+# --- random sessions -------------------------------------------------------------
+# after the explicit cases, so that a fault they catch fails there, unshrunk
+
+
+def test_step_module_matches_numpy():
+    run_machine(kernel.load(), 40)
 
 
 # --- whole artifacts -------------------------------------------------------------
@@ -1091,9 +1208,21 @@ def _clone_targets() -> tuple[str, ...]:
     return ("avx2", "default")
 
 
+_WARNINGS_AS_ERRORS = ("-Wall", "-Wextra", "-Werror")
+
+
+@pytest.fixture(scope="module")
+def clone_free(tmp_path_factory):
+    """The clone-free build, what aarch64, macOS and musl compile, built
+    warning-free."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
+        return _single_isa_build(tmp_path_factory.mktemp("plain"), None)
+
+
 @needs_compiler
-def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, "-Wall", "-Wextra", "-Werror"))
+def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, clone_free):
+    monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
     library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
     # an AVX2 clone of each of the step's loops, next to the baseline one; GCC
     # names a clone function.target, with every other character of the target
@@ -1103,8 +1232,6 @@ def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch):
     clones = [f"{fn}.{suffix}".encode() for fn in loops for suffix in suffixes]
     assert all(clone in library for clone in clones)
     assert b"arch_x86_64_v4" not in library
-    # the clone-free build: what aarch64, macOS and musl compile
-    _single_isa_build(tmp_path / "plain", None)
 
 
 def _cpu_flags() -> set[str]:
@@ -1131,20 +1258,23 @@ def _single_isa_build(tmp_path: Path, target: str | None):
     return kernel._import(library)
 
 
-def assert_build_matches_twin(module, monkeypatch) -> None:
-    for row in HARD_ROWS.values():
-        assert_quantize_matches_twin(module, row)
-    for case in NEURAL_CASES:
-        assert_steps_match_twin(module, *case, monkeypatch)
-    for row in DIVISION_ROWS.values():
-        assert_division_matches_twin(module, row, monkeypatch)
+def assert_build_matches_twin(module) -> None:
+    """The explicit cases the step's loops are easiest to get wrong on, in
+    one loop, then the state machine."""
+    cases = [(Twins.quantize, row) for row in HARD_ROWS.values()]
+    cases += [(check_division, row) for row in DIVISION_ROWS.values()]
+    cases += [(check_bad_forward_pass, row) for row in BAD_FORWARD_PASSES.values()]
+    cases += [(lambda t, case: check_steps(t, *case), case) for case in NEURAL_CASES]
+    for check, case in cases:
+        check(Twins(module), case)
+    run_machine(module, 10)
 
 
 @needs_compiler
-def test_clone_free_build_matches_numpy(tmp_path, monkeypatch):
+def test_clone_free_build_matches_numpy(clone_free):
     # where there are clones, the CPU runs one of them, and the extension's
     # tests hold only that one
-    assert_build_matches_twin(_single_isa_build(tmp_path, None), monkeypatch)
+    assert_build_matches_twin(clone_free)
 
 
 # each clone's target attribute, and the cpuinfo flags the CPU needs to run it
@@ -1153,13 +1283,13 @@ CLONE_TARGETS = {"avx2": {"avx", "avx2"}}
 
 @needs_compiler
 @pytest.mark.parametrize("target", list(CLONE_TARGETS))
-def test_each_clone_matches_numpy(target, tmp_path, monkeypatch):
+def test_each_clone_matches_numpy(target, tmp_path):
     if target not in _clone_targets():
         pytest.skip(f"no {target} clone is built here")
     missing = CLONE_TARGETS[target] - _cpu_flags()
     if missing:
         pytest.skip(f"this CPU lacks {' '.join(sorted(missing))}")
-    assert_build_matches_twin(_single_isa_build(tmp_path, target), monkeypatch)
+    assert_build_matches_twin(_single_isa_build(tmp_path, target))
 
 
 @needs_compiler
