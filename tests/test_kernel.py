@@ -43,12 +43,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule, run_state_machine_as_test
 
 from kolmozip import _kernel_numpy, kernel
 from kolmozip.coder import PROB_SCALE, quantize_weights
+from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
 from kolmozip.predictors import _SOFTMAX_TABLE, ALPHABET, ONE, FreqPredictor, NeuralPredictor, PredictorConfig
 from kolmozip.predictors import make_predictor
@@ -606,6 +607,13 @@ def test_quantize_kernel_matches_numpy_on_hard_rows(name):
 
 
 @needs_kernel
+@given(row=_weight_rows())
+@settings(max_examples=300, deadline=None)
+def test_quantize_kernel_matches_numpy_on_any_row(row):
+    Twins(kernel.load()).quantize(row)
+
+
+@needs_kernel
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])  # quantize_weights copies int32 rows to int64
 def test_quantize_kernel_matches_numpy_on_skewed_rows(dtype):
     rng = Lcg64(5)
@@ -809,6 +817,71 @@ def test_decoder_takes_only_bytes_like_payloads_as_numpy():
     assert t.decoder(np.frombuffer(payload, dtype=np.uint8).repeat(2)[::2])[0] is ValueError
     dec = t.decoder(np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.int64))  # its bytes, as int64
     assert [t.decode(dec, _TABLE) for _ in symbols] == symbols and t.state(dec).cursor == len(payload)
+
+
+# long streams over several alphabets, past the machine's few steps and
+# short payloads
+
+
+def _stream_tables(seed: int, alphabets: list[int]) -> list[np.ndarray]:
+    """One table per alphabet size, from weights of random magnitude, zeros
+    included."""
+    gen = np.random.default_rng(seed)
+    tables = []
+    for m in alphabets:
+        weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
+        weights[gen.integers(m)] += 1
+        tables.append(twin_quantize(weights))
+    return tables
+
+
+def _decoded(module, payload: bytes, tables: list[np.ndarray]) -> tuple[list[int], int | None, int]:
+    """The symbols payload decodes to under tables, the index of the symbol
+    at which it ran out (None if it did not) and the cursor at the end."""
+    symbols = []
+    try:
+        dec = module.decoder(payload)
+        for cum in tables:
+            symbols.append(module.decode(dec, cum))
+    except TruncatedStreamError as exc:
+        assert str(exc) == f"payload exhausted at byte {len(payload)}; stream is truncated"
+        return symbols, len(symbols), len(payload)
+    return symbols, None, dec.cursor
+
+
+_ALPHABETS = st.lists(st.integers(2, PROB_SCALE), min_size=1, max_size=3)
+
+
+@given(alphabets=_ALPHABETS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_extension_and_twin_code_the_same_bytes(alphabets, seed, n, data):
+    tables = _stream_tables(seed, alphabets)
+    gen = np.random.default_rng(seed + 1)
+    stream = [tables[i] for i in gen.integers(0, len(tables), n)]
+    symbols = [int(gen.integers(0, cum.size - 1)) for cum in stream]
+    t = Twins(kernel.load())
+    enc = t.encoder()
+    for cum, sym in zip(stream, symbols):
+        assert t.encode(enc, cum, sym) == cum[sym + 1] - cum[sym]
+    payload = t.finish(enc)
+    assert t.call(_decoded, lambda s: [payload, stream]) == (symbols, None, len(payload))
+    # a valid stream reads its last byte, so any cut runs out, at one symbol on both
+    cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
+    read, ran_out, _ = t.call(_decoded, lambda s: [payload[:cut], stream])
+    assert ran_out is not None and read == symbols[:ran_out]
+
+
+@given(
+    alphabets=_ALPHABETS,
+    seed=st.integers(0, 2**32 - 1),
+    # all 0xFF after the phantom byte: the clamped target 2^16 - 1
+    payload=st.one_of(st.binary(max_size=200), st.integers(0, 200).map(lambda k: b"\0" + b"\xff" * k)),
+)
+@settings(max_examples=80, deadline=None)
+def test_extension_and_twin_decode_any_payload_alike(alphabets, seed, payload):
+    tables = _stream_tables(seed, alphabets)
+    stream = [tables[i % len(tables)] for i in range(400)]
+    Twins(kernel.load()).call(_decoded, lambda s: [payload, stream])
 
 
 @pytest.mark.parametrize("module", list(STEP_MODULES))
