@@ -14,7 +14,6 @@ malformed or undecodable input.
 from __future__ import annotations
 
 import argparse
-import errno
 import hashlib
 import io
 import json
@@ -70,9 +69,7 @@ def _write_output(path: str, data: bytes) -> None:
         mode = os.stat(path).st_mode  # through any symlink
     except FileNotFoundError:
         mode = stat.S_IFREG
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not stat.S_ISREG(mode):  # a FIFO, socket or device: renaming over it would replace it
+    if not stat.S_ISREG(mode):  # a FIFO, socket or device (or a directory, which open refuses)
         with open(path, "wb") as fh:
             fh.write(data)
         return

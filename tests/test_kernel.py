@@ -8,7 +8,9 @@ type of a TypeError, which the interpreter words) and every state made so
 far: an encoder's registers (its payload when finished), a decoder's
 cursor, a count table's ``freq_state``, context and row, a net's arrays and
 context, and the call's array arguments.  A ValueError or TypeError must
-leave all of them as they were.  ``StepMachine``, a Hypothesis rule-based
+leave all of them as they were.  ``Twins.settle`` carries every state one
+step on and finishes every encoder, so that the registers no view shows
+are compared too.  ``StepMachine``, a Hypothesis rule-based
 state machine, drives random sessions through it: encoders, decoders over
 payloads, their cuts and any bytes, count tables and nets (small k and w,
 and the extremes k = 8 and w = 256), with valid and invalid tokens, rows
@@ -16,7 +18,8 @@ written over a net's forward pass, and any array argument in a form that
 breaks the array contract or through a buffer wrapper (``FORMS``).  It runs
 against ``kernel.load()``, the clone-free build and each clone this CPU can
 run.  Explicit cases (the hardest rows, guards and streams) go through the
-same calls.  Both modules must also export the same functions, take the
+same calls, those the step's loops are easiest to get wrong on against each
+of those builds.  Both modules must also export the same functions, take the
 same arguments and spell the same messages, and the build must be safe to
 run concurrently and degrade to the twin when there is no working compiler.
 """
@@ -223,6 +226,8 @@ FORMS = {
     "list": np.ndarray.tolist,
 }
 MAKERS = ("encoder", "decoder", "net", "freq")  # the functions that make a state
+_ROW = np.arange(1, 257, dtype=np.int64)
+_TABLE = twin_quantize(_ROW)
 
 
 def _same(a, b) -> bool:
@@ -233,6 +238,11 @@ def _same(a, b) -> bool:
     if isinstance(a, (tuple, list)):
         return isinstance(b, (tuple, list)) and len(a) == len(b) and all(map(_same, a, b))
     return a == b
+
+
+def _name(fn, side) -> str:
+    """fn's name and the file of side's module, for a failure's message."""
+    return f"{fn if isinstance(fn, str) else fn.__name__} of {side.module.__file__}"
 
 
 class Side:
@@ -262,44 +272,54 @@ class Side:
         error is one that must leave every state as it was."""
         try:
             return (getattr(self.module, fn)(*args) if isinstance(fn, str) else fn(self.module, *args)), False
+        except AssertionError:  # a helper's own check
+            raise
         except Exception as exc:
             outcome = type(exc), None if isinstance(exc, TypeError) else str(exc)
             return outcome, isinstance(exc, (ValueError, TypeError))
 
 
 class Twins:
-    """The same calls on a fast step module and on the twin, compared."""
+    """The same calls on fast step modules (builds of the extension) and on
+    the twin, each fast one compared with the twin."""
 
-    def __init__(self, fast):
-        self.sides = (Side(fast), Side(_kernel_numpy))
-        self.last = None  # the fast side's outcome and array arguments in the last call
+    def __init__(self, *fast):
+        self.sides = (*map(Side, fast), Side(_kernel_numpy))
+        self.last = None  # the first fast side's outcome and array arguments in the last call
+        self.apart = False  # whether a failed check has left the sides apart
 
     def call(self, fn, args_for, form=None):
-        """fn(*args_for(side)) on each side, the fast one first: fn names a
-        step function, or is a function of the module and those arguments.
+        """fn(*args_for(side)) on each side, the twin last: fn names a step
+        function, or is a function of the module and those arguments.
         form = (position, name) passes that argument through FORMS[name].
         Returns the outcome: the result (a new state's handle), or the
-        error.  Both sides must agree on it, on every state and on every
-        array argument afterwards, and a ValueError or TypeError must leave
-        them as they were: as the twin, not yet called, still has them."""
-        name = fn if isinstance(fn, str) else fn.__name__
-        (fast, fast_args, fast_arrays), (twin, twin_args, twin_arrays) = calls = [
+        error.  Each fast side must agree with the twin on it, on every
+        state and on every array argument afterwards, and a ValueError or
+        TypeError must leave them as they were: as the twin, not yet
+        called, still has them."""
+        self.apart = True
+        *fast, (twin, twin_args, twin_arrays) = calls = [
             (side, *self._arguments(side, args_for, form)) for side in self.sides
         ]
-        out, rejected = fast.call(fn, fast_args)
-        untouched = not rejected or _same((fast.views(), fast_arrays), (twin.views(), twin_arrays))
-        assert untouched, f"{name} raised {out} after changing state"
+        outs = []
+        for side, args, arrays in fast:
+            out, rejected = side.call(fn, args)
+            untouched = not rejected or _same((side.views(), arrays), (twin.views(), twin_arrays))
+            assert untouched, f"{_name(fn, side)} raised {out} after changing state"
+            outs.append(out)
         twin_out, _ = twin.call(fn, twin_args)
-        if fn in MAKERS and not isinstance(out, tuple) and not isinstance(twin_out, tuple):
-            for (side, _, arrays), state in zip(calls, (out, twin_out)):
+        if fn in MAKERS and not any(isinstance(out, tuple) for out in (*outs, twin_out)):
+            for (side, _, arrays), state in zip(calls, (*outs, twin_out)):
                 side.states.append((fn, state, arrays))
-            out = twin_out = len(fast.states) - 1
-        assert out == twin_out, f"{name}: {out!r:.300} against the twin's {twin_out!r:.300}"
-        differ = [h for h, (a, b) in enumerate(zip(fast.views(), twin.views())) if not _same(a, b)]
-        assert not differ, f"{name}: states {differ} differ from the twin's"
-        assert _same(fast_arrays, twin_arrays), f"{name}: its array arguments differ from the twin's"
-        self.last = out, fast_arrays
-        return out
+            outs, twin_out = [len(twin.states) - 1] * len(outs), len(twin.states) - 1
+        for (side, _, arrays), out in zip(fast, outs):
+            name = _name(fn, side)
+            assert out == twin_out, f"{name}: {out!r:.300} against the twin's {twin_out!r:.300}"
+            differ = [h for h, (a, b) in enumerate(zip(side.views(), twin.views())) if not _same(a, b)]
+            assert not differ, f"{name}: states {differ} differ from the twin's"
+            assert _same(arrays, twin_arrays), f"{name}: its array arguments differ from the twin's"
+        self.last, self.apart = (outs[0], fast[0][2]), False
+        return outs[0]
 
     @staticmethod
     def _arguments(side, args_for, form) -> tuple[list, list]:
@@ -312,14 +332,31 @@ class Twins:
             arrays += [args[form[0]]] if isinstance(args[form[0]], np.ndarray) else []
         return args, arrays
 
+    def settle(self) -> list:
+        """Carry every state one step on, and finish every encoder, so that
+        a register no view shows (an encoder's pending run and emitted
+        bytes, a decoder's range and code) shows in the outcomes, which are
+        returned; nothing where a failed check has left the sides apart."""
+        if self.apart:
+            return []
+        outcomes = []
+        for handle, (kind, _, _) in enumerate(self.sides[0].states):
+            if kind == "encoder":
+                outcomes += [self.encode(handle, _TABLE, 5), self.finish(handle)]
+            elif kind == "decoder":
+                outcomes.append(self.decode(handle, _TABLE))
+            else:
+                outcomes.append(getattr(self, f"{kind}_step")(handle, 7))
+        return outcomes
+
     def snapshot(self) -> tuple:
-        """The fast side's last outcome, states and array arguments, as bytes."""
+        """The first fast side's last outcome, states and array arguments, as bytes."""
         out, arrays = self.last
         views = [[v.tobytes() if isinstance(v, np.ndarray) else v for v in view] for view in self.sides[0].views()]
         return out, views, [a.tobytes() for a in arrays]
 
     def state(self, handle: int):
-        """The fast side's state object."""
+        """The first fast side's state object."""
         return self.sides[0].states[handle][1]
 
     def quantize(self, row, form=None):
@@ -346,17 +383,14 @@ class Twins:
         each array up to a bound from 0.5 to the clip, 8.0; off = (i, d)
         makes array i (emb, b1, w2, b2, softmax, buf) d longer."""
 
-        def arrays(side) -> list:
-            gen = np.random.default_rng(seed)
-            sizes = (k * ALPHABET * w, w, w * ALPHABET, ALPHABET)
-            bounds = [_kernel_numpy.WEIGHT_CLIP >> int(gen.integers(0, 5)) for _ in sizes]
-            made = [gen.integers(-bound, bound + 1, n) for n, bound in zip(sizes, bounds)]
-            made += [_SOFTMAX_TABLE[:softmax].copy(), np.zeros(2 * w + ALPHABET, dtype=np.int64)]
-            if off:
-                made[off[0]] = np.resize(made[off[0]], max(0, made[off[0]].size + off[1]))
-            return [*made, lr]
-
-        return self.call("net", arrays, form)
+        gen = np.random.default_rng(seed)
+        sizes = (k * ALPHABET * w, w, w * ALPHABET, ALPHABET)
+        bounds = [_kernel_numpy.WEIGHT_CLIP >> int(gen.integers(0, 5)) for _ in sizes]
+        made = [gen.integers(-bound, bound + 1, n) for n, bound in zip(sizes, bounds)]
+        made += [_SOFTMAX_TABLE[:softmax], np.zeros(2 * w + ALPHABET, dtype=np.int64)]
+        if off:
+            made[off[0]] = np.resize(made[off[0]], max(0, made[off[0]].size + off[1]))
+        return self.call("net", lambda s: [*(a.copy() for a in made), lr], form)
 
     def net_step(self, net: int, token: int):
         return self.call("net_step", lambda s: [s.states[net][1], token])
@@ -373,19 +407,30 @@ class Twins:
     def freq_step(self, f: int, token: int):
         return self.call("freq_step", lambda s: [s.states[f][1], token])
 
-    def freq_run(self, f: int, data: bytes):
-        return self.call(_freq_run, lambda s: [s.states[f][1], s.states[f][2][0], data])
+    def run(self, handle: int, tokens) -> tuple:
+        """A net's or count table's step on each of tokens, in one call."""
+
+        def arguments(side) -> list:
+            kind, state, arrays = side.states[handle]
+            # the row each step leaves: a net's forward pass, a table's row
+            row = arrays[5][-ALPHABET:] if kind == "net" else arrays[0]
+            return [f"{kind}_step", state, row, tokens]
+
+        return self.call(_run, arguments)
 
 
-def _freq_run(module, f, row: np.ndarray, data: bytes) -> bytes:
-    """freq_step on each byte of data, and a running fold of the row after
-    every step, so that a row that differs at any step shows."""
-    fold = np.zeros(ALPHABET, dtype=np.int64)
-    for tok in data:
-        module.freq_step(f, tok)
-        fold *= 1_000_003  # wraps, as int64 does
-        fold += row
-    return fold.tobytes()
+def _run(module, fn: str, state, row: np.ndarray, tokens) -> tuple:
+    """fn on state for each token up to the first error: a running hash of
+    row after every step, so that a row that differs at any step shows, the
+    number of steps made and the error's message (None if there was none)."""
+    digest = 0
+    for made, tok in enumerate(tokens):
+        try:
+            getattr(module, fn)(state, tok)
+        except ValueError as exc:  # the forward pass of a net's last step, rejected
+            return digest, made, str(exc)
+        digest = hash((digest, row.tobytes()))
+    return digest, len(tokens), None
 
 
 @st.composite
@@ -426,11 +471,14 @@ def _tables(draw) -> np.ndarray:
 
 
 def _forms(*positions: int):
-    """A valid call, or one array argument passed in one of FORMS."""
-    return st.none() | st.tuples(st.sampled_from(positions), st.sampled_from(list(FORMS)))
+    """A valid call half the time, else one array argument passed in one of
+    FORMS; one draw either way."""
+    forms = [(position, name) for position in positions for name in FORMS]
+    return st.sampled_from([None] * len(forms) + forms)
 
 
-_TOKENS = st.integers(0, ALPHABET - 1) | st.sampled_from([ALPHABET, -1, 1 << 70, -(1 << 70)])
+# a token outside the alphabet, or none
+_BAD_TOKENS = st.sampled_from([None, None, None, ALPHABET, -1, 1 << 70, -(1 << 70)])
 
 
 def _made(handle):
@@ -496,10 +544,11 @@ class StepMachine(RuleBasedStateMachine):
     def net(self, shape, **arguments):
         return _made(self.twins.net(*shape, **arguments))
 
-    @rule(net=nets, tokens=st.lists(_TOKENS, min_size=1, max_size=40))
-    def net_step(self, net, tokens):
-        for token in tokens:
-            self.twins.net_step(net, token)
+    @rule(net=nets, tokens=st.binary(min_size=1, max_size=40), bad=_BAD_TOKENS)
+    def net_step(self, net, tokens, bad):
+        self.twins.run(net, tokens)
+        if bad is not None:
+            self.twins.net_step(net, bad)
 
     @rule(net=nets, row=_weight_rows(ALPHABET))
     def plant(self, net, row):
@@ -514,18 +563,14 @@ class StepMachine(RuleBasedStateMachine):
     def freq(self, order, size, form):
         return _made(self.twins.freq(order, size, form))
 
-    @rule(f=freqs, tokens=st.lists(_TOKENS, min_size=1, max_size=100))
-    def freq_step(self, f, tokens):
-        for token in tokens:
-            self.twins.freq_step(f, token)
+    @rule(f=freqs, tokens=st.binary(min_size=1, max_size=100), bad=_BAD_TOKENS)
+    def freq_step(self, f, tokens, bad):
+        self.twins.run(f, tokens)
+        if bad is not None:
+            self.twins.freq_step(f, bad)
 
     def teardown(self):
-        # every encoder's payload, where no failure has left the sides apart
-        fast, twin = (side.states for side in self.twins.sides)
-        if len(fast) == len(twin):
-            for handle, (kind, _, _) in enumerate(fast):
-                if kind == "encoder":
-                    self.twins.finish(handle)
+        self.twins.settle()
 
 
 def run_machine(module, examples: int) -> None:
@@ -602,13 +647,14 @@ HARD_ROWS = {
 
 @needs_kernel
 @pytest.mark.parametrize("name", list(HARD_ROWS))
-def test_quantize_kernel_matches_numpy_on_hard_rows(name):
-    Twins(kernel.load()).quantize(HARD_ROWS[name])
+def test_quantize_kernel_matches_numpy_on_hard_rows(name, builds):
+    Twins(*builds.values()).quantize(HARD_ROWS[name])
 
 
+# StepMachine's quantize rule draws from the same rows, about 200 a run
 @needs_kernel
 @given(row=_weight_rows())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_quantize_kernel_matches_numpy_on_any_row(row):
     Twins(kernel.load()).quantize(row)
 
@@ -702,14 +748,13 @@ def _payload_at(target: int) -> bytes:
     return b"\0" + (target << 16).to_bytes(4, "big") + bytes(8)
 
 
-_ROW = np.arange(1, 257, dtype=np.int64)
-_TABLE = twin_quantize(_ROW)
-
+# the state a function is called on, made fresh
+STATES = {"encode": lambda t: t.encoder(), "decode": lambda t: t.decoder(_payload_at(30_000))}
 # a valid call of each function, one argument passed in a form if given
 VALID_CALLS = {
     "quantize": lambda t, form: t.quantize(_ROW, form),
-    "encode": lambda t, form: t.encode(t.encoder(), _TABLE, 5, form),
-    "decode": lambda t, form: t.decode(t.decoder(_payload_at(30_000)), _TABLE, form),
+    "encode": lambda t, form: t.encode(STATES["encode"](t), _TABLE, 5, form),
+    "decode": lambda t, form: t.decode(STATES["decode"](t), _TABLE, form),
     "net": lambda t, form: t.net(form=form),
     "freq": lambda t, form: t.freq(form=form),
 }
@@ -727,10 +772,17 @@ _ARGUMENT_IDS = [f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
 
 @pytest.mark.parametrize("fn, position, name, written", ARRAY_ARGUMENTS, ids=_ARGUMENT_IDS)
 def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
+    # after the rejected call, the session goes on as a fresh one does
+    fresh = Twins(kernel.load())
+    if fn in STATES:
+        STATES[fn](fresh)
+    after = fresh.settle()
     for kind, why in BREAKERS.items():
         if kind != "read-only" or written:
-            error, message = VALID_CALLS[fn](Twins(kernel.load()), (position, kind))
+            t = Twins(kernel.load())
+            error, message = VALID_CALLS[fn](t, (position, kind))
             assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
+            assert t.settle() == after, kind
 
 
 @pytest.mark.parametrize("fn, position, name, written", ARRAY_ARGUMENTS, ids=_ARGUMENT_IDS)
@@ -772,8 +824,9 @@ def test_kernel_checks_the_arrays_it_is_given():
     assert t.encode(enc, _TABLE, 5) == (ValueError, "encoder already finished")
 
 
-def _first_symbols(module, payloads: list[bytes], cum: np.ndarray) -> list[int]:
-    return [module.decode(module.decoder(payload), cum) for payload in payloads]
+def _first_symbols(module, cases: list[tuple[bytes, np.ndarray]]) -> list[int]:
+    """The first symbol each payload decodes to under its table."""
+    return [module.decode(module.decoder(payload), cum) for payload, cum in cases]
 
 
 def test_decode_finds_the_symbol_holding_the_target():
@@ -788,7 +841,7 @@ def test_decode_finds_the_symbol_holding_the_target():
             targets = [*map(int, edges), *(rng.below(PROB_SCALE) for _ in range(200)), PROB_SCALE - 1]
             payloads = [*map(_payload_at, targets[:-1]), b"\0" + b"\xff" * 12]
             want = [int(np.searchsorted(cum, target, side="right")) - 1 for target in targets]
-            assert Twins(kernel.load()).call(_first_symbols, lambda s: [payloads, cum.copy()]) == want, m
+            assert Twins(kernel.load()).call(_first_symbols, lambda s: [[(p, cum) for p in payloads]]) == want, m
 
 
 def test_decode_searches_a_table_that_is_not_increasing_as_numpy():
@@ -796,14 +849,14 @@ def test_decode_searches_a_table_that_is_not_increasing_as_numpy():
     # it probes; both step modules probe as searchsorted(side="right") does
     t = Twins(kernel.load())
     assert t.decode(t.decoder(_payload_at(30_000)), [0, 40_000, 100, PROB_SCALE]) == 2
-    gen = np.random.default_rng(14)
+    gen, cases = np.random.default_rng(14), []
     for _ in range(2000):
         m = int(gen.integers(2, 300))
         cum = twin_quantize(gen.integers(1, 1000, m))
         i, j = gen.integers(0, m + 1, 2)
         cum[[i, j]] = cum[[j, i]]
-        t = Twins(kernel.load())
-        t.decode(t.decoder(_payload_at(int(gen.integers(0, PROB_SCALE)))), cum)
+        cases.append((_payload_at(int(gen.integers(0, PROB_SCALE))), cum))
+    t.call(_first_symbols, lambda s: [cases])
 
 
 def test_decoder_takes_only_bytes_like_payloads_as_numpy():
@@ -835,6 +888,12 @@ def _stream_tables(seed: int, alphabets: list[int]) -> list[np.ndarray]:
     return tables
 
 
+def _encoded(module, stream: list[np.ndarray], symbols: list[int]) -> tuple[list[int], bytes]:
+    """The width of each symbol under its table, and the payload."""
+    enc = module.encoder()
+    return [module.encode(enc, cum, sym) for cum, sym in zip(stream, symbols)], module.finish(enc)
+
+
 def _decoded(module, payload: bytes, tables: list[np.ndarray]) -> tuple[list[int], int | None, int]:
     """The symbols payload decodes to under tables, the index of the symbol
     at which it ran out (None if it did not) and the cursor at the end."""
@@ -860,10 +919,8 @@ def test_extension_and_twin_code_the_same_bytes(alphabets, seed, n, data):
     stream = [tables[i] for i in gen.integers(0, len(tables), n)]
     symbols = [int(gen.integers(0, cum.size - 1)) for cum in stream]
     t = Twins(kernel.load())
-    enc = t.encoder()
-    for cum, sym in zip(stream, symbols):
-        assert t.encode(enc, cum, sym) == cum[sym + 1] - cum[sym]
-    payload = t.finish(enc)
+    widths, payload = t.call(_encoded, lambda s: [stream, symbols])
+    assert widths == [cum[sym + 1] - cum[sym] for cum, sym in zip(stream, symbols)]
     assert t.call(_decoded, lambda s: [payload, stream]) == (symbols, None, len(payload))
     # a valid stream reads its last byte, so any cut runs out, at one symbol on both
     cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
@@ -926,18 +983,15 @@ NEURAL_CASES = [
 ]
 
 
-def check_steps(t: Twins, context, width, lr, seed, symbols, steps) -> None:
-    net, rng, tok = t.net(context, width, seed, lr), Lcg64(100 + seed), 0
-    for _ in range(steps):
-        # sticky stream: the net learns, saturates and gets surprised
-        tok = tok if rng.below(4) else rng.below(symbols)
-        assert t.net_step(net, tok) is None
-
-
 @needs_kernel
 @pytest.mark.parametrize("context, width, lr, seed, symbols, steps", NEURAL_CASES)
-def test_neural_kernel_matches_numpy_step_by_step(context, width, lr, seed, symbols, steps):
-    check_steps(Twins(kernel.load()), context, width, lr, seed, symbols, steps)
+def test_neural_kernel_matches_numpy_step_by_step(context, width, lr, seed, symbols, steps, builds):
+    rng, tokens = Lcg64(100 + seed), [0]
+    for _ in range(steps):
+        # sticky stream: the net learns, saturates and gets surprised
+        tokens.append(tokens[-1] if rng.below(4) else rng.below(symbols))
+    t = Twins(*builds.values())
+    assert t.run(t.net(context, width, seed, lr), tokens[1:])[1:] == (steps, None)
 
 
 def _one_short(q: int, total: int) -> np.ndarray:
@@ -965,17 +1019,14 @@ DIVISION_ROWS = {
 }
 
 
-def check_division(t: Twins, row: np.ndarray | None) -> None:
-    net = _guarded_net(t)
-    if row is not None:
-        t.plant(net, row)
-    assert t.net_step(net, 7) is None
-
-
 @needs_kernel
 @pytest.mark.parametrize("name", list(DIVISION_ROWS))
-def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name):
-    check_division(Twins(kernel.load()), DIVISION_ROWS[name])
+def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name, builds):
+    t = Twins(*builds.values())
+    net = _guarded_net(t)
+    if DIVISION_ROWS[name] is not None:
+        t.plant(net, DIVISION_ROWS[name])
+    assert t.net_step(net, 7) is None
 
 
 # forward passes that quantize's rule rejects, and net_step with it
@@ -986,17 +1037,15 @@ BAD_FORWARD_PASSES = {
 }
 
 
-def check_bad_forward_pass(t: Twins, row: np.ndarray) -> None:
+@pytest.mark.parametrize("name", list(BAD_FORWARD_PASSES))
+def test_net_step_rejects_the_rows_quantize_rejects_as_numpy(name, step, builds):
+    row = BAD_FORWARD_PASSES[name]
+    t = Twins(*builds.values()) if step is not _kernel_numpy else Twins(step)
     net = _guarded_net(t)
     t.plant(net, row)
     error = t.quantize(row)  # quantize's (type, message)
     assert error[0] is ValueError and t.net_step(net, 7) == error
     assert t.state(net).context == b"rd"
-
-
-@pytest.mark.parametrize("name", list(BAD_FORWARD_PASSES))
-def test_net_step_rejects_the_rows_quantize_rejects_as_numpy(name, step):
-    check_bad_forward_pass(Twins(step), BAD_FORWARD_PASSES[name])
 
 
 def test_neural_kernel_rejects_tokens_outside_the_alphabet(step):
@@ -1088,7 +1137,7 @@ def check_freq_stream(t: Twins, order: int, data: bytes, checkpoints: int) -> No
     payload at checkpoints spread over data and at its end."""
     f, every = t.freq(order), max(1, len(data) // checkpoints)
     for start in range(0, len(data), every):
-        t.freq_run(f, data[start : start + every])
+        t.run(f, data[start : start + every])
         end = min(len(data), start + every)
         assert t.state(f).context == data[max(0, end - order) : end]
 
@@ -1113,7 +1162,7 @@ def test_freq_state_payload_is_sorted_as_python_sorts_bytes(step):
     data = b"\x00\x00\x01\xff\x00\x01\x00\x00\x00\xff\xff\x01"
     t = Twins(step)
     f = t.freq(3)
-    t.freq_run(f, data)
+    t.run(f, data)
     payload, keys, pos = step.freq_state(t.state(f)), [], 0
     while pos < len(payload):
         n = payload[pos]
@@ -1127,7 +1176,7 @@ def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
     for order in (-1, 4, 1 << 70):
         assert t.freq(order) == (ValueError, f"freq order {order} outside [0, 3]")
     f = t.freq(2)
-    t.freq_run(f, b"abcab")
+    t.run(f, b"abcab")
     for bad in (256, -1, 1 << 70, -(1 << 70)):
         assert t.freq_step(f, bad) == (ValueError, f"token {bad} outside the alphabet [0, 256)")
 
@@ -1282,19 +1331,31 @@ def _clone_targets() -> tuple[str, ...]:
 
 
 _WARNINGS_AS_ERRORS = ("-Wall", "-Wextra", "-Werror")
+# each clone's target attribute, and the cpuinfo flags the CPU needs to run it
+CLONE_TARGETS = {"avx2": {"avx", "avx2"}}
 
 
 @pytest.fixture(scope="module")
-def clone_free(tmp_path_factory):
-    """The clone-free build, what aarch64, macOS and musl compile, built
-    warning-free."""
+def builds(tmp_path_factory) -> dict:
+    """Each build of the step module this process can run, by name:
+    kernel.load(), then, where there is a compiler, the clone-free build
+    (what aarch64, macOS and musl compile) and each clone the CPU can run,
+    built warning-free.  Where there are clones, the CPU runs one of them
+    through kernel.load(), and only these builds hold the others."""
+    found = {"extension": kernel.load()}
+    if kernel._find_compiler() is None:
+        return found
+    targets = [t for t in CLONE_TARGETS if t in _clone_targets() and CLONE_TARGETS[t] <= _cpu_flags()]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
-        return _single_isa_build(tmp_path_factory.mktemp("plain"), None)
+        for name, target in [("clone-free", None), *zip(targets, targets)]:
+            found[name] = _single_isa_build(tmp_path_factory.mktemp(name), target)
+    return found
 
 
 @needs_compiler
-def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, clone_free):
+def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, builds):
+    # builds compiled the clone-free build and each clone's own warning-free
     monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
     library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
     # an AVX2 clone of each of the step's loops, next to the baseline one; GCC
@@ -1331,38 +1392,25 @@ def _single_isa_build(tmp_path: Path, target: str | None):
     return kernel._import(library)
 
 
-def assert_build_matches_twin(module) -> None:
-    """The explicit cases the step's loops are easiest to get wrong on, in
-    one loop, then the state machine."""
-    cases = [(Twins.quantize, row) for row in HARD_ROWS.values()]
-    cases += [(check_division, row) for row in DIVISION_ROWS.values()]
-    cases += [(check_bad_forward_pass, row) for row in BAD_FORWARD_PASSES.values()]
-    cases += [(lambda t, case: check_steps(t, *case), case) for case in NEURAL_CASES]
-    for check, case in cases:
-        check(Twins(module), case)
-    run_machine(module, 10)
+# the explicit cases the step's loops are easiest to get wrong on (hard
+# rows, division rows, bad forward passes, neural streams) run on every build;
+# these tests run the state machine on each build but kernel.load()
 
 
 @needs_compiler
-def test_clone_free_build_matches_numpy(clone_free):
-    # where there are clones, the CPU runs one of them, and the extension's
-    # tests hold only that one
-    assert_build_matches_twin(clone_free)
-
-
-# each clone's target attribute, and the cpuinfo flags the CPU needs to run it
-CLONE_TARGETS = {"avx2": {"avx", "avx2"}}
+def test_clone_free_build_matches_numpy(builds):
+    run_machine(builds["clone-free"], 10)
 
 
 @needs_compiler
 @pytest.mark.parametrize("target", list(CLONE_TARGETS))
-def test_each_clone_matches_numpy(target, tmp_path):
+def test_each_clone_matches_numpy(target, builds):
     if target not in _clone_targets():
         pytest.skip(f"no {target} clone is built here")
     missing = CLONE_TARGETS[target] - _cpu_flags()
     if missing:
         pytest.skip(f"this CPU lacks {' '.join(sorted(missing))}")
-    assert_build_matches_twin(_single_isa_build(tmp_path, target))
+    run_machine(builds[target], 10)
 
 
 @needs_compiler
