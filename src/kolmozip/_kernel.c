@@ -5,7 +5,8 @@
  *   net(..., lr) -> state            one NeuralPredictor's arrays, at the empty
  *                                    context, its forward pass in buf
  *   net_step(net, token)             NeuralPredictor's update, then the next
- *                                    context's forward pass into buf
+ *                                    context's forward pass into buf (and
+ *                                    its table into a kept cum)
  *   encoder() -> state               a RangeEncoder's registers and output
  *   encode(enc, cum, sym) -> width   RangeEncoder.encode_symbol
  *   finish(enc) -> bytes             RangeEncoder.finish
@@ -14,8 +15,15 @@
  *   freq(order, row) -> state        one FreqPredictor's count table, empty
  *                                    and bound to row, which holds ones
  *   freq_step(state, token)          FreqPredictor's update, then the next
- *                                    context's counts into row
+ *                                    context's counts into row (and their
+ *                                    table into a kept cum)
  *   freq_state(state) -> bytes       FreqPredictor's digest payload
+ *   keep_table(state, cum)           bind cum (257 entries) to a net or count
+ *                                    table: every later step of it ends by
+ *                                    quantizing the row it leaves into cum,
+ *                                    so the replay loop makes no quantize
+ *                                    call per byte; unbound, a step writes
+ *                                    no table
  *
  * Every function reproduces its twin bit for bit.  kernel.load() never returns
  * None: it returns this module, or the twin (the reference the tests hold this
@@ -28,12 +36,23 @@
  *   - integer sums are order-independent under wrapping, so loop order is free;
  *   - quantize and net_step accept a row by one rule (row_total): every
  *     weight nonnegative, one positive, and the total below 2^46; both divide
- *     by that total through one reciprocal (div_total), whose estimate is
- *     corrected to the exact integer quotient and remainder;
- *   - the step's loops (forward, net_grad, quantize_scratch) are built twice
- *     on x86-64 glibc, for AVX2 and for the baseline ISA, and the CPU picks
- *     one at load time (VECTOR_CLONES).  Both clones are compiled from the
- *     same integer code, so the arithmetic, and every byte it writes, is the
+ *     by that total through one reciprocal, whose estimate is corrected to
+ *     the exact integer quotient and remainder (div_total; quantize, for a
+ *     total below 2^37, in doubles, which hold every value exactly there);
+ *   - quantize gives the leftover slots to the largest remainders, ties to
+ *     the lower index, as the twin's argpartition over distinct keys does:
+ *     it counts the remainders above and equal to a pivot, and where the
+ *     threshold falls among the equal ones (as on a count row, mostly ones)
+ *     the winners there are the first by index; elsewhere it selects among
+ *     the keys on the threshold's side of the pivot;
+ *   - a kept table never fails a step that has changed state: net() takes
+ *     only softmax tables whose every forward pass quantize's rule accepts,
+ *     and a count row always passes it;
+ *   - the step's loops (forward, net_grad, quantize_row, leftover_threshold)
+ *     are built twice on x86-64 glibc, for AVX2 and for the baseline ISA,
+ *     and the CPU picks one at load time (VECTOR_CLONES).  Both clones are
+ *     compiled from the same code, every value of which is an exact integer
+ *     (in doubles too), so the arithmetic, and every byte it writes, is the
  *     same on every CPU;
  *   - freq stores its counts as uint16 (the twin as int32): a count that
  *     reaches 2^16 halves its row at once, so none stored is larger, and a
@@ -63,6 +82,7 @@
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
 #define TOTAL_LIMIT (INT64_C(1) << 46) /* rows div_total divides: weights and total below */
+#define SOFTMAX_LIMIT (TOTAL_LIMIT / ALPHABET) /* softmax entries below it: 256 of them total below 2^46 */
 
 /* target_clones resolves through an ifunc, which needs x86-64 and glibc;
  * elsewhere the plain functions are built.  AVX-512 hosts run the AVX2 clone
@@ -239,43 +259,107 @@ static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
     return NULL;
 }
 
-/* scratch[0..m) holds the weights on entry; scratch has room for 2m values.
- * Mirrors _kernel_numpy.quantize: one slot per symbol up front, floors of
- * w*free/total, then the leftover slots go to the largest composite keys
- * (remainder << 16) + (m-1-i), i.e. largest remainder with ties to the lower
- * index.  The keys are distinct, so the winners are exactly the keys at or
- * above the one of rank m-leftover.  Returns NULL or the error message. */
-VECTOR_CLONES static const char *quantize_scratch(int64_t *scratch, int64_t m, int64_t *cum)
-{
-    int64_t total;
-    const char *error = row_total(scratch, m, &total);
-    if (error)
-        return error;
+/* Below this total every value quantize's division makes, w * free, the
+ * quotient times the total and the remainder, is an integer below 2^53, so
+ * doubles hold each exactly. */
+#define EXACT_TOTAL (INT64_C(1) << 37)
+#define BIAS 0x1p52                                 /* 2^52: below it, an integer sits in the mantissa */
+#define BIAS_BITS INT64_C(0x4330000000000000)       /* its bits */
 
-    const int64_t free_slots = PROB_SCALE - m;
-    int64_t *key = scratch, *sel = scratch + m, *base = cum + 1;
-    const double inv = 1.0 / (double)total;
-    int64_t assigned = 0;
+/* x, 0 <= x < 2^52, as a double: or'd into 2^52's mantissa, less 2^52 (no
+ * AVX2 instruction converts int64 lanes) */
+static inline double to_double(int64_t x)
+{
+    double d;
+    const int64_t bits = x | BIAS_BITS;
+    memcpy(&d, &bits, sizeof d);
+    return d - BIAS;
+}
+
+/* the integer-valued double x, 0 <= x < 2^52, as an int64: the inverse */
+static inline int64_t to_int(double x)
+{
+    const double d = x + BIAS;
+    int64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    return bits - BIAS_BITS;
+}
+
+/* The smallest key that wins a leftover slot: the key of rank m - leftover
+ * (ascending, 0 < leftover < m) among the distinct keys (rem[i] << 16) +
+ * (m-1-i), largest remainder first and ties to the lower index.  sel has
+ * room for m values.
+ *
+ * One pass counts the remainders above and equal to a pivot, the median of
+ * the first, middle and last.  A count row is mostly ones, which share one
+ * remainder, so the threshold usually falls among the remainders equal to
+ * the pivot: then the winners there are the first by index, and the last
+ * of them is found by a scan.  Otherwise the keys on the threshold's side
+ * of the pivot are selected from alone. */
+VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t m, int64_t leftover, int64_t *sel)
+{
+    const int64_t a = rem[0], b = rem[m / 2], c = rem[m - 1];
+    const int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+    const int64_t pivot = c < lo ? lo : (c > hi ? hi : c);
+    int64_t above = 0, equal = 0;
     for (int64_t i = 0; i < m; i++) {
-        /* key[i] * free_slots < 2^62 and the quotient is at most free_slots;
-         * key[i] <- the remainder, < 2^46 */
-        base[i] = div_total(key[i] * free_slots, total, inv, &key[i]);
-        assigned += base[i];
+        above += rem[i] > pivot;
+        equal += rem[i] == pivot;
     }
-    int64_t leftover = free_slots - assigned; /* in [0, m) for valid input */
-    if (leftover < 0 || leftover >= m)
-        return BAD_WEIGHTS;
+    if (above < leftover && leftover <= above + equal) {
+        int64_t need = leftover - above, i = -1;
+        while (need)
+            need -= rem[++i] == pivot;
+        return (pivot << 16) + (m - 1 - i);
+    }
+    /* every key on the pivot's far side loses (above >= leftover) or wins */
+    const int64_t upper = above >= leftover, wins = upper ? leftover : leftover - above - equal;
+    int64_t n = 0;
+    for (int64_t i = 0; i < m; i++) {
+        sel[n] = (rem[i] << 16) + (m - 1 - i);
+        n += upper ? rem[i] > pivot : rem[i] < pivot;
+    }
+    return select_rank(sel, n, n - wins);
+}
+
+/* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w that
+ * row_total accepted, with their total: _kernel_numpy._quantize.  One slot
+ * per symbol up front, floors of w*free/total, then the leftover slots to
+ * the largest keys (remainder << 16) + (m-1-i).  scratch has room for 3m
+ * values; w is read in full before cum is written, so the two may overlap. */
+VECTOR_CLONES static void quantize_row(const int64_t *w, int64_t m, int64_t total, int64_t *cum, int64_t *scratch)
+{
+    const int64_t free_slots = PROB_SCALE - m;
+    int64_t *rem = scratch, *base = scratch + m;
+    if (total < EXACT_TOTAL) {
+        /* four lanes under AVX2: the quotient rounded to the nearest
+         * integer is the floor or one above it, so num - q * t + t, exact,
+         * lies in [0, 2t) and tells which */
+        const double t = (double)total, inv = 1.0 / t, f = (double)free_slots;
+        for (int64_t i = 0; i < m; i++) {
+            const double num = to_double(w[i]) * f;
+            const double q = (num * inv + BIAS) - BIAS;
+            const int64_t r = to_int(num - q * t + t), under = r < total;
+            base[i] = to_int(q) - under;
+            rem[i] = r - total + (total & -under);
+        }
+    } else {
+        const double inv = 1.0 / (double)total;
+        for (int64_t i = 0; i < m; i++) /* w[i] * free_slots < 2^62 */
+            base[i] = div_total(w[i] * free_slots, total, inv, &rem[i]);
+    }
+    int64_t assigned = 0;
+    for (int64_t i = 0; i < m; i++)
+        assigned += base[i];
+    const int64_t leftover = free_slots - assigned; /* in [0, m) */
     if (leftover) {
+        const int64_t threshold = leftover_threshold(rem, m, leftover, scratch + 2 * m);
         for (int64_t i = 0; i < m; i++)
-            sel[i] = key[i] = (key[i] << 16) + (m - 1 - i);
-        int64_t threshold = select_rank(sel, m, m - leftover);
-        for (int64_t i = 0; i < m; i++)
-            base[i] += key[i] >= threshold;
+            base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;
     }
     cum[0] = 0;
     for (int64_t i = 0; i < m; i++)
         cum[i + 1] = cum[i] + base[i] + 1;
-    return NULL;
 }
 
 #define STACK_ALPHABET 256 /* quantize's scratch is on the stack up to here */
@@ -296,7 +380,8 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     }
     PyObject *result = NULL;
-    int64_t stack[2 * STACK_ALPHABET], *scratch = stack;
+    int64_t stack[3 * STACK_ALPHABET], *scratch = stack, total;
+    const char *error;
     if (m < 2 || m > PROB_SCALE) {
         PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
         goto done;
@@ -305,16 +390,16 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         PyErr_SetString(PyExc_ValueError, "cum must hold one more entry than weights");
         goto done;
     }
-    if (m > STACK_ALPHABET && !(scratch = PyMem_Malloc(2 * (size_t)m * sizeof *scratch))) {
+    if ((error = row_total(wv.buf, m, &total))) {
+        PyErr_SetString(PyExc_ValueError, error);
+        goto done;
+    }
+    if (m > STACK_ALPHABET && !(scratch = PyMem_Malloc(3 * (size_t)m * sizeof *scratch))) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(scratch, wv.buf, (size_t)m * sizeof *scratch);
-    const char *error = quantize_scratch(scratch, m, cv.buf);
-    if (error)
-        PyErr_SetString(PyExc_ValueError, error);
-    else
-        result = Py_NewRef(Py_None);
+    quantize_row(wv.buf, m, total, cv.buf, scratch);
+    result = Py_NewRef(Py_None);
 done:
     if (scratch != stack)
         PyMem_Free(scratch);
@@ -620,6 +705,34 @@ static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t n
     return PyLong_FromSsize_t(sym);
 }
 
+/* --- kept tables -------------------------------------------------------- */
+
+/* The table a net or count table keeps: bound by keep_table, written by each
+ * step after it.  obj is NULL while none is bound. */
+typedef struct {
+    Py_buffer view;
+    int64_t *cum;
+} kept_table;
+
+static void table_release(kept_table *t)
+{
+    if (t->view.obj)
+        PyBuffer_Release(&t->view);
+}
+
+/* cum <- the table of row, which the state's own rule makes valid: a count
+ * row (every count in [1, 2^16)) or a net's forward pass (net() checks the
+ * softmax table, so every entry lies in [0, 2^38) and the top one is
+ * positive).  Nothing is written while no table is bound. */
+static void table_write(const kept_table *t, const int64_t *row)
+{
+    if (!t->cum)
+        return;
+    int64_t scratch[3 * ALPHABET], total;
+    (void)row_total(row, ALPHABET, &total);
+    quantize_row(row, ALPHABET, total, t->cum, scratch);
+}
+
 /* --- neural predictor -------------------------------------------------- */
 
 enum { EMB, B1, W2, B2, SOFTMAX, BUF, N_ARRAYS };
@@ -642,6 +755,7 @@ typedef struct {
     int64_t *dlog;          /* scratch: 256 error-signal entries, then w hidden steps */
     int64_t n;              /* context bytes held, at most k */
     unsigned char *context; /* the last n bytes coded, oldest first; room for k */
+    kept_table table;       /* the forward pass's table, once bound */
 } kz_net;
 
 static void net_free(PyObject *self)
@@ -650,6 +764,7 @@ static void net_free(PyObject *self)
     for (int i = 0; i < N_ARRAYS; i++)
         if (net->views[i].obj)
             PyBuffer_Release(&net->views[i]);
+    table_release(&net->table);
     PyMem_Free(net->dlog);
     PyMem_Free(net->context);
     PyObject_Free(self);
@@ -760,6 +875,16 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
         Py_DECREF(net);
         return NULL;
     }
+    /* the top logit reads entry 0, and 256 entries total below 2^46: every
+     * forward pass is then a row quantize's rule accepts */
+    int ok = net->softmax[0] > 0;
+    for (int64_t i = 0; i < net->softmax_len; i++)
+        ok &= net->softmax[i] >= 0 && net->softmax[i] < SOFTMAX_LIMIT;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "softmax table needs a positive first entry and every entry in [0, 2^38)");
+        Py_DECREF(net);
+        return NULL;
+    }
     for (int64_t v = net->w - 1; v; v >>= 1)
         net->width_shift++;
     net->dlog = PyMem_Malloc((size_t)(ALPHABET + net->w) * sizeof *net->dlog);
@@ -846,6 +971,7 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
         memmove(net->context, net->context + 1, (size_t)--net->n);
     net->context[net->n++] = (unsigned char)token;
     forward(net);
+    table_write(&net->table, net->buf + 2 * net->w);
     Py_RETURN_NONE;
 }
 
@@ -876,6 +1002,7 @@ typedef struct {
     uint32_t rows;
     uint16_t **blocks;
     uint32_t n_blocks, blocks_cap;
+    kept_table table;  /* row's table, once bound */
 } kz_freq;
 
 static void freq_dealloc(PyObject *self)
@@ -883,6 +1010,7 @@ static void freq_dealloc(PyObject *self)
     kz_freq *f = (kz_freq *)self;
     if (f->row_view.obj)
         PyBuffer_Release(&f->row_view);
+    table_release(&f->table);
     for (uint32_t i = 0; i < f->n_blocks; i++)
         PyMem_Free(f->blocks[i]);
     PyMem_Free(f->blocks);
@@ -1089,6 +1217,7 @@ static PyObject *kz_freq_step(PyObject *module, PyObject *const *args, Py_ssize_
         f->ctx = n << 24 | (((f->ctx << 8) | (uint32_t)token) & mask);
     }
     freq_load_row(f);
+    table_write(&f->table, f->row);
     Py_RETURN_NONE;
 }
 
@@ -1144,6 +1273,40 @@ static PyObject *kz_freq_state(PyObject *module, PyObject *const *args, Py_ssize
     return result;
 }
 
+/* --- kept tables, bound ----------------------------------------------- */
+
+/* keep_table(state, cum): bind cum (257 entries, writable) to a net or
+ * count table, replacing any cum bound before; from then on each net_step
+ * or freq_step on it ends by writing the table of the row it leaves into
+ * cum, so the next byte needs no quantize call of its own. */
+static PyObject *kz_keep_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (check_nargs("keep_table", nargs, 2) < 0)
+        return NULL;
+    kept_table *table;
+    if (Py_IS_TYPE(args[0], &net_type))
+        table = &((kz_net *)args[0])->table;
+    else if (Py_IS_TYPE(args[0], &freq_type))
+        table = &((kz_freq *)args[0])->table;
+    else
+        return PyErr_Format(PyExc_TypeError, "expected a %s or %s state, got %s", net_type.tp_name,
+                            freq_type.tp_name, Py_TYPE(args[0])->tp_name);
+    Py_buffer view;
+    Py_ssize_t n;
+    if (get_array(args[1], &view, 1, "cum", &n) < 0)
+        return NULL;
+    if (n != ALPHABET + 1) {
+        PyErr_SetString(PyExc_ValueError, "cum must hold 257 entries");
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    table_release(table);
+    table->view = view;
+    table->cum = view.buf;
+    Py_RETURN_NONE;
+}
+
 /* --- module ------------------------------------------------------------ */
 
 static PyMethodDef kz_methods[] = {
@@ -1169,6 +1332,8 @@ static PyMethodDef kz_methods[] = {
      "freq_step(state, token): count token, then the next context's counts into row"},
     {"freq_state", (PyCFunction)(void (*)(void))kz_freq_state, METH_FASTCALL,
      "freq_state(state) -> the counts as FreqPredictor's digest payload"},
+    {"keep_table", (PyCFunction)(void (*)(void))kz_keep_table, METH_FASTCALL,
+     "keep_table(state, cum): each later step of a net or count table writes its next table into cum"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -27,6 +27,7 @@ WEIGHT_CLIP = 8 * ONE  # net parameters saturate to [-8.0, 8.0]
 MAX_WIDTH = 1 << 31  # keeps the output-layer shift below 64
 MAX_LR = 1 << 20  # PredictorConfig's learning-rate bound
 _TOTAL_LIMIT = 1 << 46  # keeps weight * free and remainder << 16 inside int64
+_SOFTMAX_LIMIT = _TOTAL_LIMIT // ALPHABET  # softmax entries below it: 256 of them total below 2^46
 _RENORM = 1 << 24  # renormalize while range < 2^24
 _MASK32 = 0xFFFFFFFF
 _FLUSH_BYTES = 5  # finish() shifts out five bytes
@@ -38,11 +39,15 @@ _ONES = np.ones(ALPHABET, dtype=np.int32)
 
 def _check(a, name: str, writable: bool = False) -> np.ndarray:
     """a as an ndarray, which it is or views through the buffer protocol as
-    the extension's get_array does (TypeError if it has no buffer); reject
-    what is not a one-dimensional, C-contiguous int64 vector (writable, if
-    asked), by get_array's rules in its order."""
+    the extension's get_array does (the same TypeError if it has no buffer);
+    reject what is not a one-dimensional, C-contiguous int64 vector
+    (writable, if asked), by get_array's rules in its order."""
     if not isinstance(a, np.ndarray):
-        a = np.asarray(memoryview(a))
+        try:
+            view = memoryview(a)
+        except TypeError:
+            raise TypeError(f"a bytes-like object is required, not '{type(a).__name__}'") from None
+        a = np.asarray(view)
     if a.dtype != np.int64:
         why = "must be int64"
     elif a.ndim != 1:
@@ -70,9 +75,7 @@ def _row_total(w: np.ndarray) -> int:
 
 
 def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
-    """Fill cum (m + 1 entries) with the table for m weights: one slot per
-    symbol, floors of w * free / total, then the leftover slots to the
-    largest keys (remainder << 16) + (m-1-index), which are distinct."""
+    """Fill cum (m + 1 entries) with the table for m weights."""
     weights = _check(weights, "weights")
     cum = _check(cum, "cum", writable=True)
     m = weights.size
@@ -80,7 +83,15 @@ def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
         raise ValueError(f"alphabet size outside [2, {PROB_SCALE}]")
     if cum.size != m + 1:
         raise ValueError("cum must hold one more entry than weights")
-    total = _row_total(weights)
+    _quantize(weights, _row_total(weights), cum)
+
+
+def _quantize(weights: np.ndarray, total: int, cum: np.ndarray) -> None:
+    """cum <- the table for the m weights _row_total accepted, with their
+    total: one slot per symbol, floors of w * free / total, then the
+    leftover slots to the largest keys (remainder << 16) + (m-1-index),
+    which are distinct."""
+    m = weights.size
     free = PROB_SCALE - m
     base, key = np.divmod(weights * free, total)  # key <- remainders < 2^46
     leftover = free - int(np.add.reduce(base))
@@ -199,7 +210,8 @@ def decode(dec: SimpleNamespace, cum: np.ndarray) -> int:
 def net(emb, b1, w2, b2, softmax, buf, lr: int) -> SimpleNamespace:
     """One NeuralPredictor's arrays (emb and w2 as shaped views, which write
     through) and its constants, at the empty context; buf (2w + 256) splits
-    into pre | hidden | weights, that context's forward pass."""
+    into pre | hidden | weights, that context's forward pass.  The softmax
+    table must make every forward pass a row quantize's rule accepts."""
     if not 1 <= lr <= MAX_LR:
         raise ValueError(f"learning rate {lr} outside [1, 2^20]")
     names = ("emb", "b1", "w2", "b2", "softmax", "buf")
@@ -212,11 +224,15 @@ def net(emb, b1, w2, b2, softmax, buf, lr: int) -> SimpleNamespace:
     if not (1 <= w <= MAX_WIDTH and k and (emb.size, w2.size, b2.size, buf.size) == want and softmax.size):
         raise ValueError("net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
                          "b2 256, buf 2*w + 256 and a nonempty softmax table")
+    # the top logit reads entry 0, and 256 entries total below 2^46: every
+    # forward pass is then a row quantize's rule accepts
+    if not (softmax.item(0) > 0 and int(softmax.min()) >= 0 and int(softmax.max()) < _SOFTMAX_LIMIT):
+        raise ValueError("softmax table needs a positive first entry and every entry in [0, 2^38)")
     pre, hidden, weights = np.split(buf, [w, 2 * w])
     n = SimpleNamespace(
         emb=emb.reshape(k, ALPHABET, w), b1=b1, w2=w2.reshape(w, ALPHABET), b2=b2,
         softmax=softmax, pre=pre, hidden=hidden, weights=weights,
-        k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=b"",
+        k=k, lr=int(lr), width_shift=(w - 1).bit_length(), context=b"", cum=None,
     )
     _forward(n)
     return n
@@ -239,8 +255,8 @@ def _forward(n: SimpleNamespace) -> None:
 
 def net_step(n: SimpleNamespace, token: int) -> None:
     """NeuralPredictor.update on buf's forward pass, if quantize's rule accepts
-    its row; then token onto the context, kept to its last k bytes, and the
-    new context's forward pass into buf."""
+    its row; then token onto the context, kept to its last k bytes, the new
+    context's forward pass into buf and its table into the kept cum."""
     if not 0 <= token < ALPHABET:
         raise ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
     weights, pre, hidden, lr = n.weights, n.pre, n.hidden, n.lr
@@ -268,6 +284,7 @@ def net_step(n: SimpleNamespace, token: int) -> None:
         np.maximum(param, -WEIGHT_CLIP, out=param)
     n.context = (n.context + bytes([token]))[-n.k :]
     _forward(n)
+    _write_table(n, n.weights)
 
 
 def freq(order: int, row: np.ndarray) -> SimpleNamespace:
@@ -280,14 +297,15 @@ def freq(order: int, row: np.ndarray) -> SimpleNamespace:
     if row.size != ALPHABET:
         raise ValueError("row must hold 256 entries")
     row[:] = _ONES
-    return SimpleNamespace(order=order, row=row, counts={}, context=b"")
+    return SimpleNamespace(order=order, row=row, counts={}, context=b"", cum=None)
 
 
 def freq_step(f: SimpleNamespace, token: int) -> None:
     """FreqPredictor.update: count token in the current context's row (made,
     all ones, if it has none), halving the row, floored at 1, when the count
     reaches 2^16; append token to the context and keep the last order bytes;
-    then copy the new context's counts into row, or ones if it has none."""
+    then copy the new context's counts into row, or ones if it has none, and
+    their table into the kept cum."""
     if not 0 <= token < ALPHABET:
         raise ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
     counts = f.counts.get(f.context)
@@ -299,6 +317,7 @@ def freq_step(f: SimpleNamespace, token: int) -> None:
     if f.order:
         f.context = (f.context + bytes([token]))[-f.order :]
     f.row[:] = f.counts.get(f.context, _ONES)
+    _write_table(f, f.row)
 
 
 def freq_state(f: SimpleNamespace) -> bytes:
@@ -310,3 +329,20 @@ def freq_state(f: SimpleNamespace) -> bytes:
         parts.append(key)
         parts.append(f.counts[key].astype("<i4").tobytes())
     return b"".join(parts)
+
+
+def keep_table(state: SimpleNamespace, cum: np.ndarray) -> None:
+    """Bind cum (257 entries, writable) to a net or count table, replacing
+    any cum bound before; from then on each net_step or freq_step on it ends
+    by writing the table of the row it leaves into cum."""
+    cum = _check(cum, "cum", writable=True)
+    if cum.size != ALPHABET + 1:
+        raise ValueError("cum must hold 257 entries")
+    state.cum = cum
+
+
+def _write_table(state: SimpleNamespace, row: np.ndarray) -> None:
+    """state's bound cum <- the table of row, which the state's own rule
+    makes valid; nothing while no table is bound."""
+    if state.cum is not None:
+        _quantize(row, int(np.add.reduce(row)), state.cum)

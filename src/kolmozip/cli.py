@@ -14,6 +14,7 @@ malformed or undecodable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -298,7 +299,10 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--audit", action="store_true", help=_AUDIT_HELP)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after: parsing
+    leaves it as it was, and building it costs far more than a parse."""
     parser = _Parser(prog="kolmozip", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

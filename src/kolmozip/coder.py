@@ -24,8 +24,8 @@ PROB_SCALE = 1 << PROB_BITS  # every quantized table sums to this
 _INT64 = np.dtype(np.int64)
 
 
-def quantize_weights(weights: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """A row of integer weights to its cumulative table.
+def quantize_weights(weights: np.ndarray) -> np.ndarray:
+    """A row of integer weights to its cumulative table, a new array.
 
     A table is the int64 array cum, strictly increasing from cum[0] = 0 to
     cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  A C-contiguous
@@ -34,16 +34,12 @@ def quantize_weights(weights: np.ndarray, *, out: np.ndarray | None = None) -> n
     not of an integer dtype raises TypeError.  A row that is not a
     distribution (fewer than 2 or more than 2^16 weights, a negative weight,
     none positive, or a total of 2^46 or more) raises ValueError.
-
-    The table is written into out and out returned, when given: a writable,
-    C-contiguous int64 array of m + 1 entries, else the step module raises
-    ValueError and leaves it as it was.  Otherwise a new array is returned.
     """
     if weights.dtype != _INT64 or not weights.flags.c_contiguous:
         if not np.issubdtype(weights.dtype, np.integer):
             raise TypeError("quantization needs integer weights; rescale first")
         weights = np.ascontiguousarray(weights, dtype=np.int64)
-    cum = np.empty(weights.size + 1, dtype=np.int64) if out is None else out
+    cum = np.empty(weights.size + 1, dtype=np.int64)
     kernel.load().quantize(weights, cum)
     return cum
 

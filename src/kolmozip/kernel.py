@@ -3,7 +3,14 @@
 It holds the whole per-byte step but the loop around it: quantization, the
 range coder's encoder and decoder states, and the states of the neural net
 and of the freq model's count table (uint16 rows in the extension), each of
-which owns its context.
+which owns its context.  ``keep_table`` binds a net or count table to an
+int64 table of 257 entries, and each later step then quantizes the row it
+leaves into it, so a coding session makes two calls a byte: code, then
+step.  Quantization is exact integer arithmetic: for a total below 2^37 it
+divides in doubles, which hold every value there exactly, and it gives the
+leftover slots by counting the remainders above and equal to a pivot, which
+on a count row (mostly ones, sharing one remainder) settles them without a
+select.
 
 ``load()`` never returns None: it returns the extension or, when that
 cannot be built, ``_kernel_numpy``, which exports the same functions with

@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coder import (
-    PROB_BITS,
-    RangeDecoder,
-    RangeEncoder,
-    quantize_weights,
-)
+from .coder import PROB_BITS, RangeDecoder, RangeEncoder, quantize_weights
 from .errors import FormatError
-from .predictors import ALPHABET, PredictorConfig, make_predictor
+from .predictors import PredictorConfig, make_predictor
 
 MAGIC = b"KZV1"
 VERSION = 1
@@ -98,21 +93,21 @@ class SessionStats:
 def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
     """The training loop encoder and decoder share; only `code` differs.
 
-    The predictor first trains on context (no bits flow), then, for each
-    of n tokens: predict, quantize into the session's one table,
-    code(table, i) -> token, update.  The encoder's `code` writes the i-th
+    The predictor first trains on context (no bits flow, no table is made),
+    then quantizes its prediction into the session's one table and keeps it
+    there; per token, code(table, i) -> token, then the update, which leaves
+    the next table in it.  The encoder's `code` writes the i-th
     input byte, the decoder's reads one, so both sides see the same tables.
     Returns the per-token state digests when audit is set.
     """
     for tok in context:
         pred.update(tok)
-    table = np.empty(ALPHABET + 1, dtype=np.int64)
-    static = quantize_weights(pred.predict_weights(), out=table) if pred.is_static else None
-    predict, update = pred.predict_weights, pred.update
+    table = quantize_weights(pred.predict_weights())
+    pred.keep_table(table)
+    update = pred.update
     digests: list[bytes] = []
     for i in range(n):
-        tok = code(quantize_weights(predict(), out=table) if static is None else static, i)
-        update(tok)
+        update(code(table, i))
         if audit:
             digests.append(pred.digest())
     return digests

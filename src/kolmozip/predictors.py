@@ -5,9 +5,10 @@ All three share one duck-typed surface:
     predict_weights() -> ndarray  weights for the next byte, one per byte
                                   value; read-only, valid until update()
     update(token)                 advance state by one observed byte
+    keep_table(cum)               cum holds the current table; each later
+                                  update() writes the next one there
     digest() -> bytes             16-byte canonical hash of all state
     token_position                number of tokens consumed so far
-    is_static                     True when predict_weights() never changes
 
 The per-token protocol is always predict -> code -> update, and every
 predictor is built from its config alone, so an encoder and a decoder
@@ -155,8 +156,6 @@ _ONES_ROW.flags.writeable = False
 class UniformPredictor:
     """Fixed 1/256 distribution; the do-nothing baseline."""
 
-    is_static = True
-
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.token_position = 0
@@ -168,6 +167,9 @@ class UniformPredictor:
         if not 0 <= token < ALPHABET:
             raise _bad_token(token)
         self.token_position += 1
+
+    def keep_table(self, cum: np.ndarray) -> None:
+        pass  # the one table never changes
 
     def digest(self) -> bytes:
         return _digest(self.config, self.token_position, b"")
@@ -193,8 +195,6 @@ class FreqPredictor:
     u8 key length, key bytes, counts as little-endian int32.
     """
 
-    is_static = False
-
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
         self.token_position = 0
@@ -211,6 +211,9 @@ class FreqPredictor:
     def update(self, token: int) -> None:
         self._kernel.freq_step(self._freq, token)
         self.token_position += 1
+
+    def keep_table(self, cum: np.ndarray) -> None:
+        self._kernel.keep_table(self._freq, cum)
 
     def digest(self) -> bytes:
         return _digest(self.config, self.token_position, self._kernel.freq_state(self._freq))
@@ -264,8 +267,6 @@ class NeuralPredictor:
     predictor's state exists only as the replay of its tokens; a predictor
     cannot be copied or pickled.
     """
-
-    is_static = False
 
     def __init__(self, config: PredictorConfig) -> None:
         self.config = config
@@ -325,6 +326,9 @@ class NeuralPredictor:
     def update(self, token: int) -> None:
         self._kernel.net_step(self._net, token)
         self.token_position += 1
+
+    def keep_table(self, cum: np.ndarray) -> None:
+        self._kernel.keep_table(self._net, cum)
 
     def digest(self) -> bytes:
         state = b"".join(

@@ -53,9 +53,29 @@ MUTANTS = {
     ),
     "c-zero-total-check-dropped": (C, "if (bits < 0 || *total == 0)", "if (bits < 0)"),
     "c-ties-to-higher-index": (
-        C, "sel[i] = key[i] = (key[i] << 16) + (m - 1 - i);", "sel[i] = key[i] = (key[i] << 16) + i;"
+        C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + i >= threshold;"
     ),
-    "c-leftover-threshold-off-by-one": (C, "base[i] += key[i] >= threshold;", "base[i] += key[i] > threshold;"),
+    "c-leftover-threshold-off-by-one": (
+        C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + (m - 1 - i) > threshold;"
+    ),
+    "c-exact-total-raised": (C, "#define EXACT_TOTAL (INT64_C(1) << 37)", "#define EXACT_TOTAL (INT64_C(1) << 46)"),
+    "c-exact-quotient-unrounded": (
+        C, "const double q = (num * inv + BIAS) - BIAS;", "const double q = (num * inv + BIAS) - BIAS - 1.0;"
+    ),
+    "c-exact-quotient-uncorrected": (C, "base[i] = to_int(q) - under;", "base[i] = to_int(q);"),
+    "c-exact-remainder-uncorrected": (C, "rem[i] = r - total + (total & -under);", "rem[i] = r - total;"),
+    "c-pivot-count-inclusive": (C, "above += rem[i] > pivot;", "above += rem[i] >= pivot;"),
+    "c-pivot-group-bound-off-by-one": (
+        C, "if (above < leftover && leftover <= above + equal) {", "if (above < leftover && leftover < above + equal) {"
+    ),
+    "c-pivot-group-cut-one-late": (C, "return (pivot << 16) + (m - 1 - i);", "return (pivot << 16) + (m - 2 - i);"),
+    "c-pivot-group-ties-to-higher-index": (C, "need -= rem[++i] == pivot;", "need -= rem[m - 1 - ++i] == pivot;"),
+    "c-lower-side-wins-miscounted": (
+        C, "wins = upper ? leftover : leftover - above - equal;", "wins = upper ? leftover : leftover - above;"
+    ),
+    "c-side-candidates-flipped": (
+        C, "n += upper ? rem[i] > pivot : rem[i] < pivot;", "n += upper ? rem[i] < pivot : rem[i] > pivot;"
+    ),
     "c-div-total-correction-off-by-one": (
         C, "const int64_t under = r < 0, over = r >= total;", "const int64_t under = r < 0, over = r > total;"
     ),
@@ -83,6 +103,15 @@ MUTANTS = {
     ),
     # net
     "c-empty-softmax-accepted": (C, "net->softmax_len < 1) {", "net->softmax_len < 0) {"),
+    "c-softmax-zero-first-entry-accepted": (C, "int ok = net->softmax[0] > 0;", "int ok = net->softmax[0] >= 0;"),
+    "c-softmax-limit-off-by-one": (
+        C, "ok &= net->softmax[i] >= 0 && net->softmax[i] < SOFTMAX_LIMIT;",
+        "ok &= net->softmax[i] >= 0 && net->softmax[i] <= SOFTMAX_LIMIT;",
+    ),
+    "c-softmax-last-entry-unchecked": (
+        C, "for (int64_t i = 0; i < net->softmax_len; i++)", "for (int64_t i = 0; i < net->softmax_len - 1; i++)"
+    ),
+    "c-net-table-not-kept": (C, "    table_write(&net->table, net->buf + 2 * net->w);", "    (void)0;"),
     "c-learning-rate-bound-off-by-one": (
         C, 'get_int(args[N_ARRAYS], 1, MAX_LR + 1,', 'get_int(args[N_ARRAYS], 1, MAX_LR + 2,'
     ),
@@ -120,6 +149,11 @@ MUTANTS = {
         C, "return (key & 0xFFFFFF) << 8 * (MAX_ORDER - n) << 8 | n;", "return (key & 0xFFFFFF) << 8 | n;"
     ),
     "c-state-high-byte-dropped": (C, "p[1] = (unsigned char)(counts[s] >> 8);", "p[1] = 0;"),
+    "c-freq-table-not-kept": (C, "    table_write(&f->table, f->row);", "    (void)0;"),
+    # keep_table
+    "c-kept-table-length-check-loosened": (C, "if (n != ALPHABET + 1) {", "if (n < ALPHABET + 1) {"),
+    "c-kept-table-not-replaced": (C, "    table->cum = view.buf;", "    table->cum = table->cum ? table->cum : view.buf;"),
+    "c-kept-table-takes-any-state": (C, "    else if (Py_IS_TYPE(args[0], &freq_type))", "    else if (1)"),
     # the twin
     "np-ndim-check-loosened": (NP, "    elif a.ndim != 1:", "    elif a.ndim > 1:"),
     "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),
@@ -139,6 +173,13 @@ MUTANTS = {
     "np-halving-threshold-off-by-one": (NP, "if counts[token] >= COUNT_LIMIT:", "if counts[token] > COUNT_LIMIT:"),
     "np-state-unsorted": (NP, "for key in sorted(f.counts):", "for key in f.counts:"),
     "np-freq-row-length-check-loosened": (NP, "if row.size != ALPHABET:", "if row.size < ALPHABET:"),
+    "np-softmax-negative-entry-accepted": (NP, "int(softmax.min()) >= 0", "int(softmax.min()) >= -1"),
+    "np-kept-table-length-check-loosened": (NP, "if cum.size != ALPHABET + 1:", "if cum.size < ALPHABET + 1:"),
+    "np-freq-table-not-kept": (NP, "    _write_table(f, f.row)", "    pass"),
+    "np-no-buffer-message-changed": (
+        NP, """raise TypeError(f"a bytes-like object is required, not '{type(a).__name__}'") from None""",
+        """raise TypeError(f"a buffer is required, not '{type(a).__name__}'") from None""",
+    ),
     "np-weights-message-changed": (
         NP, '_BAD_WEIGHTS = "weights must be nonnegative with one positive"',
         '_BAD_WEIGHTS = "weights must be non-negative with one positive"',

@@ -52,3 +52,7 @@ def test_traced_stream_and_session_count_every_coded_byte(model, tmp_path, capsy
         metrics, failures = tracing.session_layers(tracer, tag)
         assert failures == []
         assert metrics["predictors.update.calls"] == 2 * trained  # both directions
+        # each session predicts and quantizes its first table; every later
+        # table comes out of the update before it
+        assert metrics["predictors.predict.calls"] == 2
+        assert tracer.span("coder.quantize", tag).calls == 2

@@ -204,6 +204,29 @@ def test_audit_help_is_one_text_that_states_its_cost():
     assert "cost grows" in text
 
 
+def test_one_parser_serves_every_call_as_a_fresh_one_does(tmp_path, capsys, monkeypatch):
+    # main() calls in one process, a usage error and a help text among them,
+    # exit and print as the same calls in fresh interpreters do
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps alike on both sides
+    chain = tmp_path / "chain.bin"
+    calls = [
+        ("gen", "markov", str(chain), "--order", "1", "--len", "64"),
+        ("compress", str(chain)),  # no outfile and no --model
+        ("kc", "phi", "--x", "0110"),
+        ("kc", "--help"),
+        ("gen", "markov", str(chain), "--order", "1", "--len", "64"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(kolmozip.__file__).parents[1]))
+    for argv in calls:
+        code = main(list(argv))
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kolmozip.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
+
+
 def test_ladder_splits_neural_specs_despite_inner_comma(tmp_path, sample, capsys):
     code, records, _ = run(
         capsys, "ladder", str(sample), "--models", "freq:1,neural:1,8,neural:2,8"

@@ -3,21 +3,22 @@
 Every function of the extension must reproduce its twin in
 ``_kernel_numpy`` bit for bit, through one differential harness.
 ``Twins.call`` makes each call on the fast module, then on the twin, and
-compares the outcome (the result, or the error's type and message; only the
-type of a TypeError, which the interpreter words) and every state made so
-far: an encoder's registers (its payload when finished), a decoder's
-cursor, a count table's ``freq_state``, context and row, a net's arrays and
-context, and the call's array arguments.  A ValueError or TypeError must
-leave all of them as they were.  ``Twins.settle`` carries every state one
-step on and finishes every encoder, so that the registers no view shows
-are compared too.  ``StepMachine``, a Hypothesis rule-based
+compares the outcome (the result, or the error's type and message) and
+every state made so far: an encoder's registers (its payload when
+finished), a decoder's cursor, a count table's ``freq_state``, context and
+row, a net's arrays and context, the table either keeps once bound
+(``keep_table``), and the call's array arguments.  A ValueError or
+TypeError must leave all of them as they were.  ``Twins.settle`` carries
+every state one step on and finishes every encoder, so that the registers
+no view shows are compared too.  ``StepMachine``, a Hypothesis rule-based
 state machine, drives random sessions through it: encoders, decoders over
 payloads, their cuts and any bytes, count tables and nets (small k and w,
-and the extremes k = 8 and w = 256), with valid and invalid tokens, rows
-written over a net's forward pass, and any array argument in a form that
-breaks the array contract or through a buffer wrapper (``FORMS``).  It runs
-against ``kernel.load()``, the clone-free build and each clone this CPU can
-run.  Explicit cases (the hardest rows, guards and streams) go through the
+the extremes k = 8 and w = 256, and softmax tables ``net`` must refuse),
+with valid and invalid tokens, tables bound mid-session beside unbound
+states, rows written over a net's forward pass, and any array argument in a
+form that breaks the array contract or through a buffer wrapper
+(``FORMS``).  It runs against ``kernel.load()``, the clone-free build and
+each clone this CPU can run.  Explicit cases (the hardest rows, guards and streams) go through the
 same calls, those the step's loops are easiest to get wrong on against each
 of those builds.  Both modules must also export the same functions, take the
 same arguments and spell the same messages, and the build must be safe to
@@ -102,7 +103,7 @@ def test_extension_and_twin_export_the_same_functions():
     # without a twin fails even where the extension cannot be built
     table = set(re.findall(r'^\s*\{"(\w+)", \(PyCFunction\)', kernel.SOURCE.read_text(), re.MULTILINE))
     exports = {"quantize", "net", "net_step", "encoder", "encode", "finish", "decoder", "decode"}
-    exports |= {"freq", "freq_step", "freq_state"}
+    exports |= {"freq", "freq_step", "freq_state", "keep_table"}
     assert _functions(_kernel_numpy) == table == exports
     if kernel.load() is not _kernel_numpy:
         assert _functions(kernel.load()) == table
@@ -125,6 +126,7 @@ def test_extension_and_twin_take_the_same_arguments():
     }
     assert required == twin
     assert required["net"] == 7 and required["net_step"] == 2 and required["freq"] == 2
+    assert required["keep_table"] == 2
 
 
 # a run of adjacent C string literals, which the compiler joins into one
@@ -209,6 +211,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # the reason get_array and _check give (None: a length the function itself
 # rejects), then the buffer wrappers, which view the array and write through
 # (ctypes as format '<q' on little-endian), and a list, which has no buffer
+# (NO_BUFFER)
 BREAKERS = {
     "int32": "must be int64", "uint64": "must be int64", "float64": "must be int64", ">i8": "must be int64",
     "2-d": "must be one-dimensional", "0-d": "must be one-dimensional", "strided": "must be C-contiguous",
@@ -225,6 +228,7 @@ FORMS = {
     "ctypes": lambda a: (ctypes.c_int64 * a.size).from_buffer(a),
     "list": np.ndarray.tolist,
 }
+NO_BUFFER = (TypeError, "a bytes-like object is required, not 'list'")
 MAKERS = ("encoder", "decoder", "net", "freq")  # the functions that make a state
 _ROW = np.arange(1, 257, dtype=np.int64)
 _TABLE = twin_quantize(_ROW)
@@ -246,37 +250,36 @@ def _name(fn, side) -> str:
 
 
 class Side:
-    """One step module and the states made on it, each (kind, state, arrays)."""
+    """One step module, the states made on it, each (kind, state, arrays),
+    and the table each net or count table keeps, by handle, once bound."""
 
     def __init__(self, module):
-        self.module, self.states = module, []
+        self.module, self.states, self.tables = module, [], {}
 
     def view(self, handle: int) -> tuple:
         """What is compared of a state: an encoder's registers, a decoder's
         cursor, a net's context and arrays, a count table's freq_state,
-        context and row."""
+        context and row, and the table either keeps."""
         kind, state, arrays = self.states[handle]
         if kind == "encoder":
             return state.low, state.range
         if kind == "decoder":
             return (state.cursor,)
-        held = (state.context, *arrays)
+        held = (state.context, *arrays, self.tables.get(handle))
         return (self.module.freq_state(state), *held) if kind == "freq" else held
 
     def views(self) -> list:
         return [self.view(h) for h in range(len(self.states))]
 
     def call(self, fn, args: list) -> tuple:
-        """fn on args: the result, or the error's type and message (only the
-        type of a TypeError, which the interpreter words), and whether the
-        error is one that must leave every state as it was."""
+        """fn on args: the result, or the error's type and message, and
+        whether the error is one that must leave every state as it was."""
         try:
             return (getattr(self.module, fn)(*args) if isinstance(fn, str) else fn(self.module, *args)), False
         except AssertionError:  # a helper's own check
             raise
         except Exception as exc:
-            outcome = type(exc), None if isinstance(exc, TypeError) else str(exc)
-            return outcome, isinstance(exc, (ValueError, TypeError))
+            return (type(exc), str(exc)), isinstance(exc, (ValueError, TypeError))
 
 
 class Twins:
@@ -378,16 +381,18 @@ class Twins:
     def decode(self, dec: int, cum, form=None):
         return self.call("decode", lambda s: [s.states[dec][1], np.array(cum, dtype=np.int64)], form)
 
-    def net(self, k=2, w=8, seed=0, lr=ONE, softmax=_SOFTMAX_TABLE.size, off=None, form=None):
+    def net(self, k=2, w=8, seed=0, lr=ONE, softmax=_SOFTMAX_TABLE.size, off=None, form=None, table=None):
         """A net of context k and width w, its parameters drawn from seed,
-        each array up to a bound from 0.5 to the clip, 8.0; off = (i, d)
-        makes array i (emb, b1, w2, b2, softmax, buf) d longer."""
+        each array up to a bound from 0.5 to the clip, 8.0, and the first
+        softmax entries of the predictor's table, or the table given; off =
+        (i, d) makes array i (emb, b1, w2, b2, softmax, buf) d longer."""
 
         gen = np.random.default_rng(seed)
         sizes = (k * ALPHABET * w, w, w * ALPHABET, ALPHABET)
         bounds = [_kernel_numpy.WEIGHT_CLIP >> int(gen.integers(0, 5)) for _ in sizes]
         made = [gen.integers(-bound, bound + 1, n) for n, bound in zip(sizes, bounds)]
-        made += [_SOFTMAX_TABLE[:softmax], np.zeros(2 * w + ALPHABET, dtype=np.int64)]
+        made += [_SOFTMAX_TABLE[:softmax] if table is None else np.asarray(table, dtype=np.int64)]
+        made += [np.zeros(2 * w + ALPHABET, dtype=np.int64)]
         if off:
             made[off[0]] = np.resize(made[off[0]], max(0, made[off[0]].size + off[1]))
         return self.call("net", lambda s: [*(a.copy() for a in made), lr], form)
@@ -407,6 +412,21 @@ class Twins:
     def freq_step(self, f: int, token: int):
         return self.call("freq_step", lambda s: [s.states[f][1], token])
 
+    def keep_table(self, handle: int, form=None):
+        """Bind a fresh cum (all -7) to a net or count table; from a
+        successful call on, each side's view of the state holds it."""
+        cums = {}
+
+        def arguments(side) -> list:
+            cums[side] = np.full(ALPHABET + 1, -7, dtype=np.int64)
+            return [side.states[handle][1], cums[side]]
+
+        out = self.call("keep_table", arguments, form)
+        if out is None:
+            for side in self.sides:
+                side.tables[handle] = cums[side]
+        return out
+
     def run(self, handle: int, tokens) -> tuple:
         """A net's or count table's step on each of tokens, in one call."""
 
@@ -414,22 +434,23 @@ class Twins:
             kind, state, arrays = side.states[handle]
             # the row each step leaves: a net's forward pass, a table's row
             row = arrays[5][-ALPHABET:] if kind == "net" else arrays[0]
-            return [f"{kind}_step", state, row, tokens]
+            return [f"{kind}_step", state, row, side.tables.get(handle), tokens]
 
         return self.call(_run, arguments)
 
 
-def _run(module, fn: str, state, row: np.ndarray, tokens) -> tuple:
+def _run(module, fn: str, state, row: np.ndarray, table, tokens) -> tuple:
     """fn on state for each token up to the first error: a running hash of
-    row after every step, so that a row that differs at any step shows, the
-    number of steps made and the error's message (None if there was none)."""
+    row and of the kept table (None while unbound) after every step, so that
+    either differing at any step shows, the number of steps made and the
+    error's message (None if there was none)."""
     digest = 0
     for made, tok in enumerate(tokens):
         try:
             getattr(module, fn)(state, tok)
         except ValueError as exc:  # the forward pass of a net's last step, rejected
             return digest, made, str(exc)
-        digest = hash((digest, row.tobytes()))
+        digest = hash((digest, row.tobytes(), None if table is None else table.tobytes()))
     return digest, len(tokens), None
 
 
@@ -479,6 +500,24 @@ def _forms(*positions: int):
 
 # a token outside the alphabet, or none
 _BAD_TOKENS = st.sampled_from([None, None, None, ALPHABET, -1, 1 << 70, -(1 << 70)])
+
+_SOFTMAX_LIMIT = 1 << 38  # 256 entries below it total below 2^46
+# softmax tables net() must refuse, each with its fault, then tables it takes
+# whose forward passes are the extremes of quantize's rule
+BAD_SOFTMAX_TABLES = {
+    "all zeros": [0, 0, 0],
+    "first entry zero": [0, 5, 3],
+    "a negative entry": [9, 4, -1],
+    "first entry negative": [-1],
+    "an entry at 2^38": [1, _SOFTMAX_LIMIT],
+    "first entry at 2^38": [_SOFTMAX_LIMIT, 1],
+    "an entry past int64's half": [1, 1 << 62],
+}
+GOOD_SOFTMAX_TABLES = {
+    "one entry of 1": [1],
+    "entries just below 2^38": [_SOFTMAX_LIMIT - 1] * 3,  # a forward pass totals 2^46 - 256
+    "zeros after the first": [7, 0, 0, 0],
+}
 
 
 def _made(handle):
@@ -540,6 +579,7 @@ class StepMachine(RuleBasedStateMachine):
         softmax=st.sampled_from([_SOFTMAX_TABLE.size, 1, 2, 300, 0]),
         off=st.none() | st.tuples(st.integers(0, 5), st.sampled_from([-1, 1])),
         form=_forms(0, 1, 2, 3, 4, 5),
+        table=st.sampled_from([None] * 4 + [*BAD_SOFTMAX_TABLES.values(), *GOOD_SOFTMAX_TABLES.values()]),
     )
     def net(self, shape, **arguments):
         return _made(self.twins.net(*shape, **arguments))
@@ -553,6 +593,11 @@ class StepMachine(RuleBasedStateMachine):
     @rule(net=nets, row=_weight_rows(ALPHABET))
     def plant(self, net, row):
         self.twins.plant(net, row)
+
+    # bound after whatever steps the state has made, beside unbound states
+    @rule(state=nets | freqs, form=_forms(1))
+    def keep_table(self, state, form):
+        self.twins.keep_table(state, form)
 
     @rule(
         target=freqs,
@@ -611,10 +656,52 @@ def _spread(m: int, total: int) -> np.ndarray:
     return row
 
 
+def _close_remainders(total: int, gap: int) -> np.ndarray:
+    """Four weights summing to total, which must be prime to 2^16 - 4, the
+    remainders of whose w * free / total are total // 2, gap more, 1 and the
+    rest: the last weight and the second win the leftover slots, a ranking
+    that the rounding of w * free in doubles (past 2^53) would upset."""
+    inv = pow(PROB_SCALE - 4, -1, total)
+    row = [(total // 2) * inv % total, (total // 2 + gap) * inv % total, inv]
+    assert sum(row) <= total
+    return np.array([*row, total - sum(row)])
+
+
+def _ones_and(count: int, at: int, m: int = 256) -> np.ndarray:
+    """A count row: ones, and count at index at."""
+    row = np.ones(m, dtype=np.int64)
+    row[at] = count
+    return row
+
+
 _BIG = (1 << 46) - 1  # the largest total quantize accepts
+_EXACT = 1 << 37  # below this total, quantize divides in doubles
 # rows where quantize is easiest to get wrong, each on the stack scratch
 # (m <= 256) or the heap one (m > 256)
 HARD_ROWS = {
+    # count rows: the ones share a remainder, and the leftover slots'
+    # threshold falls among them, cut at the first one (one of them wins)
+    # or at the last (all of them do)
+    "255 ones and a large count": _ones_and(60_000, 100),
+    "255 ones and a count past 2^16": _ones_and(1 << 20, 255),
+    "ones cut at the first, after a 2": _ones_and(2, 0),
+    "ones cut at the last, after a 418": _ones_and(418, 0),
+    "ones cut at the last, before a 418": _ones_and(418, 255),
+    "all equal, m=256": _spread(256, 256 * 9),
+    # the threshold away from a median-of-three pivot, above it and below
+    "distinct, m=256": np.arange(256, dtype=np.int64) ** 3 + 7,
+    "distinct reversed, m=256": np.arange(256, 0, -1, dtype=np.int64) ** 3 + 7,
+    # the double division's bound: totals on either side of 2^37, the
+    # quotient of every weight one short of an integer (below 1) or not
+    "total 2^37-1, spread, m=256": _spread(256, _EXACT - 1),
+    "total 2^37, spread, m=256": _spread(256, _EXACT),
+    "total 2^37-1, one below multiples, m=2": _near_multiples(2, 1, _EXACT - 1, 65533, 1),
+    "total 2^37-1, one below multiples, m=300": _near_multiples(300, 3, _EXACT - 1, 21743, 1),
+    "total 2^37-1, exact multiples, m=256": _near_multiples(256, 200, _EXACT - 1, 255, 0),
+    "total 2^37, one below multiples, m=2": _near_multiples(2, 1, _EXACT + 65533, 65533, 1),
+    "weights 2^31-1 and 2^31, m=256": _ones_and((1 << 31) - 1, 3) + _ones_and(1 << 31, 200) - 1,
+    "total 2^46-11, remainders 20 apart": _close_remainders(_BIG - 10, 20),
+    "total 2^46-2, m=3": np.array([(1 << 45) - 1, (1 << 45) - 2, 1]),
     "m=2": np.array([1, 3]),
     "m=2, total 2^46-1": np.array([_BIG - 1, 1]),
     "m=2^16, all ones": np.ones(PROB_SCALE, dtype=np.int64),
@@ -698,28 +785,14 @@ def test_quantize_kernel_rejects_what_would_break_its_buffers(step):
     assert np.array_equal(quantize_weights(strided), twin_quantize(strided))
 
 
-def test_quantize_weights_fills_the_table_it_is_given(step):
+def test_quantize_weights_returns_a_new_table(step):
     row = np.array([5, 0, 9, 1, 1], dtype=np.int32)
-    want = twin_quantize(row)
     fresh = quantize_weights(row)
-    assert np.array_equal(fresh, want) and quantize_weights(row) is not fresh
-    out = np.full(row.size + 1, -7, dtype=np.int64)
-    assert quantize_weights(row, out=out) is out
-    assert np.array_equal(out, want)
-    read_only = np.full(row.size + 1, -7, dtype=np.int64)
-    read_only.flags.writeable = False
-    bad = {
-        "wrong length": np.full(row.size + 2, -7, dtype=np.int64),
-        "not int64": np.full(row.size + 1, -7, dtype=np.int32),
-        "unsigned": np.full(row.size + 1, 7, dtype=np.uint64),
-        "not contiguous": np.full(2 * row.size + 2, -7, dtype=np.int64)[::2],
-        "read-only": read_only,
-    }
-    for name, out in bad.items():
-        before = out.copy()
-        with pytest.raises(ValueError):
-            quantize_weights(row, out=out)
-        assert np.array_equal(out, before), name
+    assert np.array_equal(fresh, twin_quantize(row)) and quantize_weights(row) is not fresh
+    # the step module writes a table only into a cum of m + 1 entries
+    for size in (row.size, row.size + 2):
+        outcome = Twins(step).call("quantize", lambda s: [row.astype(np.int64), np.full(size, -7, dtype=np.int64)])
+        assert outcome == (ValueError, "cum must hold one more entry than weights")
 
 
 # (weights, cum) pairs that hold enough entries but are not one-dimensional
@@ -749,7 +822,9 @@ def _payload_at(target: int) -> bytes:
 
 
 # the state a function is called on, made fresh
-STATES = {"encode": lambda t: t.encoder(), "decode": lambda t: t.decoder(_payload_at(30_000))}
+STATES = {
+    "encode": lambda t: t.encoder(), "decode": lambda t: t.decoder(_payload_at(30_000)), "keep_table": lambda t: t.freq()
+}
 # a valid call of each function, one argument passed in a form if given
 VALID_CALLS = {
     "quantize": lambda t, form: t.quantize(_ROW, form),
@@ -757,6 +832,7 @@ VALID_CALLS = {
     "decode": lambda t, form: t.decode(STATES["decode"](t), _TABLE, form),
     "net": lambda t, form: t.net(form=form),
     "freq": lambda t, form: t.freq(form=form),
+    "keep_table": lambda t, form: t.keep_table(STATES["keep_table"](t), form),
 }
 # each function's array arguments: (function, position, name, whether it is written)
 ARRAY_ARGUMENTS = [
@@ -766,6 +842,7 @@ ARRAY_ARGUMENTS = [
     ("decode", 1, "cum", False),
     *(("net", i, name, name != "softmax") for i, name in enumerate(("emb", "b1", "w2", "b2", "softmax", "buf"))),
     ("freq", 1, "row", True),
+    ("keep_table", 1, "cum", True),
 ]
 _ARGUMENT_IDS = [f"{fn}-{name}" for fn, _, name, _ in ARRAY_ARGUMENTS]
 
@@ -788,14 +865,15 @@ def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
 @pytest.mark.parametrize("fn, position, name, written", ARRAY_ARGUMENTS, ids=_ARGUMENT_IDS)
 def test_array_arguments_are_read_through_the_buffer_protocol_as_numpy(fn, position, name, written):
     # a memoryview or ctypes array of an int64 vector is the vector (and is
-    # written through); a list, which has no buffer, is a TypeError
+    # written through); a list, which has no buffer, is a TypeError, worded
+    # alike
     def outcome(form):
         twins = Twins(kernel.load())
         VALID_CALLS[fn](twins, form)
         return twins.snapshot()
 
     assert outcome((position, "memoryview")) == outcome(None) == outcome((position, "ctypes"))
-    assert outcome((position, "list"))[0] == (TypeError, None)
+    assert outcome((position, "list"))[0] == NO_BUFFER
 
 
 # --- explicit cases: range coder ---------------------------------------------------
@@ -865,7 +943,7 @@ def test_decoder_takes_only_bytes_like_payloads_as_numpy():
     for sym in symbols:
         t.encode(enc, _TABLE, sym)
     payload = t.finish(enc)
-    assert t.decoder(list(payload)) == (TypeError, None)
+    assert t.decoder(list(payload)) == NO_BUFFER
     # the payload must be one contiguous block
     assert t.decoder(np.frombuffer(payload, dtype=np.uint8).repeat(2)[::2])[0] is ValueError
     dec = t.decoder(np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.int64))  # its bytes, as int64
@@ -1011,8 +1089,12 @@ def _guarded_net(t: Twins) -> int:
 
 # forward passes written over a net's own: net_grad divides every row that
 # quantize's rule accepts, up to a total of 2^46 - 1, through div_total
+_U = 1073741815  # 1/(u * 2^16) rounds low: u * 2^16 times it falls under 1
 DIVISION_ROWS = {
     "the net's own softmax weights": None,
+    "exact quotients, one the reciprocal puts one under": np.concatenate(
+        [[_U, (ONE - 1) * _U], np.zeros(254, dtype=np.int64)]
+    ),
     "total 2^46-1, spread": _spread(256, _BIG),
     "total 2^46-1, one weight": np.eye(1, 256, 9, dtype=np.int64)[0] * _BIG,
     "total 2^46-1, a quotient one short": _one_short(40503, _BIG),
@@ -1179,6 +1261,81 @@ def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
     t.run(f, b"abcab")
     for bad in (256, -1, 1 << 70, -(1 << 70)):
         assert t.freq_step(f, bad) == (ValueError, f"token {bad} outside the alphabet [0, 256)")
+
+
+# --- explicit cases: kept tables -------------------------------------------------
+
+
+_SOFTMAX_MESSAGE = "softmax table needs a positive first entry and every entry in [0, 2^38)"
+
+
+@pytest.mark.parametrize("name", list(BAD_SOFTMAX_TABLES))
+def test_net_refuses_softmax_tables_that_give_rows_quantize_refuses(name, step):
+    assert Twins(step).net(table=BAD_SOFTMAX_TABLES[name]) == (ValueError, _SOFTMAX_MESSAGE)
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", list(GOOD_SOFTMAX_TABLES))
+def test_bound_net_steps_on_the_extremes_of_the_softmax_rule(name, builds):
+    t = Twins(*builds.values())
+    net = t.net(3, 16, seed=4, table=GOOD_SOFTMAX_TABLES[name])
+    assert t.keep_table(net) is None
+    assert t.run(net, b"extremes of the rule" * 3)[1:] == (60, None)
+    assert np.array_equal(t.sides[0].tables[net], twin_quantize(t.sides[0].states[net][2][5][-ALPHABET:]))
+
+
+def _bound_session(t: Twins, kind: str) -> int:
+    """A net or count table stepped unbound, then bound, then stepped on."""
+    state = t.net(2, 8, seed=3) if kind == "net" else t.freq(2)
+    t.run(state, b"unbound steps first, ")
+    assert t.keep_table(state) is None
+    assert t.run(state, b"then bound ones: abracadabra")[1:] == (28, None)
+    return state
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", ["net", "freq"])
+def test_bound_steps_write_the_table_quantize_writes(kind, builds):
+    t = Twins(*builds.values())
+    state = _bound_session(t, kind)
+    for side in t.sides:
+        row = side.states[state][2][5][-ALPHABET:] if kind == "net" else side.states[state][2][0]
+        assert np.array_equal(side.tables[state], twin_quantize(row))
+
+
+@pytest.mark.parametrize("kind", ["net", "freq"])
+def test_a_bound_step_changes_nothing_but_the_table(kind, step):
+    # the same tokens on a bound state and an unbound one leave the same state
+    t = Twins(step)
+    bound = _bound_session(t, kind)
+    plain = t.net(2, 8, seed=3) if kind == "net" else t.freq(2)
+    t.run(plain, b"unbound steps first, then bound ones: abracadabra")
+    for side in t.sides:
+        assert _same(side.view(bound)[:-1], side.view(plain)[:-1])
+    # a cum bound in its place is the only one written from then on
+    first = t.sides[0].tables[bound]
+    kept = first.copy()
+    assert t.keep_table(bound) is None and t.run(bound, b"x")[1:] == (1, None)
+    assert np.array_equal(first, kept) and t.sides[0].tables[bound][-1] == PROB_SCALE
+
+
+def test_keep_table_takes_257_entries_as_numpy(step):
+    t = Twins(step)
+    f, net = t.freq(), t.net()
+    for size in (256, 258, 0):
+        for state in (f, net):
+            out = t.call("keep_table", lambda s: [s.states[state][1], np.zeros(size, dtype=np.int64)])
+            assert out == (ValueError, "cum must hold 257 entries")
+    assert t.run(f, b"abc")[1:] == t.run(net, b"abc")[1:] == (3, None)  # nothing was bound
+    assert all(side.tables == {} for side in t.sides)
+
+
+@needs_kernel
+def test_keep_table_takes_only_net_and_count_table_states():
+    ext = kernel.load()
+    for state in (ext.encoder(), ext.decoder(bytes(5)), None):
+        with pytest.raises(TypeError, match=r"^expected a kolmozip._kernel.net or kolmozip._kernel.freq state"):
+            ext.keep_table(state, np.zeros(257, dtype=np.int64))
 
 
 @pytest.mark.parametrize("spec", ["freq:2", "neural:2,8"])
@@ -1362,7 +1519,7 @@ def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, bui
     # names a clone function.target, with every other character of the target
     # made "_"
     suffixes = [re.sub(r"\W", "_", target) for target in _clone_targets()]
-    loops = ("forward", "net_grad", "quantize_scratch")
+    loops = ("forward", "net_grad", "quantize_row", "leftover_threshold")
     clones = [f"{fn}.{suffix}".encode() for fn in loops for suffix in suffixes]
     assert all(clone in library for clone in clones)
     assert b"arch_x86_64_v4" not in library
