@@ -35,10 +35,9 @@
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free;
  *   - quantize and net_step accept a row by one rule (row_total): every
- *     weight nonnegative, one positive, and the total below 2^46; both divide
- *     by that total through one reciprocal, whose estimate is corrected to
- *     the exact integer quotient and remainder (div_total; quantize, for a
- *     total below 2^37, in doubles, which hold every value exactly there);
+ *     weight nonnegative, one positive, and the total below 2^37; both divide
+ *     by that total through one routine (divide_row), in doubles, which hold
+ *     every value the division makes exactly there;
  *   - quantize gives the leftover slots to the largest remainders, ties to
  *     the lower index, as the twin's argpartition over distinct keys does:
  *     it counts the remainders above and equal to a pivot, and where the
@@ -81,8 +80,8 @@
 #define WEIGHT_CLIP (8 * ONE)          /* net parameters saturate to [-8.0, 8.0] */
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
-#define TOTAL_LIMIT (INT64_C(1) << 46) /* rows div_total divides: weights and total below */
-#define SOFTMAX_LIMIT (TOTAL_LIMIT / ALPHABET) /* softmax entries below it: 256 of them total below 2^46 */
+#define TOTAL_LIMIT (INT64_C(1) << 37) /* rows divide_row divides: weights and total below */
+#define SOFTMAX_LIMIT (TOTAL_LIMIT / ALPHABET) /* softmax entries below it: 256 of them total below 2^37 */
 
 /* target_clones resolves through an ifunc, which needs x86-64 and glibc;
  * elsewhere the plain functions are built.  AVX-512 hosts run the AVX2 clone
@@ -221,30 +220,17 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
     return a[k];
 }
 
-/* num / total, with the remainder in *rem, for 0 <= num < 2^62 and
- * 0 < total < 2^46 whose quotient is at most 2^16; inv = 1.0 / total.  The
- * double estimate is off by less than 2^-35, so its truncation is within
- * one of the quotient, and the remainder's range corrects it to exact. */
-static inline int64_t div_total(int64_t num, int64_t total, double inv, int64_t *rem)
-{
-    int64_t q = (int64_t)((double)num * inv);
-    int64_t r = num - q * total; /* in [-total, 2 * total) */
-    const int64_t under = r < 0, over = r >= total;
-    *rem = r + (under - over) * total;
-    return q + over - under;
-}
-
 static const char BAD_WEIGHTS[] = "weights must be nonnegative with one positive";
 
 /* The rule by which quantize and net_step accept a row of m <= 2^16 weights
  * (_kernel_numpy._row_total): every weight nonnegative, one positive, and
- * the total below 2^46, which div_total needs.  Sets *total and returns
+ * the total below 2^37, which divide_row needs.  Sets *total and returns
  * NULL, or returns the error message. */
 static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
 {
-    /* bits is negative iff a weight is, and below 2^46 iff every weight is;
-     * then at most 2^16 weights sum below 2^62, so the sum cannot wrap.  A
-     * row whose (unsigned) sum may wrap is reported on bits alone. */
+    /* bits is negative iff a weight is, and below 2^37 iff every weight is;
+     * then 2^16 weights below 2^37 sum below 2^53, so the sum cannot wrap.
+     * A row whose (unsigned) sum may wrap is reported on bits alone. */
     int64_t bits = 0;
     uint64_t sum = 0;
     for (int64_t i = 0; i < m; i++) {
@@ -253,16 +239,12 @@ static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
     }
     *total = (int64_t)sum;
     if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))
-        return "weight total too large; rescale below 2^46";
+        return "weight total too large; rescale below 2^37";
     if (bits < 0 || *total == 0)
         return BAD_WEIGHTS;
     return NULL;
 }
 
-/* Below this total every value quantize's division makes, w * free, the
- * quotient times the total and the remainder, is an integer below 2^53, so
- * doubles hold each exactly. */
-#define EXACT_TOTAL (INT64_C(1) << 37)
 #define BIAS 0x1p52                                 /* 2^52: below it, an integer sits in the mantissa */
 #define BIAS_BITS INT64_C(0x4330000000000000)       /* its bits */
 
@@ -283,6 +265,27 @@ static inline int64_t to_int(double x)
     int64_t bits;
     memcpy(&bits, &d, sizeof bits);
     return bits - BIAS_BITS;
+}
+
+/* q[i], r[i] <- the quotient and remainder of w[i] * mult / total: the one
+ * division of the step, for quantize's floors (mult, the free slots) and
+ * the gradient's (mult, ONE).  w[i] <= total < 2^37 and mult <= 2^16 keep
+ * w * mult, the quotient times the total and the remainder integers below
+ * 2^53, which doubles hold exactly, four lanes under AVX2.  The quotient
+ * rounded to the nearest integer, near, is the floor or one above it, so
+ * num - near * total + total, exact, lies in [0, 2 * total) and tells
+ * which.  Inlined into each caller's clones, so each vectorizes its own. */
+static inline void divide_row(const int64_t *restrict w, int64_t m, int64_t total, int64_t mult,
+                              int64_t *restrict q, int64_t *restrict r)
+{
+    const double t = (double)total, inv = 1.0 / t, f = (double)mult;
+    for (int64_t i = 0; i < m; i++) {
+        const double num = to_double(w[i]) * f;
+        const double near = (num * inv + BIAS) - BIAS;
+        const int64_t above = to_int(num - near * t + t), under = above < total;
+        q[i] = to_int(near) - under;
+        r[i] = above - total + (total & -under);
+    }
 }
 
 /* The smallest key that wins a leftover slot: the key of rank m - leftover
@@ -331,23 +334,7 @@ VECTOR_CLONES static void quantize_row(const int64_t *w, int64_t m, int64_t tota
 {
     const int64_t free_slots = PROB_SCALE - m;
     int64_t *rem = scratch, *base = scratch + m;
-    if (total < EXACT_TOTAL) {
-        /* four lanes under AVX2: the quotient rounded to the nearest
-         * integer is the floor or one above it, so num - q * t + t, exact,
-         * lies in [0, 2t) and tells which */
-        const double t = (double)total, inv = 1.0 / t, f = (double)free_slots;
-        for (int64_t i = 0; i < m; i++) {
-            const double num = to_double(w[i]) * f;
-            const double q = (num * inv + BIAS) - BIAS;
-            const int64_t r = to_int(num - q * t + t), under = r < total;
-            base[i] = to_int(q) - under;
-            rem[i] = r - total + (total & -under);
-        }
-    } else {
-        const double inv = 1.0 / (double)total;
-        for (int64_t i = 0; i < m; i++) /* w[i] * free_slots < 2^62 */
-            base[i] = div_total(w[i] * free_slots, total, inv, &rem[i]);
-    }
+    divide_row(w, m, total, free_slots, base, rem);
     int64_t assigned = 0;
     for (int64_t i = 0; i < m; i++)
         assigned += base[i];
@@ -722,7 +709,7 @@ static void table_release(kept_table *t)
 
 /* cum <- the table of row, which the state's own rule makes valid: a count
  * row (every count in [1, 2^16)) or a net's forward pass (net() checks the
- * softmax table, so every entry lies in [0, 2^38) and the top one is
+ * softmax table, so every entry lies in [0, 2^29) and the top one is
  * positive).  Nothing is written while no table is bound. */
 static void table_write(const kept_table *t, const int64_t *row)
 {
@@ -875,13 +862,13 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
         Py_DECREF(net);
         return NULL;
     }
-    /* the top logit reads entry 0, and 256 entries total below 2^46: every
+    /* the top logit reads entry 0, and 256 entries total below 2^37: every
      * forward pass is then a row quantize's rule accepts */
     int ok = net->softmax[0] > 0;
     for (int64_t i = 0; i < net->softmax_len; i++)
         ok &= net->softmax[i] >= 0 && net->softmax[i] < SOFTMAX_LIMIT;
     if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "softmax table needs a positive first entry and every entry in [0, 2^38)");
+        PyErr_SetString(PyExc_ValueError, "softmax table needs a positive first entry and every entry in [0, 2^29)");
         Py_DECREF(net);
         return NULL;
     }
@@ -899,20 +886,15 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
 
 /* The gradient step of net_step on the forward pass held in buf, for the
  * net's context and the coded token; total is the weights' total, which
- * row_total bounds below 2^46. */
+ * row_total bounds below 2^37. */
 VECTOR_CLONES static void net_grad(kz_net *net, int64_t token, int64_t total)
 {
     const int64_t w = net->w, a = ALPHABET, lr = net->lr, n = net->n;
     const unsigned char *ctx = net->context;
     const int64_t *pre = net->buf, *hidden = pre + w, *weights = pre + 2 * w;
-    int64_t *dlog = net->dlog, *dpre = dlog + a;
-    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16.  Every
-     * weights[s] * ONE is below 2^62 and its quotient at most ONE, as
-     * div_total needs. */
-    const double inv = 1.0 / (double)total;
-    int64_t rem;
-    for (int64_t s = 0; s < a; s++)
-        dlog[s] = div_total(weights[s] * ONE, total, inv, &rem);
+    int64_t *dlog = net->dlog, *dpre = dlog + a, rem[ALPHABET];
+    /* d(cross-entropy)/d(logits) = p_hat - onehot, in Q16.16 */
+    divide_row(weights, a, total, ONE, dlog, rem);
     dlog[token] -= ONE;
 
     /* backprop through the pre-update output layer, zeroed where the hard

@@ -26,8 +26,8 @@ ALPHABET = 256  # a net codes bytes
 WEIGHT_CLIP = 8 * ONE  # net parameters saturate to [-8.0, 8.0]
 MAX_WIDTH = 1 << 31  # keeps the output-layer shift below 64
 MAX_LR = 1 << 20  # PredictorConfig's learning-rate bound
-_TOTAL_LIMIT = 1 << 46  # keeps weight * free and remainder << 16 inside int64
-_SOFTMAX_LIMIT = _TOTAL_LIMIT // ALPHABET  # softmax entries below it: 256 of them total below 2^46
+_TOTAL_LIMIT = 1 << 37  # the extension's bound: weight * 2^16 below 2^53, exact in doubles
+_SOFTMAX_LIMIT = _TOTAL_LIMIT // ALPHABET  # softmax entries below it: 256 of them total below 2^37
 _RENORM = 1 << 24  # renormalize while range < 2^24
 _MASK32 = 0xFFFFFFFF
 _FLUSH_BYTES = 5  # finish() shifts out five bytes
@@ -63,12 +63,12 @@ def _check(a, name: str, writable: bool = False) -> np.ndarray:
 
 def _row_total(w: np.ndarray) -> int:
     """The total of at most 2^16 int64 weights, if quantize and net_step
-    accept the row: every weight nonnegative, one positive, total below 2^46."""
-    # negative iff a weight is, and below 2^46 iff every weight is, so the sum cannot wrap
+    accept the row: every weight nonnegative, one positive, total below 2^37."""
+    # negative iff a weight is, and below 2^37 iff every weight is, so the sum cannot wrap
     bits = int(np.bitwise_or.reduce(w))
     total = int(np.add.reduce(w))
     if bits >= 0 and (bits >= _TOTAL_LIMIT or total >= _TOTAL_LIMIT):
-        raise ValueError("weight total too large; rescale below 2^46")
+        raise ValueError("weight total too large; rescale below 2^37")
     if bits < 0 or total == 0:
         raise ValueError(_BAD_WEIGHTS)
     return total
@@ -93,7 +93,7 @@ def _quantize(weights: np.ndarray, total: int, cum: np.ndarray) -> None:
     which are distinct."""
     m = weights.size
     free = PROB_SCALE - m
-    base, key = np.divmod(weights * free, total)  # key <- remainders < 2^46
+    base, key = np.divmod(weights * free, total)  # key <- remainders < 2^37
     leftover = free - int(np.add.reduce(base))
     if leftover:
         key <<= 16
@@ -224,10 +224,10 @@ def net(emb, b1, w2, b2, softmax, buf, lr: int) -> SimpleNamespace:
     if not (1 <= w <= MAX_WIDTH and k and (emb.size, w2.size, b2.size, buf.size) == want and softmax.size):
         raise ValueError("net arrays disagree: want emb k*256*w, b1 w (<= 2^31), w2 w*256, "
                          "b2 256, buf 2*w + 256 and a nonempty softmax table")
-    # the top logit reads entry 0, and 256 entries total below 2^46: every
+    # the top logit reads entry 0, and 256 entries total below 2^37: every
     # forward pass is then a row quantize's rule accepts
     if not (softmax.item(0) > 0 and int(softmax.min()) >= 0 and int(softmax.max()) < _SOFTMAX_LIMIT):
-        raise ValueError("softmax table needs a positive first entry and every entry in [0, 2^38)")
+        raise ValueError("softmax table needs a positive first entry and every entry in [0, 2^29)")
     pre, hidden, weights = np.split(buf, [w, 2 * w])
     n = SimpleNamespace(
         emb=emb.reshape(k, ALPHABET, w), b1=b1, w2=w2.reshape(w, ALPHABET), b2=b2,

@@ -114,25 +114,25 @@ def _schedule(text: str) -> list[int]:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    _check_paths([args.infile], args.outfile)
+    """compress, or ccompress: the same, given the context file args.context."""
+    _check_paths([args.infile, args.context], args.outfile)
     config = PredictorConfig.from_spec(args.model, seed=args.seed)
     data = _read_file(args.infile)
-    artifact, stats = compress(data, config, audit=args.audit)
+    record = {"config": config.spec_string(), "input_bytes": len(data)}
+    if args.context is None:
+        artifact, stats = compress(data, config, audit=args.audit)
+        summary = f"{len(data)} -> {len(artifact.payload)} payload bytes"
+    else:
+        context = _read_file(args.context)
+        artifact, stats = compress_conditional(data, context, config, audit=args.audit)
+        record["context_bytes"] = len(context)
+        summary = f"{len(data)} bytes given {len(context)} context bytes"
     _write_output(args.outfile, serialize(artifact))
-    record = {
-        "config": config.spec_string(),
-        "input_bytes": len(data),
-        "payload_bytes": len(artifact.payload),
-        "ideal_bits": stats.ideal_bits,
-        "bpb": stats.payload_bpb,
-    }
+    record.update(payload_bytes=len(artifact.payload), ideal_bits=stats.ideal_bits, bpb=stats.payload_bpb)
     if args.audit:
         record["digest_chain"] = _digest_chain(stats.digests)
     _emit(record, args.outfile)
-    _say(
-        f"{args.outfile}: {len(data)} -> {len(artifact.payload)} payload bytes"
-        f" ({stats.payload_bpb:.3f} bpb)"
-    )
+    _say(f"{args.outfile}: {summary} ({stats.payload_bpb:.3f} bpb)")
     return 0
 
 
@@ -153,31 +153,6 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         record["digest_chain"] = _digest_chain(digests)
     _emit(record, args.outfile)
     _say(f"{args.outfile}: {len(data)} bytes")
-    return 0
-
-
-def _cmd_ccompress(args: argparse.Namespace) -> int:
-    _check_paths([args.target, args.context], args.outfile)
-    config = PredictorConfig.from_spec(args.model, seed=args.seed)
-    target = _read_file(args.target)
-    context = _read_file(args.context)
-    artifact, stats = compress_conditional(target, context, config, audit=args.audit)
-    _write_output(args.outfile, serialize(artifact))
-    record = {
-        "config": config.spec_string(),
-        "input_bytes": len(target),
-        "context_bytes": len(context),
-        "payload_bytes": len(artifact.payload),
-        "ideal_bits": stats.ideal_bits,
-        "bpb": stats.payload_bpb,
-    }
-    if args.audit:
-        record["digest_chain"] = _digest_chain(stats.digests)
-    _emit(record, args.outfile)
-    _say(
-        f"{args.outfile}: {len(target)} bytes given {len(context)} context bytes"
-        f" ({stats.payload_bpb:.3f} bpb)"
-    )
     return 0
 
 
@@ -310,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("infile")
     sub.add_argument("outfile")
     _add_model_args(sub)
-    sub.set_defaults(func=_cmd_compress)
+    sub.set_defaults(func=_cmd_compress, context=None)
 
     sub = commands.add_parser("decompress", help="reconstruct a compressed file")
     sub.add_argument("infile")
@@ -320,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_decompress)
 
     sub = commands.add_parser("ccompress", help="code a file given a context file")
-    sub.add_argument("target")
+    sub.add_argument("infile", metavar="target")
     sub.add_argument("outfile")
     sub.add_argument("--context", required=True)
     _add_model_args(sub)
-    sub.set_defaults(func=_cmd_ccompress)
+    sub.set_defaults(func=_cmd_compress)
 
     gen = commands.add_parser("gen", help="synthesize corpora").add_subparsers(
         dest="source", required=True

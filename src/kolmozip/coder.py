@@ -33,7 +33,7 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
     another integer dtype, is first copied to int64.  A row that is
     not of an integer dtype raises TypeError.  A row that is not a
     distribution (fewer than 2 or more than 2^16 weights, a negative weight,
-    none positive, or a total of 2^46 or more) raises ValueError.
+    none positive, or a total of 2^37 or more) raises ValueError.
     """
     if weights.dtype != _INT64 or not weights.flags.c_contiguous:
         if not np.issubdtype(weights.dtype, np.integer):

@@ -140,11 +140,14 @@ def _bad_token(token: int) -> ValueError:
     return ValueError(f"token {token} outside the alphabet [0, {ALPHABET})")
 
 
-def _digest(config: PredictorConfig, position: int, state: bytes) -> bytes:
+def _digest(config: PredictorConfig, position: int, *state) -> bytes:
+    """The hash of the config, the position and the state's parts in order,
+    each bytes or a contiguous array, read where it lies."""
     h = hashlib.md5(b"KZPD")
     h.update(config.to_bytes())
     h.update(struct.pack("<Q", position))
-    h.update(state)
+    for part in state:
+        h.update(part)
     return h.digest()
 
 
@@ -172,7 +175,7 @@ class UniformPredictor:
         pass  # the one table never changes
 
     def digest(self) -> bytes:
-        return _digest(self.config, self.token_position, b"")
+        return _digest(self.config, self.token_position)
 
 
 class FreqPredictor:
@@ -331,10 +334,9 @@ class NeuralPredictor:
         self._kernel.keep_table(self._net, cum)
 
     def digest(self) -> bytes:
-        state = b"".join(
-            arr.astype("<i8").tobytes() for arr in (self.emb, self.b1, self.w2, self.b2)
-        )
-        return _digest(self.config, self.token_position, state + self._net.context)
+        # little-endian int64 already on a little-endian host: hashed in place
+        params = (arr.astype("<i8", copy=False) for arr in (self.emb, self.b1, self.w2, self.b2))
+        return _digest(self.config, self.token_position, *params, self._net.context)
 
 
 def make_predictor(config: PredictorConfig):

@@ -58,12 +58,12 @@ MUTANTS = {
     "c-leftover-threshold-off-by-one": (
         C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + (m - 1 - i) > threshold;"
     ),
-    "c-exact-total-raised": (C, "#define EXACT_TOTAL (INT64_C(1) << 37)", "#define EXACT_TOTAL (INT64_C(1) << 46)"),
+    "c-row-limit-raised": (C, "#define TOTAL_LIMIT (INT64_C(1) << 37)", "#define TOTAL_LIMIT (INT64_C(1) << 38)"),
     "c-exact-quotient-unrounded": (
-        C, "const double q = (num * inv + BIAS) - BIAS;", "const double q = (num * inv + BIAS) - BIAS - 1.0;"
+        C, "const double near = (num * inv + BIAS) - BIAS;", "const double near = (num * inv + BIAS) - BIAS - 1.0;"
     ),
-    "c-exact-quotient-uncorrected": (C, "base[i] = to_int(q) - under;", "base[i] = to_int(q);"),
-    "c-exact-remainder-uncorrected": (C, "rem[i] = r - total + (total & -under);", "rem[i] = r - total;"),
+    "c-exact-quotient-uncorrected": (C, "q[i] = to_int(near) - under;", "q[i] = to_int(near);"),
+    "c-exact-remainder-uncorrected": (C, "r[i] = above - total + (total & -under);", "r[i] = above - total;"),
     "c-pivot-count-inclusive": (C, "above += rem[i] > pivot;", "above += rem[i] >= pivot;"),
     "c-pivot-group-bound-off-by-one": (
         C, "if (above < leftover && leftover <= above + equal) {", "if (above < leftover && leftover < above + equal) {"
@@ -75,9 +75,6 @@ MUTANTS = {
     ),
     "c-side-candidates-flipped": (
         C, "n += upper ? rem[i] > pivot : rem[i] < pivot;", "n += upper ? rem[i] < pivot : rem[i] > pivot;"
-    ),
-    "c-div-total-correction-off-by-one": (
-        C, "const int64_t under = r < 0, over = r >= total;", "const int64_t under = r < 0, over = r > total;"
     ),
     "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
     # range coder
@@ -112,6 +109,9 @@ MUTANTS = {
         C, "for (int64_t i = 0; i < net->softmax_len; i++)", "for (int64_t i = 0; i < net->softmax_len - 1; i++)"
     ),
     "c-net-table-not-kept": (C, "    table_write(&net->table, net->buf + 2 * net->w);", "    (void)0;"),
+    "c-gradient-multiplier-off-by-one": (
+        C, "divide_row(weights, a, total, ONE, dlog, rem);", "divide_row(weights, a, total, ONE - 1, dlog, rem);"
+    ),
     "c-learning-rate-bound-off-by-one": (
         C, 'get_int(args[N_ARRAYS], 1, MAX_LR + 1,', 'get_int(args[N_ARRAYS], 1, MAX_LR + 2,'
     ),
@@ -158,6 +158,7 @@ MUTANTS = {
     "np-ndim-check-loosened": (NP, "    elif a.ndim != 1:", "    elif a.ndim > 1:"),
     "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),
     "np-zero-total-check-dropped": (NP, "    if bits < 0 or total == 0:", "    if bits < 0:"),
+    "np-row-limit-raised": (NP, "_TOTAL_LIMIT = 1 << 37", "_TOTAL_LIMIT = 1 << 38"),
     "np-alphabet-bound-off-by-one": (NP, "    if not 2 <= m <= PROB_SCALE:", "    if not 1 <= m <= PROB_SCALE:"),
     "np-ties-to-higher-index": (
         NP, "key += np.arange(m - 1, -1, -1, dtype=np.int64)", "key += np.arange(m, dtype=np.int64)"

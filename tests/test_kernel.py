@@ -17,10 +17,10 @@ the extremes k = 8 and w = 256, and softmax tables ``net`` must refuse),
 with valid and invalid tokens, tables bound mid-session beside unbound
 states, rows written over a net's forward pass, and any array argument in a
 form that breaks the array contract or through a buffer wrapper
-(``FORMS``).  It runs against ``kernel.load()``, the clone-free build and
-each clone this CPU can run.  Explicit cases (the hardest rows, guards and streams) go through the
-same calls, those the step's loops are easiest to get wrong on against each
-of those builds.  Both modules must also export the same functions, take the
+(``FORMS``).  It runs against ``kernel.load()`` and the clone-free build.
+Explicit cases (the hardest rows, guards and streams) go through the same
+calls, those the step's loops are easiest to get wrong on against both
+builds.  Both modules must also export the same functions, take the
 same arguments and spell the same messages, and the build must be safe to
 run concurrently and degrade to the twin when there is no working compiler.
 """
@@ -454,32 +454,41 @@ def _run(module, fn: str, state, row: np.ndarray, table, tokens) -> tuple:
     return digest, len(tokens), None
 
 
+_LIMIT = 1 << 37  # the row limit: quantize and net_step refuse a total this large
+
+
 @st.composite
 def _weight_rows(draw, m: int | None = None) -> np.ndarray:
-    """Rows on either scratch path, of any magnitude up to past the total
-    limit; drawn from a few values (many ties), spread, or with a negative."""
+    """Rows on either scratch path, of any magnitude up to past the row
+    limit, 2^37; drawn from a few values (many ties), spread, or with a
+    negative."""
     m = m or draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 257, 4096, PROB_SCALE])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    high = 1 << draw(st.integers(0, 47))
+    high = 1 << draw(st.integers(0, 38))
     if draw(st.booleans()):
         row = gen.choice(gen.integers(0, high, draw(st.integers(1, 4))), m)
     else:
         row = gen.integers(0, high, m)
     if draw(st.integers(0, 9)) == 0:
-        row[gen.integers(m)] = -draw(st.integers(1, 1 << 46))
+        row[gen.integers(m)] = -draw(st.integers(1, _LIMIT))
     return row
+
+
+def _any_table(gen: np.random.Generator, m: int) -> np.ndarray:
+    """The table of m weights of random magnitude, zeros included, whose
+    total stays below the row limit."""
+    weights = gen.integers(0, 1 << int(gen.integers(1, min(30, 38 - m.bit_length()))), m)
+    weights[gen.integers(m)] += 1
+    return twin_quantize(weights)
 
 
 @st.composite
 def _tables(draw) -> np.ndarray:
-    """A table for any alphabet, quantized from weights of random magnitude
-    (zeros included), or a broken one: two entries swapped, every entry
-    shifted, or one entry overwritten."""
+    """A table for any alphabet (_any_table), or a broken one: two entries
+    swapped, every entry shifted, or one entry overwritten."""
     m = draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 4096, PROB_SCALE])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
-    weights[gen.integers(m)] += 1
-    cum = twin_quantize(weights)
+    cum = _any_table(gen, m)
     i, j = gen.integers(0, m + 1, 2)
     broken = draw(st.sampled_from([None, None, "swap", "shift", "poke"]))
     if broken == "swap":
@@ -501,7 +510,7 @@ def _forms(*positions: int):
 # a token outside the alphabet, or none
 _BAD_TOKENS = st.sampled_from([None, None, None, ALPHABET, -1, 1 << 70, -(1 << 70)])
 
-_SOFTMAX_LIMIT = 1 << 38  # 256 entries below it total below 2^46
+_SOFTMAX_LIMIT = _LIMIT // ALPHABET  # 2^29: 256 entries below it total below 2^37
 # softmax tables net() must refuse, each with its fault, then tables it takes
 # whose forward passes are the extremes of quantize's rule
 BAD_SOFTMAX_TABLES = {
@@ -509,13 +518,15 @@ BAD_SOFTMAX_TABLES = {
     "first entry zero": [0, 5, 3],
     "a negative entry": [9, 4, -1],
     "first entry negative": [-1],
-    "an entry at 2^38": [1, _SOFTMAX_LIMIT],
-    "first entry at 2^38": [_SOFTMAX_LIMIT, 1],
+    "an entry at 2^29": [1, _SOFTMAX_LIMIT],
+    "first entry at 2^29": [_SOFTMAX_LIMIT, 1],
+    "an entry at 2^38": [1, 1 << 38],
+    "first entry at 2^38": [1 << 38, 1],
     "an entry past int64's half": [1, 1 << 62],
 }
 GOOD_SOFTMAX_TABLES = {
     "one entry of 1": [1],
-    "entries just below 2^38": [_SOFTMAX_LIMIT - 1] * 3,  # a forward pass totals 2^46 - 256
+    "entries just below 2^29": [_SOFTMAX_LIMIT - 1] * 3,  # a forward pass totals 2^37 - 256
     "zeros after the first": [7, 0, 0, 0],
 }
 
@@ -656,17 +667,6 @@ def _spread(m: int, total: int) -> np.ndarray:
     return row
 
 
-def _close_remainders(total: int, gap: int) -> np.ndarray:
-    """Four weights summing to total, which must be prime to 2^16 - 4, the
-    remainders of whose w * free / total are total // 2, gap more, 1 and the
-    rest: the last weight and the second win the leftover slots, a ranking
-    that the rounding of w * free in doubles (past 2^53) would upset."""
-    inv = pow(PROB_SCALE - 4, -1, total)
-    row = [(total // 2) * inv % total, (total // 2 + gap) * inv % total, inv]
-    assert sum(row) <= total
-    return np.array([*row, total - sum(row)])
-
-
 def _ones_and(count: int, at: int, m: int = 256) -> np.ndarray:
     """A count row: ones, and count at index at."""
     row = np.ones(m, dtype=np.int64)
@@ -674,8 +674,7 @@ def _ones_and(count: int, at: int, m: int = 256) -> np.ndarray:
     return row
 
 
-_BIG = (1 << 46) - 1  # the largest total quantize accepts
-_EXACT = 1 << 37  # below this total, quantize divides in doubles
+_BIG = _LIMIT - 1  # the largest total quantize accepts
 # rows where quantize is easiest to get wrong, each on the stack scratch
 # (m <= 256) or the heap one (m > 256)
 HARD_ROWS = {
@@ -691,32 +690,30 @@ HARD_ROWS = {
     # the threshold away from a median-of-three pivot, above it and below
     "distinct, m=256": np.arange(256, dtype=np.int64) ** 3 + 7,
     "distinct reversed, m=256": np.arange(256, 0, -1, dtype=np.int64) ** 3 + 7,
-    # the double division's bound: totals on either side of 2^37, the
-    # quotient of every weight one short of an integer (below 1) or not
-    "total 2^37-1, spread, m=256": _spread(256, _EXACT - 1),
-    "total 2^37, spread, m=256": _spread(256, _EXACT),
-    "total 2^37-1, one below multiples, m=2": _near_multiples(2, 1, _EXACT - 1, 65533, 1),
-    "total 2^37-1, one below multiples, m=300": _near_multiples(300, 3, _EXACT - 1, 21743, 1),
-    "total 2^37-1, exact multiples, m=256": _near_multiples(256, 200, _EXACT - 1, 255, 0),
-    "total 2^37, one below multiples, m=2": _near_multiples(2, 1, _EXACT + 65533, 65533, 1),
+    # the row limit: totals on either side of 2^37, the quotient of every
+    # weight one short of an integer (below 1) or not
+    "total 2^37-1, spread, m=256": _spread(256, _BIG),
+    "total 2^37, spread, m=256": _spread(256, _LIMIT),
+    "total 2^37-1, one below multiples, m=2": _near_multiples(2, 1, _BIG, 3, 1),
+    "total 2^37-1, one below multiples, m=300": _near_multiples(300, 3, _BIG, 101, 1),
+    "total 2^37-1, exact multiples, m=256": _near_multiples(256, 200, _BIG, 200, 0),
+    "total 2^37, one below multiples, m=2": _near_multiples(2, 1, _LIMIT + 65533, 65533, 1),
     "weights 2^31-1 and 2^31, m=256": _ones_and((1 << 31) - 1, 3) + _ones_and(1 << 31, 200) - 1,
-    "total 2^46-11, remainders 20 apart": _close_remainders(_BIG - 10, 20),
-    "total 2^46-2, m=3": np.array([(1 << 45) - 1, (1 << 45) - 2, 1]),
+    "total 2^37-2, m=3": np.array([(1 << 36) - 1, (1 << 36) - 2, 1]),
     "m=2": np.array([1, 3]),
-    "m=2, total 2^46-1": np.array([_BIG - 1, 1]),
+    "m=2, total 2^37-1": np.array([_BIG - 1, 1]),
     "m=2^16, all ones": np.ones(PROB_SCALE, dtype=np.int64),
-    "m=2^16, skewed": np.arange(PROB_SCALE, dtype=np.int64) ** 2 // 2,
+    "m=2^16, skewed": np.arange(PROB_SCALE, dtype=np.int64) ** 2 >> 10,
     "total 1, m=256": _spread(256, 1),
     "total 1, m=300": _spread(300, 1),
-    "total 2^46-1, m=256": _spread(256, _BIG),
-    "total 2^46-1, m=4096": _spread(4096, _BIG),
+    "total 2^37-1, m=4096": _spread(4096, _BIG),
     "all equal, m=3": _spread(3, 15),
-    "all equal, m=255": _spread(255, 255 << 37),
+    "all equal, m=255": _spread(255, 255 << 29),
     "all equal, m=257": _spread(257, 257 * 7),
     "all equal, m=1000": _spread(1000, _BIG - _BIG % 1000),
     "all equal, m=2, a quotient the reciprocal puts one under": _spread(2, 2 * 21799),
     "no leftover, m=256": _spread(256, 256),
-    "no leftover, m=4": _spread(4, 1 << 45),
+    "no leftover, m=4": _spread(4, 1 << 36),
     "no leftover, m=2^15": _spread(1 << 15, 1 << 15),
     "exact multiples, m=2": _near_multiples(2, 1, _BIG, 65408, 0),
     "exact multiples, m=256": _near_multiples(256, 200, _BIG, 255, 0),
@@ -725,6 +722,11 @@ HARD_ROWS = {
     "one below multiples, m=256": _near_multiples(256, 128, _BIG, 509, 1),
     "one below multiples, m=300": _near_multiples(300, 3, _BIG, 21743, 1),
     "one below multiples, m=5000": _near_multiples(5000, 3, _BIG, 20001, 1),
+    # far past the row limit, on either scratch
+    "m=2, total 2^46-1": np.array([(1 << 46) - 2, 1]),
+    "total 2^46-2, m=3": np.array([(1 << 45) - 1, (1 << 45) - 2, 1]),
+    "total 2^46-1, m=256": _spread(256, (1 << 46) - 1),
+    "total 2^46-1, m=4096": _spread(4096, (1 << 46) - 1),
     # too large and negative at once: the negative weight is what is reported
     "2^46 then negative": np.array([1 << 46, -1]),
     "sum 2^46 then negative": np.array([1 << 45, 1 << 45, -1]),
@@ -732,10 +734,21 @@ HARD_ROWS = {
 }
 
 
+# the hard rows and division rows the row rule refuses; every other one is
+# divided, so none of them passes only by being refused on both sides
+REFUSED_ROWS = {
+    "total 2^37, spread, m=256", "total 2^37, one below multiples, m=2", "m=2, total 2^46-1", "total 2^46-2, m=3",
+    "total 2^46-1, m=256", "total 2^46-1, m=4096", "2^46 then negative", "sum 2^46 then negative",
+    "sum past 2^46 and negative", "total 2^37, spread", "total 2^46-1, spread", "total 2^46-1, one weight",
+    "total 2^46-1, a quotient one short",
+}
+
+
 @needs_kernel
 @pytest.mark.parametrize("name", list(HARD_ROWS))
 def test_quantize_kernel_matches_numpy_on_hard_rows(name, builds):
-    Twins(*builds.values()).quantize(HARD_ROWS[name])
+    outcome = Twins(*builds.values()).quantize(HARD_ROWS[name])
+    assert (outcome is not None) == (name in REFUSED_ROWS), outcome
 
 
 # StepMachine's quantize rule draws from the same rows, about 200 a run
@@ -763,11 +776,15 @@ def test_quantize_alphabet_range_and_total_limit(path, monkeypatch):
         pin_twin(monkeypatch)
     assert list(np.diff(quantize_weights(np.array([1, 3], dtype=np.int64)))) == oracle_largest_remainder([1, 3])
     assert (np.diff(quantize_weights(np.ones(PROB_SCALE, dtype=np.int64))) == 1).all()
-    below = np.array([(1 << 46) - 2, 1], dtype=np.int64)
+    below = np.array([_LIMIT - 2, 1], dtype=np.int64)
     assert quantize_weights(below)[-1] == PROB_SCALE
-    for above in ([(1 << 46) - 1, 1], [1 << 46, 0], [1 << 62, 1 << 62, 1 << 62, 1 << 62]):
-        with pytest.raises(ValueError, match="2\\^46"):
+    for above in ([_LIMIT - 1, 1], [_LIMIT, 0], [(1 << 46) - 2, 1], [1 << 62, 1 << 62, 1 << 62, 1 << 62]):
+        with pytest.raises(ValueError, match="^weight total too large; rescale below 2\\^37$"):
             quantize_weights(np.array(above, dtype=np.int64))
+    # no predictor comes near the limit: its largest rows, 256 counts below
+    # the count limit or 256 entries of the softmax table, total 2^24 at most
+    for top in (_kernel_numpy.COUNT_LIMIT - 1, int(_SOFTMAX_TABLE.max())):
+        assert 256 * top << 13 <= _LIMIT
 
 
 def test_quantize_kernel_rejects_what_would_break_its_buffers(step):
@@ -955,15 +972,9 @@ def test_decoder_takes_only_bytes_like_payloads_as_numpy():
 
 
 def _stream_tables(seed: int, alphabets: list[int]) -> list[np.ndarray]:
-    """One table per alphabet size, from weights of random magnitude, zeros
-    included."""
+    """One table per alphabet size (_any_table)."""
     gen = np.random.default_rng(seed)
-    tables = []
-    for m in alphabets:
-        weights = gen.integers(0, 1 << int(gen.integers(1, 30)), m)
-        weights[gen.integers(m)] += 1
-        tables.append(twin_quantize(weights))
-    return tables
+    return [_any_table(gen, m) for m in alphabets]
 
 
 def _encoded(module, stream: list[np.ndarray], symbols: list[int]) -> tuple[list[int], bytes]:
@@ -1088,16 +1099,21 @@ def _guarded_net(t: Twins) -> int:
 
 
 # forward passes written over a net's own: net_grad divides every row that
-# quantize's rule accepts, up to a total of 2^46 - 1, through div_total
-_U = 1073741815  # 1/(u * 2^16) rounds low: u * 2^16 times it falls under 1
+# quantize's rule accepts, up to a total of 2^37 - 1, and net_step refuses
+# the rest (those in REFUSED_ROWS) as quantize does
+_U = 2097143  # 1/(u * 2^16) rounds low: u * 2^16 times it falls under 1
 DIVISION_ROWS = {
     "the net's own softmax weights": None,
     "exact quotients, one the reciprocal puts one under": np.concatenate(
         [[_U, (ONE - 1) * _U], np.zeros(254, dtype=np.int64)]
     ),
-    "total 2^46-1, spread": _spread(256, _BIG),
-    "total 2^46-1, one weight": np.eye(1, 256, 9, dtype=np.int64)[0] * _BIG,
-    "total 2^46-1, a quotient one short": _one_short(40503, _BIG),
+    "total 2^37-1, spread": _spread(256, _BIG),
+    "total 2^37-1, one weight, a quotient of 2^16": np.eye(1, 256, 9, dtype=np.int64)[0] * _BIG,
+    "total 2^37-1, a quotient one short": _one_short(40503, _BIG),
+    "total 2^37, spread": _spread(256, _LIMIT),
+    "total 2^46-1, spread": _spread(256, (1 << 46) - 1),
+    "total 2^46-1, one weight": np.eye(1, 256, 9, dtype=np.int64)[0] * ((1 << 46) - 1),
+    "total 2^46-1, a quotient one short": _one_short(40503, (1 << 46) - 1),
 }
 
 
@@ -1106,15 +1122,18 @@ DIVISION_ROWS = {
 def test_net_step_divides_on_both_sides_of_its_guard_as_numpy(name, builds):
     t = Twins(*builds.values())
     net = _guarded_net(t)
-    if DIVISION_ROWS[name] is not None:
-        t.plant(net, DIVISION_ROWS[name])
-    assert t.net_step(net, 7) is None
+    row = DIVISION_ROWS[name]
+    if row is not None:
+        t.plant(net, row)
+    refused = t.quantize(row) if name in REFUSED_ROWS else None  # quantize's (type, message)
+    assert t.net_step(net, 7) == refused and (refused is None or refused[0] is ValueError)
 
 
 # forward passes that quantize's rule rejects, and net_step with it
 BAD_FORWARD_PASSES = {
     "a negative entry": np.where(np.arange(256) == 5, -1, 1 << 12),
     "all zeros": np.zeros(256, dtype=np.int64),
+    "total 2^37": _spread(256, _LIMIT),
     "weights in [2^46, 2^47)": (1 << 46) + np.arange(256, dtype=np.int64) * (1 << 38),
 }
 
@@ -1266,7 +1285,7 @@ def test_freq_rejects_bad_orders_and_tokens_as_numpy(step):
 # --- explicit cases: kept tables -------------------------------------------------
 
 
-_SOFTMAX_MESSAGE = "softmax table needs a positive first entry and every entry in [0, 2^38)"
+_SOFTMAX_MESSAGE = "softmax table needs a positive first entry and every entry in [0, 2^29)"
 
 
 @pytest.mark.parametrize("name", list(BAD_SOFTMAX_TABLES))
@@ -1488,31 +1507,27 @@ def _clone_targets() -> tuple[str, ...]:
 
 
 _WARNINGS_AS_ERRORS = ("-Wall", "-Wextra", "-Werror")
-# each clone's target attribute, and the cpuinfo flags the CPU needs to run it
-CLONE_TARGETS = {"avx2": {"avx", "avx2"}}
 
 
 @pytest.fixture(scope="module")
 def builds(tmp_path_factory) -> dict:
     """Each build of the step module this process can run, by name:
-    kernel.load(), then, where there is a compiler, the clone-free build
-    (what aarch64, macOS and musl compile) and each clone the CPU can run,
-    built warning-free.  Where there are clones, the CPU runs one of them
-    through kernel.load(), and only these builds hold the others."""
+    kernel.load(), whose clone is the one the CPU picks (AVX2 wherever the
+    CPU has it), then, where there is a compiler, the clone-free build
+    (what aarch64, macOS and musl compile, and what a CPU without AVX2
+    runs), built warning-free."""
     found = {"extension": kernel.load()}
     if kernel._find_compiler() is None:
         return found
-    targets = [t for t in CLONE_TARGETS if t in _clone_targets() and CLONE_TARGETS[t] <= _cpu_flags()]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
-        for name, target in [("clone-free", None), *zip(targets, targets)]:
-            found[name] = _single_isa_build(tmp_path_factory.mktemp(name), target)
+        found["clone-free"] = _clone_free_build(tmp_path_factory.mktemp("clone-free"))
     return found
 
 
 @needs_compiler
 def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, builds):
-    # builds compiled the clone-free build and each clone's own warning-free
+    # builds compiled the clone-free build warning-free
     monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
     library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
     # an AVX2 clone of each of the step's loops, next to the baseline one; GCC
@@ -1525,49 +1540,26 @@ def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, bui
     assert b"arch_x86_64_v4" not in library
 
 
-def _cpu_flags() -> set[str]:
-    try:
-        cpuinfo = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    flags = [line.split(":", 1)[1] for line in cpuinfo.splitlines() if line.startswith("flags")]
-    return set(flags[0].split()) if flags else set()
-
-
-def _single_isa_build(tmp_path: Path, target: str | None):
-    """The kernel with VECTOR_CLONES made one plain target attribute, or
-    nothing (the baseline code, as built where there are no clones), so that
-    ISA's code runs whatever clone this CPU would pick."""
+def _clone_free_build(tmp_path: Path):
+    """The kernel with VECTOR_CLONES made nothing: the baseline code, as
+    built where there are no clones, which runs whatever clone this CPU
+    would pick."""
     source = kernel.SOURCE.read_bytes()
     switch = b"__has_attribute(target_clones)"
     assert source.count(switch) == 1
-    source = source.replace(switch, b"0")
-    if target:
-        source = b'#define VECTOR_CLONES __attribute__((target("%s")))\n' % target.encode() + source
-    library = _compile_into(tmp_path, source)
+    library = _compile_into(tmp_path, source.replace(switch, b"0"))
     assert b".resolver" not in library.read_bytes()
     return kernel._import(library)
 
 
 # the explicit cases the step's loops are easiest to get wrong on (hard
-# rows, division rows, bad forward passes, neural streams) run on every build;
-# these tests run the state machine on each build but kernel.load()
+# rows, division rows, bad forward passes, neural streams) run on both
+# builds; this test runs the state machine on the one kernel.load() is not
 
 
 @needs_compiler
 def test_clone_free_build_matches_numpy(builds):
     run_machine(builds["clone-free"], 10)
-
-
-@needs_compiler
-@pytest.mark.parametrize("target", list(CLONE_TARGETS))
-def test_each_clone_matches_numpy(target, builds):
-    if target not in _clone_targets():
-        pytest.skip(f"no {target} clone is built here")
-    missing = CLONE_TARGETS[target] - _cpu_flags()
-    if missing:
-        pytest.skip(f"this CPU lacks {' '.join(sorted(missing))}")
-    run_machine(builds[target], 10)
 
 
 @needs_compiler
