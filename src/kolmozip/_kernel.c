@@ -34,25 +34,31 @@
  *   - every right shift of a signed value is a floor shift (floor_shift), the
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free;
- *   - quantize and net_step accept a row by one rule (row_total): every
+ *   - quantize and net_step accept a row by one rule (row_error): every
  *     weight nonnegative, one positive, and the total below 2^37; both divide
  *     by that total through one routine (divide_row), in doubles, which hold
  *     every value the division makes exactly there;
  *   - quantize gives the leftover slots to the largest remainders, ties to
- *     the lower index, as the twin's argpartition over distinct keys does:
- *     it counts the remainders above and equal to a pivot, and where the
- *     threshold falls among the equal ones (as on a count row, mostly ones)
- *     the winners there are the first by index; elsewhere it selects among
- *     the keys on the threshold's side of the pivot;
+ *     the lower index, as the twin's argpartition over distinct keys does.
+ *     One pass over the row checks it, totals it and counts its weights
+ *     other than one.  A row with at most GROUPED_LIMIT of those (most of
+ *     the count rows freq makes) takes the grouped path: the ones share one
+ *     floor and remainder, so only the others are divided and ranked, and
+ *     the table is written as the ones' arithmetic progression plus the
+ *     others' differences.  Any other row takes the dense path: it counts
+ *     the remainders above and equal to a pivot, and where the threshold
+ *     falls among the equal ones the winners there are the first by index;
+ *     elsewhere it selects among the keys on the threshold's side of the
+ *     pivot.  The twin has one path, the dense arithmetic in numpy;
  *   - a kept table never fails a step that has changed state: net() takes
  *     only softmax tables whose every forward pass quantize's rule accepts,
  *     and a count row always passes it;
- *   - the step's loops (forward, net_grad, quantize_row, leftover_threshold)
- *     are built twice on x86-64 glibc, for AVX2 and for the baseline ISA,
- *     and the CPU picks one at load time (VECTOR_CLONES).  Both clones are
- *     compiled from the same code, every value of which is an exact integer
- *     (in doubles too), so the arithmetic, and every byte it writes, is the
- *     same on every CPU;
+ *   - the step's loops (forward, net_grad, quantize_row, quantize_grouped,
+ *     leftover_threshold) are built twice on x86-64 glibc, for AVX2 and for
+ *     the baseline ISA, and the CPU picks one at load time (VECTOR_CLONES).
+ *     Both clones are compiled from the same code, every value of which is
+ *     an exact integer (in doubles too), so the arithmetic, and every byte it
+ *     writes, is the same on every CPU;
  *   - freq stores its counts as uint16 (the twin as int32): a count that
  *     reaches 2^16 halves its row at once, so none stored is larger, and a
  *     row is widened only where it is copied out.
@@ -223,14 +229,24 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
 static const char BAD_WEIGHTS[] = "weights must be nonnegative with one positive";
 
 /* The rule by which quantize and net_step accept a row of m <= 2^16 weights
- * (_kernel_numpy._row_total): every weight nonnegative, one positive, and
- * the total below 2^37, which divide_row needs.  Sets *total and returns
- * NULL, or returns the error message. */
+ * (_kernel_numpy._row_total), from bits, the OR of the weights, and total,
+ * their sum: every weight nonnegative, one positive, and the total below
+ * 2^37, which divide_row needs.  bits is negative iff a weight is, and below
+ * 2^37 iff every weight is; then 2^16 weights below 2^37 sum below 2^53, so
+ * the sum cannot wrap.  A row whose sum may wrap is reported on bits alone.
+ * Returns NULL, or the error message. */
+static inline const char *row_error(int64_t bits, int64_t total)
+{
+    if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))
+        return "weight total too large; rescale below 2^37";
+    if (bits < 0 || total == 0)
+        return BAD_WEIGHTS;
+    return NULL;
+}
+
+/* row_error on m weights w; sets *total to their (unsigned) sum */
 static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
 {
-    /* bits is negative iff a weight is, and below 2^37 iff every weight is;
-     * then 2^16 weights below 2^37 sum below 2^53, so the sum cannot wrap.
-     * A row whose (unsigned) sum may wrap is reported on bits alone. */
     int64_t bits = 0;
     uint64_t sum = 0;
     for (int64_t i = 0; i < m; i++) {
@@ -238,11 +254,7 @@ static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
         sum += (uint64_t)w[i];
     }
     *total = (int64_t)sum;
-    if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))
-        return "weight total too large; rescale below 2^37";
-    if (bits < 0 || *total == 0)
-        return BAD_WEIGHTS;
-    return NULL;
+    return row_error(bits, *total);
 }
 
 #define BIAS 0x1p52                                 /* 2^52: below it, an integer sits in the mantissa */
@@ -326,11 +338,11 @@ VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t m, i
 }
 
 /* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w that
- * row_total accepted, with their total: _kernel_numpy._quantize.  One slot
+ * row_error accepts, with their total: _kernel_numpy._quantize.  One slot
  * per symbol up front, floors of w*free/total, then the leftover slots to
  * the largest keys (remainder << 16) + (m-1-i).  scratch has room for 3m
  * values; w is read in full before cum is written, so the two may overlap. */
-VECTOR_CLONES static void quantize_row(const int64_t *w, int64_t m, int64_t total, int64_t *cum, int64_t *scratch)
+static inline void quantize_dense(const int64_t *w, int64_t m, int64_t total, int64_t *cum, int64_t *scratch)
 {
     const int64_t free_slots = PROB_SCALE - m;
     int64_t *rem = scratch, *base = scratch + m;
@@ -347,6 +359,120 @@ VECTOR_CLONES static void quantize_row(const int64_t *w, int64_t m, int64_t tota
     cum[0] = 0;
     for (int64_t i = 0; i < m; i++)
         cum[i + 1] = cum[i] + base[i] + 1;
+}
+
+/* The most weights other than one that quantize_grouped takes: the
+ * measured crossover.  Timed on 400 distinct 256-entry count rows for each
+ * number k of counts above one, the grouped path was at least 8% faster
+ * than the dense one up to k = 8, 3-8% faster at k = 9 and 10 (level in
+ * another run), and slower from k = 11 (BENCH_26.json): its branches on S
+ * mispredict about once per member.  (Timed on a few rows repeated, the
+ * predictor learns them, and the crossover reads k = 40.)  Most rows freq
+ * makes on text have k <= 8. */
+#define GROUPED_LIMIT 8
+
+/* quantize_dense's table for m weights w, k <= GROUPED_LIMIT of them, S,
+ * other than one, with their total, dividing only S and the weight 1.
+ * Exact, because the m - k ones are copies of one weight: they share one
+ * floor b1 and one remainder r1, and their keys (r1 << 16) + (m-1-i) fall
+ * in index order, so the ones that win leftover slots are those below an
+ * index c1 wherever the threshold key falls.  The threshold is found among
+ * S's keys (above r1 when it lies there, below r1 when every one wins),
+ * or, when it falls in r1's class, as the index of the (leftover -
+ * above)-th member of the class: that count, less one, plus the members of
+ * S outside the class below it.  Then every entry of cum is the ones'
+ * progression i*(b1+1) + min(i, c1) plus, for each member of S below i,
+ * its slots less those a one would have had in its place: the integers
+ * quantize_dense sums one by one. */
+VECTOR_CLONES static void quantize_grouped(const int64_t *w, int64_t m, int64_t total, int64_t k, int64_t *cum)
+{
+    const int64_t free_slots = PROB_SCALE - m, ones = m - k;
+    int64_t at[GROUPED_LIMIT + 1], v[GROUPED_LIMIT + 1], b[GROUPED_LIMIT], r[GROUPED_LIMIT];
+    int64_t key[GROUPED_LIMIT], sel[GROUPED_LIMIT];
+    int64_t n = 0, i = 0; /* S in index order: at[n] and v[n] are written before n counts them */
+    for (; n < k && i + 8 <= m; i += 8) {
+        int64_t odd = 0;
+        for (int64_t j = i; j < i + 8; j++)
+            odd |= w[j] ^ 1;
+        if (odd) /* a chunk of eight ones is skipped */
+            for (int64_t j = i; j < i + 8; j++) {
+                at[n] = j;
+                v[n] = w[j];
+                n += w[j] != 1;
+            }
+    }
+    for (; n < k; i++) {
+        at[n] = i;
+        v[n] = w[i];
+        n += w[i] != 1;
+    }
+    const int64_t one = 1;
+    int64_t b1, r1;
+    divide_row(&one, 1, total, free_slots, &b1, &r1);
+    divide_row(v, k, total, free_slots, b, r);
+    int64_t leftover = free_slots - ones * b1, above = 0, equal = 0;
+    for (int64_t j = 0; j < k; j++) {
+        leftover -= b[j];
+        above += r[j] > r1;
+        equal += r[j] == r1;
+        key[j] = (r[j] << 16) + (m - 1 - at[j]);
+    }
+    int64_t threshold = INT64_MAX; /* the smallest key that wins */
+    if (above < leftover && leftover <= above + ones + equal) {
+        int64_t cut = leftover - above - 1; /* the last one of r1's class to win */
+        for (int64_t j = 0; j < k; j++) /* each member of S outside the class at or below it moves it on */
+            cut += (at[j] <= cut) & (r[j] != r1);
+        threshold = (r1 << 16) + (m - 1 - cut);
+    } else if (leftover) {
+        /* every key on r1's far side loses (above >= leftover) or wins */
+        const int64_t upper = above >= leftover, wins = upper ? leftover : leftover - above - ones - equal;
+        n = 0;
+        for (int64_t j = 0; j < k; j++) {
+            sel[n] = key[j];
+            n += upper ? r[j] > r1 : r[j] < r1;
+        }
+        threshold = select_rank(sel, n, n - wins);
+    }
+    /* the ones' keys that win are those of index below c1 */
+    const int64_t c = m - (threshold - (r1 << 16)), c1 = c < 0 ? 0 : (c > m ? m : c), step = b1 + 1;
+    int64_t off = 0, lo = 0; /* cum[lo..end) lies between two members of S */
+    for (int64_t j = 0; j <= k; j++) {
+        const int64_t end = j < k ? at[j] + 1 : m + 1, mid = c1 < lo ? lo : (c1 > end ? end : c1);
+        for (int64_t x = lo; x < mid; x++)
+            cum[x] = x * (step + 1) + off;
+        for (int64_t x = mid; x < end; x++)
+            cum[x] = x * step + c1 + off;
+        if (j < k)
+            off += b[j] + (key[j] >= threshold) - b1 - (at[j] < c1);
+        lo = end;
+    }
+}
+
+/* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w, or
+ * return why quantize's rule (row_error) refuses them, writing nothing:
+ * _kernel_numpy.quantize.  One pass totals the row and counts its weights
+ * other than one; a row with at most GROUPED_LIMIT of those takes
+ * quantize_grouped, any other quantize_dense.  The twin has no such path.
+ * scratch has room for 3m values; w is read in full before cum is written,
+ * so the two may overlap. */
+VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t m, int64_t *cum, int64_t *scratch)
+{
+    int64_t bits = 0, ones = 0;
+    uint64_t sum = 0;
+    for (int64_t i = 0; i < m; i++) {
+        bits |= w[i];
+        sum += (uint64_t)w[i];
+        ones += w[i] == 1;
+    }
+    const int64_t total = (int64_t)sum;
+    const char *error = row_error(bits, total);
+    if (error)
+        return error;
+    if (m - ones <= GROUPED_LIMIT)
+        quantize_grouped(w, m, total, m - ones, cum);
+    else
+        quantize_dense(w, m, total, cum, scratch);
+    return NULL;
 }
 
 #define STACK_ALPHABET 256 /* quantize's scratch is on the stack up to here */
@@ -367,7 +493,7 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     }
     PyObject *result = NULL;
-    int64_t stack[3 * STACK_ALPHABET], *scratch = stack, total;
+    int64_t stack[3 * STACK_ALPHABET], *scratch = stack;
     const char *error;
     if (m < 2 || m > PROB_SCALE) {
         PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
@@ -377,15 +503,14 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         PyErr_SetString(PyExc_ValueError, "cum must hold one more entry than weights");
         goto done;
     }
-    if ((error = row_total(wv.buf, m, &total))) {
-        PyErr_SetString(PyExc_ValueError, error);
-        goto done;
-    }
     if (m > STACK_ALPHABET && !(scratch = PyMem_Malloc(3 * (size_t)m * sizeof *scratch))) {
         PyErr_NoMemory();
         goto done;
     }
-    quantize_row(wv.buf, m, total, cv.buf, scratch);
+    if ((error = quantize_row(wv.buf, m, cv.buf, scratch))) {
+        PyErr_SetString(PyExc_ValueError, error);
+        goto done;
+    }
     result = Py_NewRef(Py_None);
 done:
     if (scratch != stack)
@@ -715,9 +840,8 @@ static void table_write(const kept_table *t, const int64_t *row)
 {
     if (!t->cum)
         return;
-    int64_t scratch[3 * ALPHABET], total;
-    (void)row_total(row, ALPHABET, &total);
-    quantize_row(row, ALPHABET, total, t->cum, scratch);
+    int64_t scratch[3 * ALPHABET];
+    (void)quantize_row(row, ALPHABET, t->cum, scratch);
 }
 
 /* --- neural predictor -------------------------------------------------- */

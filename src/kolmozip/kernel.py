@@ -8,10 +8,14 @@ int64 table of 257 entries, and each later step then quantizes the row it
 leaves into it, so a coding session makes two calls a byte: code, then
 step.  Quantization is exact integer arithmetic.  It and the net's
 gradient divide a row by its total through one routine, in doubles, which
-hold every value exactly for the totals below 2^37 that both accept.  It
-gives the leftover slots by counting the remainders above and equal to a
-pivot, which on a count row (mostly ones, sharing one remainder) settles
-them without a select.
+hold every value exactly for the totals below 2^37 that both accept.  A
+row with few weights other than one (most count rows) takes a grouped path
+in the extension: the ones share one floor and one remainder, so only the
+other weights are divided and ranked, and the table is the ones'
+arithmetic progression plus each other weight's difference.  Any other row
+takes the dense path, which gives the leftover slots by counting the
+remainders above and equal to a pivot.  The twin has only the dense
+arithmetic, and the tests hold both extension paths to it.
 
 ``load()`` never returns None: it returns the extension or, when that
 cannot be built, ``_kernel_numpy``, which exports the same functions with

@@ -30,6 +30,9 @@ from .predictors import PredictorConfig, make_predictor
 
 MAGIC = b"KZV1"
 VERSION = 1
+# compress refuses inputs this long, and deserialize token counts this
+# large.  compress's check off by one (> for >=) is a mutant no test of
+# practical size can kill: only an input of 2^48 bytes tells them apart.
 MAX_INPUT = 1 << 48
 
 

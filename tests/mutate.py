@@ -48,10 +48,10 @@ MUTANTS = {
     "c-alphabet-bound-off-by-one": (C, "if (m < 2 || m > PROB_SCALE) {", "if (m < 2 || m > PROB_SCALE + 1) {"),
     "c-cum-length-check-loosened": (C, "if (n_cum != m + 1) {", "if (n_cum < m + 1) {"),
     "c-total-limit-off-by-one": (
-        C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))",
-        "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total > TOTAL_LIMIT))",
+        C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))",
+        "if (bits >= 0 && (bits >= TOTAL_LIMIT || total > TOTAL_LIMIT))",
     ),
-    "c-zero-total-check-dropped": (C, "if (bits < 0 || *total == 0)", "if (bits < 0)"),
+    "c-zero-total-check-dropped": (C, "if (bits < 0 || total == 0)", "if (bits < 0)"),
     "c-ties-to-higher-index": (
         C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + i >= threshold;"
     ),
@@ -77,6 +77,23 @@ MUTANTS = {
         C, "n += upper ? rem[i] > pivot : rem[i] < pivot;", "n += upper ? rem[i] < pivot : rem[i] > pivot;"
     ),
     "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
+    # quantize's grouped path for count rows
+    "c-grouped-limit-off-by-one": (
+        C, "if (m - ones <= GROUPED_LIMIT)", "if (m - ones <= GROUPED_LIMIT + 1)"
+    ),
+    "c-grouped-cut-one-late": (
+        C, "int64_t cut = leftover - above - 1;", "int64_t cut = leftover - above;"
+    ),
+    "c-grouped-class-bound-exclusive": (
+        C, "if (above < leftover && leftover <= above + ones + equal) {",
+        "if (above < leftover && leftover < above + ones + equal) {",
+    ),
+    "c-grouped-ties-to-higher-index": (
+        C, "key[j] = (r[j] << 16) + (m - 1 - at[j]);", "key[j] = (r[j] << 16) + at[j];"
+    ),
+    "c-grouped-fill-difference-dropped": (
+        C, "off += b[j] + (key[j] >= threshold) - b1 - (at[j] < c1);", "off += 0;"
+    ),
     # range coder
     "c-symbol-bound-off-by-one": (
         C, 'get_int(args[2], 0, n - 1, "symbol %S outside [0, %lld)", &sym)',

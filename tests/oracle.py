@@ -100,6 +100,21 @@ def shortest_binary_in_interval(interval: IdealInterval) -> str:
     raise ValueError("interval too narrow for a 4096-bit code")
 
 
+# --- the artifact format -------------------------------------------------------
+
+
+def max_tokens(payload_len: int) -> int:
+    """The token bound of pipeline._max_tokens, from its docstring's closed
+    form in exact rationals: the largest d with d * (65279/2^24) * 1.4426 <=
+    8 (payload_len - 4), and 0 where payload_len <= 4.  1.4426 lies below
+    log2(e), so the true per-symbol shrink bound log2(1/f) is above the one
+    used, and the bound is safe."""
+    assert Fraction("1.4426") < math.log2(math.e)
+    if payload_len <= 4:
+        return 0
+    return math.floor(Fraction(8 * (payload_len - 4)) / (Fraction(65279, 1 << 24) * Fraction("1.4426")))
+
+
 # --- kclab ------------------------------------------------------------------
 
 

@@ -52,6 +52,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule, run_state_machine_as_test
 
 from kolmozip import _kernel_numpy, kernel
+from kolmozip._kernel_numpy import COUNT_LIMIT
 from kolmozip.coder import PROB_SCALE, quantize_weights
 from kolmozip.errors import TruncatedStreamError
 from kolmozip.pipeline import compress, decompress, deserialize, serialize
@@ -455,20 +456,37 @@ def _run(module, fn: str, state, row: np.ndarray, table, tokens) -> tuple:
 
 
 _LIMIT = 1 << 37  # the row limit: quantize and net_step refuse a total this large
+# the most weights other than one in a row the extension's quantize_grouped takes
+GROUPED_LIMIT = int(re.search(rb"#define GROUPED_LIMIT (\d+)", kernel.SOURCE.read_bytes())[1])
+
+
+def _count_row(gen: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """A count row: m ones, k of them (at most m) replaced by draws below a
+    random power of two up to 2^16 (ties when low), a draw of 1 becoming 0:
+    counts and the zeros quantize_grouped also takes."""
+    k = min(k, m)
+    row = np.ones(m, dtype=np.int64)
+    counts = gen.integers(0, 1 << int(gen.integers(2, 17)), k)
+    row[gen.choice(m, k, replace=False)] = np.where(counts == 1, 0, counts)
+    return row
 
 
 @st.composite
 def _weight_rows(draw, m: int | None = None) -> np.ndarray:
     """Rows on either scratch path, of any magnitude up to past the row
-    limit, 2^37; drawn from a few values (many ties), spread, or with a
+    limit, 2^37; drawn from a few values (many ties), spread, count rows
+    with up to two more counts than quantize_grouped takes, or with a
     negative."""
     m = m or draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 257, 4096, PROB_SCALE])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     high = 1 << draw(st.integers(0, 38))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["few", "spread", "counts"]))
+    if shape == "few":
         row = gen.choice(gen.integers(0, high, draw(st.integers(1, 4))), m)
-    else:
+    elif shape == "spread":
         row = gen.integers(0, high, m)
+    else:
+        row = _count_row(gen, m, draw(st.integers(0, GROUPED_LIMIT + 2)))
     if draw(st.integers(0, 9)) == 0:
         row[gen.integers(m)] = -draw(st.integers(1, _LIMIT))
     return row
@@ -484,11 +502,15 @@ def _any_table(gen: np.random.Generator, m: int) -> np.ndarray:
 
 @st.composite
 def _tables(draw) -> np.ndarray:
-    """A table for any alphabet (_any_table), or a broken one: two entries
-    swapped, every entry shifted, or one entry overwritten."""
+    """A table for any alphabet (_any_table) or of a count row
+    (_count_row), or a broken one: two entries swapped, every entry
+    shifted, or one entry overwritten."""
     m = draw(st.one_of(st.integers(2, 300), st.sampled_from([256, 4096, PROB_SCALE])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cum = _any_table(gen, m)
+    if draw(st.booleans()):
+        cum = _any_table(gen, m)
+    else:
+        cum = twin_quantize(_count_row(gen, m, draw(st.integers(0, GROUPED_LIMIT + 2))))
     i, j = gen.integers(0, m + 1, 2)
     broken = draw(st.sampled_from([None, None, "swap", "shift", "poke"]))
     if broken == "swap":
@@ -674,18 +696,75 @@ def _ones_and(count: int, at: int, m: int = 256) -> np.ndarray:
     return row
 
 
+def _ones_with(counts: dict[int, int], m: int = 256) -> np.ndarray:
+    """A count row: ones, and counts[i] at each index i."""
+    row = np.ones(m, dtype=np.int64)
+    row[list(counts)] = list(counts.values())
+    return row
+
+
+def _grouped_case(row: np.ndarray) -> tuple:
+    """How the extension settles row's leftover slots.  Where
+    quantize_grouped does not take it (more than GROUPED_LIMIT weights other
+    than one): ("dense", i) where the threshold falls among
+    the remainders equal to leftover_threshold's pivot and the winners
+    there end at row[i], else ("dense",).  Else ("no leftover",), ("above",)
+    where they all go to counts whose remainder is above the ones' r1,
+    ("below",) where every weight with a remainder of r1 or more wins and
+    some counts below it do too, or ("cut", i, "one" or "count") where the
+    winners in r1's class, by index, end at row[i]."""
+    m, others = row.size, np.flatnonzero(row != 1)
+    free, total = PROB_SCALE - row.size, int(row.sum())
+    base, rem = np.divmod(row * free, total)
+    leftover = free - int(base.sum())
+    if others.size > GROUPED_LIMIT:
+        pivot = int(np.median(rem[[0, m // 2, m - 1]]))
+        above, equal = int((rem > pivot).sum()), np.flatnonzero(rem == pivot)
+        if above < leftover <= above + equal.size:
+            return ("dense", int(equal[leftover - above - 1]))
+        return ("dense",)
+    r1 = free % total
+    above, equal = int((rem[others] > r1).sum()), int((rem[others] == r1).sum())
+    if not leftover:
+        return ("no leftover",)
+    if leftover <= above:
+        return ("above",)
+    if leftover > above + (m - others.size) + equal:
+        return ("below",)
+    cut = int(np.flatnonzero(rem == r1)[leftover - above - 1])
+    return ("cut", cut, "one" if row[cut] == 1 else "count")
+
+
 _BIG = _LIMIT - 1  # the largest total quantize accepts
 # rows where quantize is easiest to get wrong, each on the stack scratch
 # (m <= 256) or the heap one (m > 256)
 HARD_ROWS = {
-    # count rows: the ones share a remainder, and the leftover slots'
-    # threshold falls among them, cut at the first one (one of them wins)
-    # or at the last (all of them do)
+    # count rows, which quantize_grouped settles (GROUPED_CASES): the ones
+    # share a remainder, and the leftover slots' threshold falls among
+    # them, cut at the first one (one of them wins) or at the last (all of
+    # them do), or among the counts above or below it
     "255 ones and a large count": _ones_and(60_000, 100),
     "255 ones and a count past 2^16": _ones_and(1 << 20, 255),
     "ones cut at the first, after a 2": _ones_and(2, 0),
     "ones cut at the last, after a 418": _ones_and(418, 0),
     "ones cut at the last, before a 418": _ones_and(418, 255),
+    "ones cut at index 0, before a 2": _ones_with({45: 2}),
+    "ones cut at index 255, two counts": _ones_with({62: 16215, 65: 16257}),
+    "ones and counts cut at a count": _ones_with({25: 39, 52: 12, 214: 19}),
+    "no leftover, ones and a 255": _ones_with({7: 255}),
+    "no leftover, ones and two counts": _ones_with({133: 261, 165: 573}),
+    "leftover above the ones": _ones_with({38: 64825}),
+    "leftover above the ones, a tie split by index": _ones_with({56: 24972, 89: 24972, 161: 15004}),
+    "leftover below the ones": _ones_with({88: 41513, 221: 23566}),
+    "leftover below the ones, a tie split by index": _ones_with({160: 129, 215: 129, 233: 878}),
+    "a count of 2^16-1": _ones_with({40: COUNT_LIMIT - 1, 41: 2}),
+    "just after a halving": _ones_with({3: 4, 200: COUNT_LIMIT // 2}),
+    "counts at the limit": _ones_with({6 * i + 3: 1000 + 37 * i for i in range(GROUPED_LIMIT)}),
+    # one count past the limit: the dense path, and its pivot group (the
+    # ones) cut at the first and the last
+    "counts one past the limit": _ones_with({6 * i + 3: 1000 + 37 * i for i in range(GROUPED_LIMIT + 1)}),
+    "ones cut at the first, past the limit": _ones_with(dict.fromkeys(range(1, GROUPED_LIMIT + 2), 199)),
+    "ones cut at the last, past the limit": _ones_with(dict.fromkeys(range(1, GROUPED_LIMIT + 2), 318)),
     "all equal, m=256": _spread(256, 256 * 9),
     # the threshold away from a median-of-three pivot, above it and below
     "distinct, m=256": np.arange(256, dtype=np.int64) ** 3 + 7,
@@ -742,6 +821,43 @@ REFUSED_ROWS = {
     "sum past 2^46 and negative", "total 2^37, spread", "total 2^46-1, spread", "total 2^46-1, one weight",
     "total 2^46-1, a quotient one short",
 }
+
+
+# the case each count row among the hard rows reaches
+GROUPED_CASES = {
+    "255 ones and a large count": ("cut", 20, "one"),
+    "255 ones and a count past 2^16": ("cut", 14, "one"),
+    "ones cut at the first, after a 2": ("cut", 1, "one"),
+    "ones cut at the last, after a 418": ("cut", 255, "one"),
+    "ones cut at the last, before a 418": ("cut", 254, "one"),
+    "ones cut at index 0, before a 2": ("cut", 0, "one"),
+    "ones cut at index 255, two counts": ("cut", 255, "one"),
+    "ones and counts cut at a count": ("cut", 25, "count"),
+    "no leftover, ones and a 255": ("no leftover",),
+    "no leftover, ones and two counts": ("no leftover",),
+    "leftover above the ones": ("above",),
+    "leftover above the ones, a tie split by index": ("above",),
+    "leftover below the ones": ("below",),
+    "leftover below the ones, a tie split by index": ("below",),
+    "a count of 2^16-1": ("cut", 255, "one"),
+    "just after a halving": ("cut", 250, "one"),
+    "counts at the limit": ("cut", 4, "one"),
+    "counts one past the limit": ("dense", 46),
+    "ones cut at the first, past the limit": ("dense", 0),
+    "ones cut at the last, past the limit": ("dense", 255),
+    "no leftover, m=256": ("no leftover",),
+    "m=2^16, all ones": ("no leftover",),
+}
+
+
+def test_count_hard_rows_reach_the_case_they_name():
+    assert {name: _grouped_case(HARD_ROWS[name]) for name in GROUPED_CASES} == GROUPED_CASES
+    # the tied counts get different slots: the lower index wins
+    for side in ("above", "below"):
+        row = HARD_ROWS[f"leftover {side} the ones, a tie split by index"]
+        tied = np.flatnonzero(row == row[np.flatnonzero(row > 1)[0]])
+        widths = np.diff(twin_quantize(row))[tied]
+        assert widths.size == 2 and widths[0] == widths[1] + 1
 
 
 @needs_kernel
@@ -1233,10 +1349,13 @@ def _freq_streams() -> dict[str, bytes]:
 FREQ_STREAMS = _freq_streams()
 
 
-def check_freq_stream(t: Twins, order: int, data: bytes, checkpoints: int) -> None:
-    """The same row after every step, and the same context and freq_state
-    payload at checkpoints spread over data and at its end."""
+def check_freq_stream(t: Twins, order: int, data: bytes, checkpoints: int, bound: bool = False) -> None:
+    """The same row (and kept table, if bound) after every step, and the
+    same context and freq_state payload at checkpoints spread over data and
+    at its end."""
     f, every = t.freq(order), max(1, len(data) // checkpoints)
+    if bound:
+        assert t.keep_table(f) is None
     for start in range(0, len(data), every):
         t.run(f, data[start : start + every])
         end = min(len(data), start + every)
@@ -1248,6 +1367,13 @@ def check_freq_stream(t: Twins, order: int, data: bytes, checkpoints: int) -> No
 @pytest.mark.parametrize("stream", list(FREQ_STREAMS))
 def test_freq_kernel_matches_numpy_step_by_step(stream, order):
     check_freq_stream(Twins(kernel.load()), order, FREQ_STREAMS[stream], 8)
+
+
+@needs_kernel
+@pytest.mark.parametrize("order", range(4))
+def test_bound_freq_steps_match_numpy_on_both_builds(order, builds):
+    # rows pass from quantize_grouped to the dense path as their contexts fill
+    check_freq_stream(Twins(*builds.values()), order, FREQ_STREAMS["text"][:6000], 4, bound=True)
 
 
 @needs_kernel
@@ -1534,7 +1660,7 @@ def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, bui
     # names a clone function.target, with every other character of the target
     # made "_"
     suffixes = [re.sub(r"\W", "_", target) for target in _clone_targets()]
-    loops = ("forward", "net_grad", "quantize_row", "leftover_threshold")
+    loops = ("forward", "net_grad", "quantize_row", "quantize_grouped", "leftover_threshold")
     clones = [f"{fn}.{suffix}".encode() for fn in loops for suffix in suffixes]
     assert all(clone in library for clone in clones)
     assert b"arch_x86_64_v4" not in library

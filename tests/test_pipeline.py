@@ -16,7 +16,9 @@ from kolmozip.errors import FormatError, TruncatedStreamError
 from kolmozip.pipeline import (
     MAX_INPUT,
     CompressedArtifact,
+    _leb128,
     _max_tokens,
+    _read_leb128,
     compress,
     compress_conditional,
     decompress,
@@ -28,6 +30,7 @@ from kolmozip.predictors import PredictorConfig
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
+from oracle import max_tokens
 from test_coder import oracle_largest_remainder
 
 UNIFORM = PredictorConfig("uniform")
@@ -210,6 +213,25 @@ def test_forged_token_count_is_rejected_before_decoding(monkeypatch):
     assert deserialize(forged(MAX_INPUT - 1)).d == MAX_INPUT - 1
     with pytest.raises(FormatError, match="token count"):
         deserialize(forged(MAX_INPUT))
+
+
+# _max_tokens at a few payload lengths, recorded: none below 5 bytes, then
+# about 1425 tokens a byte
+MAX_TOKENS = {0: 0, 4: 0, 5: 1425, 6: 2850, 100: 136_823, 1 << 16: 93_399_356, 1 << 30: 1_530_348_458_738}
+
+
+def test_token_bound_is_its_docstring_closed_form():
+    assert {n: _max_tokens(n) for n in MAX_TOKENS} == {n: max_tokens(n) for n in MAX_TOKENS} == MAX_TOKENS
+
+
+def test_varints_are_read_up_to_ten_groups():
+    # 64 bits take ten 7-bit groups; an eleventh is refused, whatever it holds
+    top = (1 << 64) - 1
+    assert len(_leb128(top)) == 10 and _read_leb128(_leb128(top), 0) == (top, 10)
+    assert _read_leb128(b"\x80" * 9 + b"\x01", 0) == (1 << 63, 10)
+    for eleventh in (b"\x01", b"\x00", b"\x7f"):
+        with pytest.raises(FormatError, match="varint too long"):
+            _read_leb128(b"\x80" * 10 + eleventh, 0)
 
 
 def test_long_constant_stream_round_trips_under_the_token_bound():
