@@ -42,14 +42,15 @@
  *     the lower index, as the twin's argpartition over distinct keys does.
  *     One pass over the row checks it, totals it and counts its weights
  *     other than one.  A row with at most GROUPED_LIMIT of those (most of
- *     the count rows freq makes) takes the grouped path: the ones share one
- *     floor and remainder, so only the others are divided and ranked, and
- *     the table is written as the ones' arithmetic progression plus the
- *     others' differences.  Any other row takes the dense path: it counts
- *     the remainders above and equal to a pivot, and where the threshold
- *     falls among the equal ones the winners there are the first by index;
- *     elsewhere it selects among the keys on the threshold's side of the
- *     pivot.  The twin has one path, the dense arithmetic in numpy;
+ *     the count rows freq makes) takes the grouped path where the threshold
+ *     falls among the ones' remainders: they share one, so only the others
+ *     are divided, and the table is written as the ones' arithmetic
+ *     progression plus the others' differences.  Any other row takes the
+ *     dense path: it counts the remainders above and equal to a pivot, and
+ *     where the threshold falls among the equal ones the winners there are
+ *     the first by index; elsewhere it selects among the keys on the
+ *     threshold's side of the pivot.  The twin has one path, the dense
+ *     arithmetic in numpy;
  *   - a kept table never fails a step that has changed state: net() takes
  *     only softmax tables whose every forward pass quantize's rule accepts,
  *     and a count row always passes it;
@@ -372,23 +373,23 @@ static inline void quantize_dense(const int64_t *w, int64_t m, int64_t total, in
 #define GROUPED_LIMIT 8
 
 /* quantize_dense's table for m weights w, k <= GROUPED_LIMIT of them, S,
- * other than one, with their total, dividing only S and the weight 1.
+ * other than one, with their total, dividing only S and the weight 1; or
+ * 0, with cum unwritten, where the threshold key falls among S's keys
+ * alone (0.5% of the benchmark's count rows; quantize_dense selects it).
  * Exact, because the m - k ones are copies of one weight: they share one
  * floor b1 and one remainder r1, and their keys (r1 << 16) + (m-1-i) fall
  * in index order, so the ones that win leftover slots are those below an
- * index c1 wherever the threshold key falls.  The threshold is found among
- * S's keys (above r1 when it lies there, below r1 when every one wins),
- * or, when it falls in r1's class, as the index of the (leftover -
- * above)-th member of the class: that count, less one, plus the members of
- * S outside the class below it.  Then every entry of cum is the ones'
+ * index c1.  The threshold is the key of the (leftover - above)-th member
+ * of r1's class: its index is that count, less one, plus the members of S
+ * outside the class below it.  Then every entry of cum is the ones'
  * progression i*(b1+1) + min(i, c1) plus, for each member of S below i,
  * its slots less those a one would have had in its place: the integers
  * quantize_dense sums one by one. */
-VECTOR_CLONES static void quantize_grouped(const int64_t *w, int64_t m, int64_t total, int64_t k, int64_t *cum)
+VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t m, int64_t total, int64_t k, int64_t *cum)
 {
     const int64_t free_slots = PROB_SCALE - m, ones = m - k;
     int64_t at[GROUPED_LIMIT + 1], v[GROUPED_LIMIT + 1], b[GROUPED_LIMIT], r[GROUPED_LIMIT];
-    int64_t key[GROUPED_LIMIT], sel[GROUPED_LIMIT];
+    int64_t key[GROUPED_LIMIT];
     int64_t n = 0, i = 0; /* S in index order: at[n] and v[n] are written before n counts them */
     for (; n < k && i + 8 <= m; i += 8) {
         int64_t odd = 0;
@@ -423,16 +424,8 @@ VECTOR_CLONES static void quantize_grouped(const int64_t *w, int64_t m, int64_t 
         for (int64_t j = 0; j < k; j++) /* each member of S outside the class at or below it moves it on */
             cut += (at[j] <= cut) & (r[j] != r1);
         threshold = (r1 << 16) + (m - 1 - cut);
-    } else if (leftover) {
-        /* every key on r1's far side loses (above >= leftover) or wins */
-        const int64_t upper = above >= leftover, wins = upper ? leftover : leftover - above - ones - equal;
-        n = 0;
-        for (int64_t j = 0; j < k; j++) {
-            sel[n] = key[j];
-            n += upper ? r[j] > r1 : r[j] < r1;
-        }
-        threshold = select_rank(sel, n, n - wins);
-    }
+    } else if (leftover) /* among S's keys alone */
+        return 0;
     /* the ones' keys that win are those of index below c1 */
     const int64_t c = m - (threshold - (r1 << 16)), c1 = c < 0 ? 0 : (c > m ? m : c), step = b1 + 1;
     int64_t off = 0, lo = 0; /* cum[lo..end) lies between two members of S */
@@ -446,13 +439,14 @@ VECTOR_CLONES static void quantize_grouped(const int64_t *w, int64_t m, int64_t 
             off += b[j] + (key[j] >= threshold) - b1 - (at[j] < c1);
         lo = end;
     }
+    return 1;
 }
 
 /* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w, or
  * return why quantize's rule (row_error) refuses them, writing nothing:
  * _kernel_numpy.quantize.  One pass totals the row and counts its weights
  * other than one; a row with at most GROUPED_LIMIT of those takes
- * quantize_grouped, any other quantize_dense.  The twin has no such path.
+ * quantize_grouped, any other (or one it returns) quantize_dense.
  * scratch has room for 3m values; w is read in full before cum is written,
  * so the two may overlap. */
 VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t m, int64_t *cum, int64_t *scratch)
@@ -468,9 +462,7 @@ VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t m, int64
     const char *error = row_error(bits, total);
     if (error)
         return error;
-    if (m - ones <= GROUPED_LIMIT)
-        quantize_grouped(w, m, total, m - ones, cum);
-    else
+    if (m - ones > GROUPED_LIMIT || !quantize_grouped(w, m, total, m - ones, cum))
         quantize_dense(w, m, total, cum, scratch);
     return NULL;
 }

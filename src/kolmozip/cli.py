@@ -93,10 +93,6 @@ def _write_output(path: str, data: bytes) -> None:
         raise
 
 
-def _digest_chain(digests: list[bytes]) -> str:
-    return hashlib.md5(b"".join(digests)).hexdigest()
-
-
 def _bits(text: str) -> str:
     if set(text) <= {"0", "1"}:
         return text
@@ -119,18 +115,20 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     config = PredictorConfig.from_spec(args.model, seed=args.seed)
     data = _read_file(args.infile)
     record = {"config": config.spec_string(), "input_bytes": len(data)}
+    chain = hashlib.md5() if args.audit else None
+    audit = chain.update if chain else None
     if args.context is None:
-        artifact, stats = compress(data, config, audit=args.audit)
+        artifact, stats = compress(data, config, audit=audit)
         summary = f"{len(data)} -> {len(artifact.payload)} payload bytes"
     else:
         context = _read_file(args.context)
-        artifact, stats = compress_conditional(data, context, config, audit=args.audit)
+        artifact, stats = compress_conditional(data, context, config, audit=audit)
         record["context_bytes"] = len(context)
         summary = f"{len(data)} bytes given {len(context)} context bytes"
     _write_output(args.outfile, serialize(artifact))
     record.update(payload_bytes=len(artifact.payload), ideal_bits=stats.ideal_bits, bpb=stats.payload_bpb)
-    if args.audit:
-        record["digest_chain"] = _digest_chain(stats.digests)
+    if chain:
+        record["digest_chain"] = chain.hexdigest()
     _emit(record, args.outfile)
     _say(f"{args.outfile}: {summary} ({stats.payload_bpb:.3f} bpb)")
     return 0
@@ -140,17 +138,15 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     _check_paths([args.infile, args.context], args.outfile)
     artifact = deserialize(_read_file(args.infile))
     context = _read_file(args.context) if args.context else b""
-    if args.audit:
-        data, digests = decompress(artifact, context, audit=True)
-    else:
-        data, digests = decompress(artifact, context), []
+    chain = hashlib.md5() if args.audit else None
+    data = decompress(artifact, context, audit=chain.update if chain else None)
     _write_output(args.outfile, data)
     record = {
         "config": artifact.config.spec_string(),
         "output_bytes": len(data),
     }
-    if args.audit:
-        record["digest_chain"] = _digest_chain(digests)
+    if chain:
+        record["digest_chain"] = chain.hexdigest()
     _emit(record, args.outfile)
     _say(f"{args.outfile}: {len(data)} bytes")
     return 0

@@ -11,9 +11,9 @@ gradient divide a row by its total through one routine, in doubles, which
 hold every value exactly for the totals below 2^37 that both accept.  A
 row with few weights other than one (most count rows) takes a grouped path
 in the extension: the ones share one floor and one remainder, so only the
-other weights are divided and ranked, and the table is the ones'
-arithmetic progression plus each other weight's difference.  Any other row
-takes the dense path, which gives the leftover slots by counting the
+other weights are divided, and the table is the ones' progression plus
+each other weight's difference.  Any other row, or one whose leftover
+slots do not end among the ones, takes the dense path, which counts the
 remainders above and equal to a pivot.  The twin has only the dense
 arithmetic, and the tests hold both extension paths to it.
 

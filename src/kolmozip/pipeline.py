@@ -20,7 +20,8 @@ complexity treats the conditioning string as given.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class SessionStats:
 
     token_bits: np.ndarray
     payload_bits: int
-    digests: list[bytes] = field(default_factory=list)
 
     @property
     def n_tokens(self) -> int:
@@ -93,7 +93,16 @@ class SessionStats:
         return self.payload_bits / self.n_tokens if self.n_tokens else 0.0
 
 
-def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
+# a sink for the state digests, called with each as it is made
+Audit = Callable[[bytes], object] | None
+
+
+def _check_audit(audit: Audit) -> None:
+    if audit is not None and not callable(audit):
+        raise TypeError(f"audit must be None or a callable taking each digest, not {type(audit).__name__}")
+
+
+def _replay(pred, context: bytes, n: int, code, audit: Audit) -> None:
     """The training loop encoder and decoder share; only `code` differs.
 
     The predictor first trains on context (no bits flow, no table is made),
@@ -101,24 +110,24 @@ def _replay(pred, context: bytes, n: int, code, audit: bool) -> list[bytes]:
     there; per token, code(table, i) -> token, then the update, which leaves
     the next table in it.  The encoder's `code` writes the i-th
     input byte, the decoder's reads one, so both sides see the same tables.
-    Returns the per-token state digests when audit is set.
+    When audit is set, it is called with the state digest after each token's
+    update (never after a priming one), and nothing is kept.
     """
     for tok in context:
         pred.update(tok)
     table = quantize_weights(pred.predict_weights())
     pred.keep_table(table)
     update = pred.update
-    digests: list[bytes] = []
     for i in range(n):
         update(code(table, i))
         if audit:
-            digests.append(pred.digest())
-    return digests
+            audit(pred.digest())
 
 
 def _session(
-    data: bytes, config: PredictorConfig, context: bytes, audit: bool
+    data: bytes, config: PredictorConfig, context: bytes, audit: Audit
 ) -> tuple[CompressedArtifact, SessionStats]:
+    _check_audit(audit)
     if len(data) >= MAX_INPUT:
         raise ValueError("input too long for the 48-bit token counter")
     encoder = RangeEncoder()
@@ -130,28 +139,26 @@ def _session(
         widths[i] = encode_symbol(cum, tok)
         return tok
 
-    digests = _replay(make_predictor(config), context, len(data), encode, audit)
+    _replay(make_predictor(config), context, len(data), encode, audit)
     payload = encoder.finish()
-    stats = SessionStats(
-        token_bits=PROB_BITS - np.log2(widths),
-        payload_bits=8 * len(payload),
-        digests=digests,
-    )
+    stats = SessionStats(token_bits=PROB_BITS - np.log2(widths), payload_bits=8 * len(payload))
     artifact = CompressedArtifact(config, len(data), len(context), payload)
     return artifact, stats
 
 
 def compress(
-    data: bytes, config: PredictorConfig, *, audit: bool = False
+    data: bytes, config: PredictorConfig, *, audit: Audit = None
 ) -> tuple[CompressedArtifact, SessionStats]:
-    """Code data under an online-trained predictor started from scratch."""
+    """Code data under an online-trained predictor started from scratch,
+    passing audit, if given, the state digest after each token."""
     return _session(data, config, b"", audit)
 
 
 def compress_conditional(
-    target: bytes, context: bytes, config: PredictorConfig, *, audit: bool = False
+    target: bytes, context: bytes, config: PredictorConfig, *, audit: Audit = None
 ) -> tuple[CompressedArtifact, SessionStats]:
-    """Code target with a predictor first primed on context.
+    """Code target with a predictor first primed on context; audit as for
+    compress, with no digest for the priming tokens.
 
     Only len(context) enters the artifact; decoding requires the caller
     to present the identical context.  Wrong context bytes of the right
@@ -161,15 +168,14 @@ def compress_conditional(
     return _session(target, config, context, audit)
 
 
-def decompress(
-    artifact: CompressedArtifact, context: bytes = b"", *, audit: bool = False
-):
+def decompress(artifact: CompressedArtifact, context: bytes = b"", *, audit: Audit = None) -> bytes:
     """Reconstruct the exact input by replaying training on decoded tokens.
 
-    Returns bytes, or (bytes, digests) when audit is set.  A payload that
-    runs out raises TruncatedStreamError; one with bytes left over after
-    the d tokens raises FormatError.
+    audit, as for compress, sees the same digests the encoder's did.  A
+    payload that runs out raises TruncatedStreamError; one with bytes left
+    over after the d tokens raises FormatError.
     """
+    _check_audit(audit)
     if len(context) != artifact.context_length:
         raise FormatError(
             f"artifact was coded against {artifact.context_length} context "
@@ -184,13 +190,12 @@ def decompress(
         append(tok)
         return tok
 
-    digests = _replay(make_predictor(artifact.config), context, artifact.d, decode, audit)
+    _replay(make_predictor(artifact.config), context, artifact.d, decode, audit)
     # a valid stream of d tokens ends exactly at the last payload byte
     unread = len(artifact.payload) - decoder.cursor
     if unread:
         raise FormatError(f"{unread} payload bytes left over after {artifact.d} tokens")
-    data = bytes(out)
-    return (data, digests) if audit else data
+    return bytes(out)
 
 
 # --- wire format -----------------------------------------------------------

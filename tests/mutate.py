@@ -1,13 +1,14 @@
-"""Mutation check for the step module's tests.
+"""Mutation check for the tests of the step module and the pipeline.
 
-Each mutant below changes one line of ``src/kolmozip/_kernel.c`` or
-``src/kolmozip/_kernel_numpy.py``: a comparison flipped, a bound off by
-one, a check dropped, a clamp removed, a message reworded.  For each
+Each mutant below changes one line of ``src/kolmozip/_kernel.c``,
+``_kernel_numpy.py`` or ``pipeline.py``: a comparison flipped, a bound off
+by one, a check dropped, a clamp removed, a message reworded.  For each
 mutant the script copies ``src/`` into a temporary directory, applies the
-mutant there, builds the extension into a temporary ``XDG_CACHE_HOME`` and
-runs ``pytest tests/test_kernel.py -x -q`` against the copy, one mutant at a
-time.  A mutant is killed when that run fails (or outlives its timeout).
-Nothing is written into ``src/``.
+mutant there and runs, with ``pytest -x -q``, the suites that cover its
+file (SUITES) against the copy, one mutant at a time.  A C mutant builds
+its extension into a temporary ``XDG_CACHE_HOME``; the others share one
+build of the unmutated extension.  A mutant is killed when that run fails
+(or outlives its timeout).  Nothing is written into ``src/``.
 
     python tests/mutate.py                                        # every mutant
     python tests/mutate.py c-search-side-left np-state-unsorted   # these two
@@ -29,10 +30,19 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-SUITE = REPO / "tests" / "test_kernel.py"
-C = "_kernel.c"
-NP = "_kernel_numpy.py"
+C, NP, PIPELINE = "_kernel.c", "_kernel_numpy.py", "pipeline.py"
 TIMEOUT_S = 300
+# the suites in tests/ that cover each mutated file
+SUITES = {
+    C: ["test_kernel.py"],
+    NP: ["test_kernel.py"],
+    PIPELINE: ["test_pipeline.py", "test_cli.py", "test_acceptance.py"],
+}
+# the tests that bound wall time, left out: a bound on time tells nothing of a mutant
+TIMED = [
+    "tests/test_acceptance.py::test_01_round_trip_every_kind_and_corpus",
+    "tests/test_acceptance.py::test_08_phi_budget_curves_and_doubling_witness",
+]
 
 # name: (file, the text of one line, what replaces it); the text occurs once in the file
 MUTANTS = {
@@ -79,14 +89,14 @@ MUTANTS = {
     "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
     # quantize's grouped path for count rows
     "c-grouped-limit-off-by-one": (
-        C, "if (m - ones <= GROUPED_LIMIT)", "if (m - ones <= GROUPED_LIMIT + 1)"
+        C, "if (m - ones > GROUPED_LIMIT ||", "if (m - ones > GROUPED_LIMIT + 1 ||"
     ),
     "c-grouped-cut-one-late": (
         C, "int64_t cut = leftover - above - 1;", "int64_t cut = leftover - above;"
     ),
-    "c-grouped-class-bound-exclusive": (
+    "c-grouped-class-bound-one-past": (
         C, "if (above < leftover && leftover <= above + ones + equal) {",
-        "if (above < leftover && leftover < above + ones + equal) {",
+        "if (above < leftover && leftover <= above + ones + equal + 1) {",
     ),
     "c-grouped-ties-to-higher-index": (
         C, "key[j] = (r[j] << 16) + (m - 1 - at[j]);", "key[j] = (r[j] << 16) + at[j];"
@@ -202,6 +212,12 @@ MUTANTS = {
         NP, '_BAD_WEIGHTS = "weights must be nonnegative with one positive"',
         '_BAD_WEIGHTS = "weights must be non-negative with one positive"',
     ),
+    # the pipeline
+    "pipeline-audit-skips-first-token": (PIPELINE, "        if audit:", "        if audit and i:"),
+    "pipeline-audit-check-dropped": (PIPELINE, "    if audit is not None and not callable(audit):", "    if False:"),
+    "pipeline-left-over-check-loosened": (PIPELINE, "    if unread:", "    if unread > 1:"),
+    "pipeline-trailing-bytes-check-dropped": (PIPELINE, "    if pos + payload_len < len(blob):", "    if False:"),
+    "pipeline-token-cap-off-by-one": (PIPELINE, "if d >= MAX_INPUT or", "if d > MAX_INPUT or"),
 }
 
 
@@ -215,22 +231,33 @@ def apply(src: Path, name: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def run(name: str) -> str:
-    """killed, survived or unbuilt: the suite's verdict on mutant name."""
+def _env(work: Path, cache: Path) -> dict:
+    return dict(
+        os.environ, PYTHONPATH=str(work / "src"), XDG_CACHE_HOME=str(cache),
+        HYPOTHESIS_STORAGE_DIRECTORY=str(work / "hypothesis"),
+    )
+
+
+def _builds(env: dict, cwd: Path) -> bool:
+    build = [sys.executable, "-c", "from kolmozip import kernel; raise SystemExit(not kernel.build_and_load())"]
+    return not subprocess.run(build, env=env, cwd=cwd, capture_output=True).returncode
+
+
+def run(name: str, shared_cache: Path) -> str:
+    """killed, survived or unbuilt: the suite's verdict on mutant name.
+    A mutant of a Python file loads the extension built in shared_cache."""
+    file = MUTANTS[name][0]
     with tempfile.TemporaryDirectory(prefix="kolmozip-mutant-") as tmp:
         work = Path(tmp)
         shutil.copytree(REPO / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
         apply(work / "src", name)
-        env = dict(
-            os.environ, PYTHONPATH=str(work / "src"), XDG_CACHE_HOME=str(work / "cache"),
-            HYPOTHESIS_STORAGE_DIRECTORY=str(work / "hypothesis"),
-        )
-        if name.startswith("c-"):  # a C mutant that does not compile tests nothing
-            build = [sys.executable, "-c", "from kolmozip import kernel; raise SystemExit(not kernel.build_and_load())"]
-            if subprocess.run(build, env=env, cwd=work, capture_output=True).returncode:
-                return "unbuilt"
-        suite = [sys.executable, "-m", "pytest", str(SUITE), "-x", "-q"]
-        suite += ["-p", "no:cacheprovider", "--hypothesis-seed=0"]
+        env = _env(work, work / "cache" if file == C else shared_cache)
+        if file == C and not _builds(env, work):  # a C mutant that does not compile tests nothing
+            return "unbuilt"
+        suite = [sys.executable, "-m", "pytest", *(str(REPO / "tests" / test) for test in SUITES[file])]
+        suite += ["-x", "-q"]
+        suite += ["-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(REPO)]
+        suite += [arg for test in TIMED for arg in ("--deselect", test)]
         try:
             done = subprocess.run(suite, env=env, cwd=work, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -243,11 +270,15 @@ def main(names: list[str]) -> int:
     if unknown:
         raise SystemExit(f"unknown mutants: {' '.join(unknown)}")
     killed = []
-    for name in names or MUTANTS:
-        start = time.monotonic()
-        verdict = run(name)
-        print(f"{verdict:9} {time.monotonic() - start:6.1f} s  {name}", flush=True)
-        killed += [name] if verdict == "killed" else []
+    with tempfile.TemporaryDirectory(prefix="kolmozip-mutants-") as tmp:
+        shared_cache = Path(tmp) / "cache"
+        if not _builds(_env(REPO, shared_cache), Path(tmp)):
+            raise SystemExit("the unmutated extension does not build")
+        for name in names or MUTANTS:
+            start = time.monotonic()
+            verdict = run(name, shared_cache)
+            print(f"{verdict:9} {time.monotonic() - start:6.1f} s  {name}", flush=True)
+            killed += [name] if verdict == "killed" else []
     print(json.dumps(sorted(killed)))
     return 0
 

@@ -704,45 +704,41 @@ def _ones_with(counts: dict[int, int], m: int = 256) -> np.ndarray:
 
 
 def _grouped_case(row: np.ndarray) -> tuple:
-    """How the extension settles row's leftover slots.  Where
-    quantize_grouped does not take it (more than GROUPED_LIMIT weights other
-    than one): ("dense", i) where the threshold falls among
-    the remainders equal to leftover_threshold's pivot and the winners
-    there end at row[i], else ("dense",).  Else ("no leftover",), ("above",)
-    where they all go to counts whose remainder is above the ones' r1,
-    ("below",) where every weight with a remainder of r1 or more wins and
-    some counts below it do too, or ("cut", i, "one" or "count") where the
-    winners in r1's class, by index, end at row[i]."""
+    """How the extension settles row's leftover slots.  On quantize_grouped
+    (at most GROUPED_LIMIT weights other than one): ("no leftover",), or
+    ("cut", i, "one" or "count") where the threshold falls among the
+    remainders equal to the ones' r1 and the winners there, by index, end
+    at row[i].  Any other row takes the dense path: ("dense", i) where the
+    threshold falls among the remainders equal to leftover_threshold's
+    pivot and the winners there end at row[i], else ("dense",)."""
     m, others = row.size, np.flatnonzero(row != 1)
     free, total = PROB_SCALE - row.size, int(row.sum())
     base, rem = np.divmod(row * free, total)
     leftover = free - int(base.sum())
-    if others.size > GROUPED_LIMIT:
-        pivot = int(np.median(rem[[0, m // 2, m - 1]]))
-        above, equal = int((rem > pivot).sum()), np.flatnonzero(rem == pivot)
+    if others.size <= GROUPED_LIMIT:
+        r1 = free % total
+        above, equal = int((rem > r1).sum()), np.flatnonzero(rem == r1)
+        if not leftover:
+            return ("no leftover",)
         if above < leftover <= above + equal.size:
-            return ("dense", int(equal[leftover - above - 1]))
-        return ("dense",)
-    r1 = free % total
-    above, equal = int((rem[others] > r1).sum()), int((rem[others] == r1).sum())
-    if not leftover:
-        return ("no leftover",)
-    if leftover <= above:
-        return ("above",)
-    if leftover > above + (m - others.size) + equal:
-        return ("below",)
-    cut = int(np.flatnonzero(rem == r1)[leftover - above - 1])
-    return ("cut", cut, "one" if row[cut] == 1 else "count")
+            cut = int(equal[leftover - above - 1])
+            return ("cut", cut, "one" if row[cut] == 1 else "count")
+    pivot = int(np.median(rem[[0, m // 2, m - 1]]))
+    above, equal = int((rem > pivot).sum()), np.flatnonzero(rem == pivot)
+    if above < leftover <= above + equal.size:
+        return ("dense", int(equal[leftover - above - 1]))
+    return ("dense",)
 
 
 _BIG = _LIMIT - 1  # the largest total quantize accepts
 # rows where quantize is easiest to get wrong, each on the stack scratch
 # (m <= 256) or the heap one (m > 256)
 HARD_ROWS = {
-    # count rows, which quantize_grouped settles (GROUPED_CASES): the ones
-    # share a remainder, and the leftover slots' threshold falls among
-    # them, cut at the first one (one of them wins) or at the last (all of
-    # them do), or among the counts above or below it
+    # count rows (GROUPED_CASES): the ones share a remainder, and the
+    # leftover slots' threshold falls among them, cut at the first one (one
+    # of them wins) or at the last (all of them do), which quantize_grouped
+    # settles, or among the counts above or below it, which it leaves to
+    # the dense path
     "255 ones and a large count": _ones_and(60_000, 100),
     "255 ones and a count past 2^16": _ones_and(1 << 20, 255),
     "ones cut at the first, after a 2": _ones_and(2, 0),
@@ -835,10 +831,10 @@ GROUPED_CASES = {
     "ones and counts cut at a count": ("cut", 25, "count"),
     "no leftover, ones and a 255": ("no leftover",),
     "no leftover, ones and two counts": ("no leftover",),
-    "leftover above the ones": ("above",),
-    "leftover above the ones, a tie split by index": ("above",),
-    "leftover below the ones": ("below",),
-    "leftover below the ones, a tie split by index": ("below",),
+    "leftover above the ones": ("dense",),
+    "leftover above the ones, a tie split by index": ("dense",),
+    "leftover below the ones": ("dense",),
+    "leftover below the ones, a tie split by index": ("dense",),
     "a count of 2^16-1": ("cut", 255, "one"),
     "just after a halving": ("cut", 250, "one"),
     "counts at the limit": ("cut", 4, "one"),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from kolmozip.pipeline import (
     scaling_ladder,
     serialize,
 )
-from kolmozip.predictors import PredictorConfig
+from kolmozip.predictors import FreqPredictor, NeuralPredictor, PredictorConfig, make_predictor
 from kolmozip.rng import Lcg64
 from kolmozip.sources import MarkovSpec, generate
 
@@ -149,12 +153,96 @@ def test_conditional_context_helps_and_roundtrips():
 def test_encode_decode_digest_replay_identical():
     data = generate(MarkovSpec(order=1, alphabet=16, concentration=4, seed=8), 4096)
     for config in (FREQ2, NEURAL):
-        artifact, stats = compress(data, config, audit=True)
-        out, digests = decompress(artifact, audit=True)
-        assert out == data
-        assert digests == stats.digests
-        again, _ = compress(data, config, audit=False)
+        encoded, decoded = [], []
+        artifact, _ = compress(data, config, audit=encoded.append)
+        assert decompress(artifact, audit=decoded.append) == data
+        assert len(encoded) == len(data) and decoded == encoded
+        again, _ = compress(data, config)
         assert serialize(again) == serialize(artifact)
+
+
+def _coded(data: bytes, context: bytes, config: PredictorConfig, audit) -> CompressedArtifact:
+    if context:
+        return compress_conditional(data, context, config, audit=audit)[0]
+    return compress(data, config, audit=audit)[0]
+
+
+@pytest.mark.parametrize("context", [b"", b"the context comes first, "], ids=["plain", "conditional"])
+@pytest.mark.parametrize("config", [UNIFORM, FREQ2, NEURAL], ids=str)
+def test_audit_is_passed_the_state_after_each_token(config, context):
+    data = b"abracadabra, abracadabra! " * 20
+    pred = make_predictor(config)
+    for tok in context:  # priming: no digest
+        pred.update(tok)
+    expected = []
+    for tok in data:
+        pred.update(tok)
+        expected.append(pred.digest())
+    encoded, decoded = [], []
+    artifact = _coded(data, context, config, encoded.append)
+    assert decompress(artifact, context, audit=decoded.append) == data
+    assert len(expected) == len(data) and encoded == decoded == expected
+
+
+def _perturb(pred) -> None:
+    """Change pred's state as no token would: a parameter, the counts or the position."""
+    if isinstance(pred, NeuralPredictor):
+        pred.b2[0] += 1
+    elif isinstance(pred, FreqPredictor):
+        pred._kernel.freq_step(pred._freq, 0)
+    else:
+        pred.token_position += 1
+
+
+@pytest.mark.parametrize("config", [UNIFORM, FREQ2, NEURAL], ids=str)
+def test_the_first_digest_that_differs_is_the_perturbed_token(config, monkeypatch):
+    data = generate(MarkovSpec(order=1, alphabet=16, concentration=4, seed=5), 600)
+    encoded = []
+    artifact, _ = compress(data, config, audit=encoded.append)
+    cls = type(make_predictor(config))
+    update = cls.update
+    for t in (0, len(data) // 2, len(data) - 1):
+        calls = itertools.count()
+
+        def perturbed(self, token, t=t):
+            update(self, token)
+            if next(calls) == t:
+                _perturb(self)
+
+        monkeypatch.setattr(cls, "update", perturbed)
+        decoded = []
+        with contextlib.suppress(FormatError, TruncatedStreamError):  # decoding past t may fail
+            decompress(artifact, audit=decoded.append)
+        assert next(i for i, (a, b) in enumerate(zip(encoded, decoded)) if a != b) == t
+
+
+def test_audit_keeps_nothing():
+    # 200 KB of state digests would take megabytes as a list; the sink keeps none
+    data = bytes(range(256)) * 800
+
+    def peak(audit) -> int:
+        tracemalloc.start()
+        try:
+            decompress(compress(data, UNIFORM, audit=audit)[0], audit=audit)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sink = hashlib.md5().update
+    decompress(compress(data[:10], UNIFORM, audit=sink)[0], audit=sink)  # one-time allocations
+    assert peak(sink) - peak(None) <= 64 << 10
+
+
+@pytest.mark.parametrize("audit", [True, 1, "yes"])
+def test_audit_that_is_not_callable_is_refused_before_any_work(audit):
+    artifact, _ = compress(b"", UNIFORM)
+    for call in (
+        lambda: compress(b"", UNIFORM, audit=audit),
+        lambda: compress_conditional(b"", b"ab", UNIFORM, audit=audit),
+        lambda: decompress(artifact, audit=audit),
+    ):
+        with pytest.raises(TypeError, match="audit must be None or a callable"):
+            call()
 
 
 def test_serialize_fuzz_truncation_and_tamper():
