@@ -1,7 +1,8 @@
 /*
  * Integer step kernel: a CPython extension, twin of _kernel_numpy.py.
  *
- *   quantize(weights, cum)           coder.quantize_weights
+ *   quantize(weights, cum)           the table of 256 weights into cum (257
+ *                                    entries): coder.quantize_weights
  *   net(..., lr) -> state            one NeuralPredictor's arrays, at the empty
  *                                    context, its forward pass in buf
  *   net_step(net, token)             NeuralPredictor's update, then the next
@@ -27,7 +28,8 @@
  *
  * Every function reproduces its twin bit for bit.  kernel.load() never returns
  * None: it returns this module, or the twin (the reference the tests hold this
- * one to) when this file cannot be compiled.  Rules that keep the two identical:
+ * one to) when this file cannot be compiled.  This comment is the one
+ * statement of the step's arithmetic.  Rules that keep the two identical:
  *
  *   - all state arithmetic is on int64; the loader compiles with -fwrapv, so
  *     an overflow wraps exactly as numpy's fixed-width integers do;
@@ -37,7 +39,9 @@
  *   - quantize and net_step accept a row by one rule (row_error): every
  *     weight nonnegative, one positive, and the total below 2^37; both divide
  *     by that total through one routine (divide_row), in doubles, which hold
- *     every value the division makes exactly there;
+ *     every value the division makes exactly there.  No row a predictor
+ *     makes totals more than 2^24 (256 counts below 2^16, or 256 softmax
+ *     weights of at most 2^16);
  *   - quantize gives the leftover slots to the largest remainders, ties to
  *     the lower index, as the twin's argpartition over distinct keys does.
  *     One pass over the row checks it, totals it and counts its weights
@@ -45,7 +49,9 @@
  *     the count rows freq makes) takes the grouped path where the threshold
  *     falls among the ones' remainders: they share one, so only the others
  *     are divided, and the table is written as the ones' arithmetic
- *     progression plus the others' differences.  Any other row takes the
+ *     progression plus the others' differences (81-100% of the count rows
+ *     of the benchmark's freq streams take it, and it makes a bound freq:2
+ *     step 1.5-2.7x faster: BENCH_26.json).  Any other row takes the
  *     dense path: it counts the remainders above and equal to a pivot, and
  *     where the threshold falls among the equal ones the winners there are
  *     the first by index; elsewhere it selects among the keys on the
@@ -54,12 +60,14 @@
  *   - a kept table never fails a step that has changed state: net() takes
  *     only softmax tables whose every forward pass quantize's rule accepts,
  *     and a count row always passes it;
- *   - the step's loops (forward, net_grad, quantize_row, quantize_grouped,
- *     leftover_threshold) are built twice on x86-64 glibc, for AVX2 and for
- *     the baseline ISA, and the CPU picks one at load time (VECTOR_CLONES).
+ *   - the step's loops (forward, net_grad, quantize_row, quantize_dense,
+ *     quantize_grouped, leftover_threshold) are built twice on x86-64
+ *     glibc, for AVX2 and for the baseline ISA, and the CPU picks one at
+ *     load time (VECTOR_CLONES).
  *     Both clones are compiled from the same code, every value of which is
  *     an exact integer (in doubles too), so the arithmetic, and every byte it
- *     writes, is the same on every CPU;
+ *     writes, is the same on every CPU.  AVX-512 hosts run the AVX2 clone:
+ *     an x86-64-v4 clone ran the net step slower there (BENCH_18.json);
  *   - freq stores its counts as uint16 (the twin as int32): a count that
  *     reaches 2^16 halves its row at once, so none stored is larger, and a
  *     row is widened only where it is copied out.
@@ -83,7 +91,7 @@
 
 #define PROB_SCALE 65536
 #define ONE 65536                      /* Q16.16 unit */
-#define ALPHABET 256                   /* a net codes bytes */
+#define ALPHABET 256                   /* every row holds one weight per byte value */
 #define WEIGHT_CLIP (8 * ONE)          /* net parameters saturate to [-8.0, 8.0] */
 #define MAX_WIDTH (INT64_C(1) << 31)   /* keeps the output-layer shift below 64 */
 #define MAX_LR (1 << 20)               /* PredictorConfig's learning-rate bound */
@@ -91,8 +99,7 @@
 #define SOFTMAX_LIMIT (TOTAL_LIMIT / ALPHABET) /* softmax entries below it: 256 of them total below 2^37 */
 
 /* target_clones resolves through an ifunc, which needs x86-64 and glibc;
- * elsewhere the plain functions are built.  AVX-512 hosts run the AVX2 clone
- * too: an x86-64-v4 clone ran the net step slower on such a host. */
+ * elsewhere the plain functions are built. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
@@ -229,11 +236,11 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
 
 static const char BAD_WEIGHTS[] = "weights must be nonnegative with one positive";
 
-/* The rule by which quantize and net_step accept a row of m <= 2^16 weights
+/* The rule by which quantize and net_step accept a row of 256 weights
  * (_kernel_numpy._row_total), from bits, the OR of the weights, and total,
  * their sum: every weight nonnegative, one positive, and the total below
  * 2^37, which divide_row needs.  bits is negative iff a weight is, and below
- * 2^37 iff every weight is; then 2^16 weights below 2^37 sum below 2^53, so
+ * 2^37 iff every weight is; then 256 weights below 2^37 sum below 2^45, so
  * the sum cannot wrap.  A row whose sum may wrap is reported on bits alone.
  * Returns NULL, or the error message. */
 static inline const char *row_error(int64_t bits, int64_t total)
@@ -245,12 +252,12 @@ static inline const char *row_error(int64_t bits, int64_t total)
     return NULL;
 }
 
-/* row_error on m weights w; sets *total to their (unsigned) sum */
-static inline const char *row_total(const int64_t *w, int64_t m, int64_t *total)
+/* row_error on the 256 weights w; sets *total to their (unsigned) sum */
+static inline const char *row_total(const int64_t *w, int64_t *total)
 {
     int64_t bits = 0;
     uint64_t sum = 0;
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = 0; i < ALPHABET; i++) {
         bits |= w[i];
         sum += (uint64_t)w[i];
     }
@@ -301,10 +308,10 @@ static inline void divide_row(const int64_t *restrict w, int64_t m, int64_t tota
     }
 }
 
-/* The smallest key that wins a leftover slot: the key of rank m - leftover
- * (ascending, 0 < leftover < m) among the distinct keys (rem[i] << 16) +
- * (m-1-i), largest remainder first and ties to the lower index.  sel has
- * room for m values.
+/* The smallest key that wins a leftover slot: the key of rank ALPHABET -
+ * leftover (ascending, 0 < leftover < ALPHABET) among the distinct keys
+ * (rem[i] << 16) + (ALPHABET-1-i), largest remainder first and ties to the
+ * lower index.
  *
  * One pass counts the remainders above and equal to a pivot, the median of
  * the first, middle and last.  A count row is mostly ones, which share one
@@ -312,13 +319,13 @@ static inline void divide_row(const int64_t *restrict w, int64_t m, int64_t tota
  * the pivot: then the winners there are the first by index, and the last
  * of them is found by a scan.  Otherwise the keys on the threshold's side
  * of the pivot are selected from alone. */
-VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t m, int64_t leftover, int64_t *sel)
+VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t leftover)
 {
-    const int64_t a = rem[0], b = rem[m / 2], c = rem[m - 1];
+    const int64_t a = rem[0], b = rem[ALPHABET / 2], c = rem[ALPHABET - 1];
     const int64_t lo = a < b ? a : b, hi = a < b ? b : a;
     const int64_t pivot = c < lo ? lo : (c > hi ? hi : c);
     int64_t above = 0, equal = 0;
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = 0; i < ALPHABET; i++) {
         above += rem[i] > pivot;
         equal += rem[i] == pivot;
     }
@@ -326,39 +333,42 @@ VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t m, i
         int64_t need = leftover - above, i = -1;
         while (need)
             need -= rem[++i] == pivot;
-        return (pivot << 16) + (m - 1 - i);
+        return (pivot << 16) + (ALPHABET - 1 - i);
     }
     /* every key on the pivot's far side loses (above >= leftover) or wins */
     const int64_t upper = above >= leftover, wins = upper ? leftover : leftover - above - equal;
-    int64_t n = 0;
-    for (int64_t i = 0; i < m; i++) {
-        sel[n] = (rem[i] << 16) + (m - 1 - i);
+    int64_t sel[ALPHABET], n = 0;
+    for (int64_t i = 0; i < ALPHABET; i++) {
+        sel[n] = (rem[i] << 16) + (ALPHABET - 1 - i);
         n += upper ? rem[i] > pivot : rem[i] < pivot;
     }
     return select_rank(sel, n, n - wins);
 }
 
-/* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w that
- * row_error accepts, with their total: _kernel_numpy._quantize.  One slot
- * per symbol up front, floors of w*free/total, then the leftover slots to
- * the largest keys (remainder << 16) + (m-1-i).  scratch has room for 3m
- * values; w is read in full before cum is written, so the two may overlap. */
-static inline void quantize_dense(const int64_t *w, int64_t m, int64_t total, int64_t *cum, int64_t *scratch)
+#define FREE_SLOTS (PROB_SCALE - ALPHABET) /* a table's slots past one per symbol */
+
+/* Write into cum the table of the 256 weights w that row_error accepts,
+ * with their total: _kernel_numpy._quantize.  One slot per symbol up front,
+ * floors of w*FREE_SLOTS/total, then the leftover slots to the largest keys
+ * (remainder << 16) + (ALPHABET-1-i).  w is read in full before cum is
+ * written, so the two may overlap.  Cloned itself: its arrays are too large
+ * for the compiler to inline it into quantize_row's clones, and its
+ * baseline build ran a net's rows 1.4x slower. */
+VECTOR_CLONES static void quantize_dense(const int64_t *w, int64_t total, int64_t *cum)
 {
-    const int64_t free_slots = PROB_SCALE - m;
-    int64_t *rem = scratch, *base = scratch + m;
-    divide_row(w, m, total, free_slots, base, rem);
+    int64_t rem[ALPHABET], base[ALPHABET];
+    divide_row(w, ALPHABET, total, FREE_SLOTS, base, rem);
     int64_t assigned = 0;
-    for (int64_t i = 0; i < m; i++)
+    for (int64_t i = 0; i < ALPHABET; i++)
         assigned += base[i];
-    const int64_t leftover = free_slots - assigned; /* in [0, m) */
+    const int64_t leftover = FREE_SLOTS - assigned; /* in [0, ALPHABET) */
     if (leftover) {
-        const int64_t threshold = leftover_threshold(rem, m, leftover, scratch + 2 * m);
-        for (int64_t i = 0; i < m; i++)
-            base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;
+        const int64_t threshold = leftover_threshold(rem, leftover);
+        for (int64_t i = 0; i < ALPHABET; i++)
+            base[i] += (rem[i] << 16) + (ALPHABET - 1 - i) >= threshold;
     }
     cum[0] = 0;
-    for (int64_t i = 0; i < m; i++)
+    for (int64_t i = 0; i < ALPHABET; i++)
         cum[i + 1] = cum[i] + base[i] + 1;
 }
 
@@ -372,26 +382,27 @@ static inline void quantize_dense(const int64_t *w, int64_t m, int64_t total, in
  * makes on text have k <= 8. */
 #define GROUPED_LIMIT 8
 
-/* quantize_dense's table for m weights w, k <= GROUPED_LIMIT of them, S,
- * other than one, with their total, dividing only S and the weight 1; or
- * 0, with cum unwritten, where the threshold key falls among S's keys
+/* quantize_dense's table for the 256 weights w, k <= GROUPED_LIMIT of them,
+ * S, other than one, with their total, dividing only S and the weight 1;
+ * or 0, with cum unwritten, where the threshold key falls among S's keys
  * alone (0.5% of the benchmark's count rows; quantize_dense selects it).
- * Exact, because the m - k ones are copies of one weight: they share one
- * floor b1 and one remainder r1, and their keys (r1 << 16) + (m-1-i) fall
- * in index order, so the ones that win leftover slots are those below an
- * index c1.  The threshold is the key of the (leftover - above)-th member
- * of r1's class: its index is that count, less one, plus the members of S
- * outside the class below it.  Then every entry of cum is the ones'
- * progression i*(b1+1) + min(i, c1) plus, for each member of S below i,
- * its slots less those a one would have had in its place: the integers
+ * Exact, because the 256 - k ones are copies of one weight: they share one
+ * floor b1 and one remainder r1, and their keys (r1 << 16) + (ALPHABET-1-i)
+ * fall in index order, so the ones that win leftover slots are those below
+ * an index c1.  The threshold is the key of the (leftover - above)-th
+ * member of r1's class: its index is that count, less one, plus the
+ * members of S outside the class below it.  Then every entry of cum is the
+ * ones' progression i*(b1+1) + min(i, c1) plus, for each member of S below
+ * i, its slots less those a one would have had in its place: the integers
  * quantize_dense sums one by one. */
-VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t m, int64_t total, int64_t k, int64_t *cum)
+VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t total, int64_t k, int64_t *cum)
 {
-    const int64_t free_slots = PROB_SCALE - m, ones = m - k;
+    const int64_t ones = ALPHABET - k;
     int64_t at[GROUPED_LIMIT + 1], v[GROUPED_LIMIT + 1], b[GROUPED_LIMIT], r[GROUPED_LIMIT];
     int64_t key[GROUPED_LIMIT];
-    int64_t n = 0, i = 0; /* S in index order: at[n] and v[n] are written before n counts them */
-    for (; n < k && i + 8 <= m; i += 8) {
+    /* S in index order, by chunks of eight, which tile the row: at[n] and
+     * v[n] are written before n counts them */
+    for (int64_t n = 0, i = 0; n < k; i += 8) {
         int64_t odd = 0;
         for (int64_t j = i; j < i + 8; j++)
             odd |= w[j] ^ 1;
@@ -402,35 +413,31 @@ VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t m, int64_t t
                 n += w[j] != 1;
             }
     }
-    for (; n < k; i++) {
-        at[n] = i;
-        v[n] = w[i];
-        n += w[i] != 1;
-    }
     const int64_t one = 1;
     int64_t b1, r1;
-    divide_row(&one, 1, total, free_slots, &b1, &r1);
-    divide_row(v, k, total, free_slots, b, r);
-    int64_t leftover = free_slots - ones * b1, above = 0, equal = 0;
+    divide_row(&one, 1, total, FREE_SLOTS, &b1, &r1);
+    divide_row(v, k, total, FREE_SLOTS, b, r);
+    int64_t leftover = FREE_SLOTS - ones * b1, above = 0, equal = 0;
     for (int64_t j = 0; j < k; j++) {
         leftover -= b[j];
         above += r[j] > r1;
         equal += r[j] == r1;
-        key[j] = (r[j] << 16) + (m - 1 - at[j]);
+        key[j] = (r[j] << 16) + (ALPHABET - 1 - at[j]);
     }
     int64_t threshold = INT64_MAX; /* the smallest key that wins */
     if (above < leftover && leftover <= above + ones + equal) {
         int64_t cut = leftover - above - 1; /* the last one of r1's class to win */
         for (int64_t j = 0; j < k; j++) /* each member of S outside the class at or below it moves it on */
             cut += (at[j] <= cut) & (r[j] != r1);
-        threshold = (r1 << 16) + (m - 1 - cut);
+        threshold = (r1 << 16) + (ALPHABET - 1 - cut);
     } else if (leftover) /* among S's keys alone */
         return 0;
     /* the ones' keys that win are those of index below c1 */
-    const int64_t c = m - (threshold - (r1 << 16)), c1 = c < 0 ? 0 : (c > m ? m : c), step = b1 + 1;
+    const int64_t c = ALPHABET - (threshold - (r1 << 16));
+    const int64_t c1 = c < 0 ? 0 : (c > ALPHABET ? ALPHABET : c), step = b1 + 1;
     int64_t off = 0, lo = 0; /* cum[lo..end) lies between two members of S */
     for (int64_t j = 0; j <= k; j++) {
-        const int64_t end = j < k ? at[j] + 1 : m + 1, mid = c1 < lo ? lo : (c1 > end ? end : c1);
+        const int64_t end = j < k ? at[j] + 1 : ALPHABET + 1, mid = c1 < lo ? lo : (c1 > end ? end : c1);
         for (int64_t x = lo; x < mid; x++)
             cum[x] = x * (step + 1) + off;
         for (int64_t x = mid; x < end; x++)
@@ -442,18 +449,17 @@ VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t m, int64_t t
     return 1;
 }
 
-/* Write into cum (m + 1 entries) the table of m in [2, 2^16] weights w, or
- * return why quantize's rule (row_error) refuses them, writing nothing:
+/* Write into cum (257 entries) the table of the 256 weights w, or return
+ * why quantize's rule (row_error) refuses them, writing nothing:
  * _kernel_numpy.quantize.  One pass totals the row and counts its weights
  * other than one; a row with at most GROUPED_LIMIT of those takes
- * quantize_grouped, any other (or one it returns) quantize_dense.
- * scratch has room for 3m values; w is read in full before cum is written,
- * so the two may overlap. */
-VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t m, int64_t *cum, int64_t *scratch)
+ * quantize_grouped, any other (or one it returns) quantize_dense.  w is
+ * read in full before cum is written, so the two may overlap. */
+VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t *cum)
 {
     int64_t bits = 0, ones = 0;
     uint64_t sum = 0;
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = 0; i < ALPHABET; i++) {
         bits |= w[i];
         sum += (uint64_t)w[i];
         ones += w[i] == 1;
@@ -462,15 +468,13 @@ VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t m, int64
     const char *error = row_error(bits, total);
     if (error)
         return error;
-    if (m - ones > GROUPED_LIMIT || !quantize_grouped(w, m, total, m - ones, cum))
-        quantize_dense(w, m, total, cum, scratch);
+    if (ALPHABET - ones > GROUPED_LIMIT || !quantize_grouped(w, total, ALPHABET - ones, cum))
+        quantize_dense(w, total, cum);
     return NULL;
 }
 
-#define STACK_ALPHABET 256 /* quantize's scratch is on the stack up to here */
-
-/* quantize(weights, cum): m in [2, 2^16] weights; cum, of m + 1 entries,
- * filled with the cumulative table. */
+/* quantize(weights, cum): 256 weights; cum, of 257 entries, filled with the
+ * cumulative table. */
 static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -484,32 +488,20 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
         PyBuffer_Release(&wv);
         return NULL;
     }
-    PyObject *result = NULL;
-    int64_t stack[3 * STACK_ALPHABET], *scratch = stack;
     const char *error;
-    if (m < 2 || m > PROB_SCALE) {
-        PyErr_Format(PyExc_ValueError, "alphabet size outside [2, %d]", PROB_SCALE);
-        goto done;
-    }
-    if (n_cum != m + 1) {
-        PyErr_SetString(PyExc_ValueError, "cum must hold one more entry than weights");
-        goto done;
-    }
-    if (m > STACK_ALPHABET && !(scratch = PyMem_Malloc(3 * (size_t)m * sizeof *scratch))) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if ((error = quantize_row(wv.buf, m, cv.buf, scratch))) {
-        PyErr_SetString(PyExc_ValueError, error);
-        goto done;
-    }
-    result = Py_NewRef(Py_None);
-done:
-    if (scratch != stack)
-        PyMem_Free(scratch);
+    if (m != ALPHABET)
+        error = "weights must hold 256 entries";
+    else if (n_cum != ALPHABET + 1)
+        error = "cum must hold 257 entries";
+    else
+        error = quantize_row(wv.buf, cv.buf);
     PyBuffer_Release(&cv);
     PyBuffer_Release(&wv);
-    return result;
+    if (error) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return NULL;
+    }
+    Py_RETURN_NONE;
 }
 
 /* --- range coder ------------------------------------------------------ */
@@ -832,8 +824,7 @@ static void table_write(const kept_table *t, const int64_t *row)
 {
     if (!t->cum)
         return;
-    int64_t scratch[3 * ALPHABET];
-    (void)quantize_row(row, ALPHABET, t->cum, scratch);
+    (void)quantize_row(row, t->cum);
 }
 
 /* --- neural predictor -------------------------------------------------- */
@@ -1061,7 +1052,7 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     if (get_int(args[1], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
         return NULL;
     int64_t total;
-    const char *error = row_total(net->buf + 2 * net->w, ALPHABET, &total);
+    const char *error = row_total(net->buf + 2 * net->w, &total);
     if (error)
         return PyErr_SetString(PyExc_ValueError, error), NULL;
     net_grad(net, token, total);

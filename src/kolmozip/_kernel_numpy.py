@@ -35,6 +35,8 @@ _BAD_WEIGHTS = "weights must be nonnegative with one positive"
 MAX_ORDER = 3  # freq keys: up to three context bytes
 COUNT_LIMIT = 1 << 16  # a freq row whose count reaches this is halved
 _ONES = np.ones(ALPHABET, dtype=np.int32)
+_FREE_SLOTS = PROB_SCALE - ALPHABET  # a table's slots past one per symbol
+_TIE_KEYS = np.arange(ALPHABET - 1, -1, -1, dtype=np.int64)  # ties to the lower index
 
 
 def _check(a, name: str, writable: bool = False) -> np.ndarray:
@@ -62,8 +64,8 @@ def _check(a, name: str, writable: bool = False) -> np.ndarray:
 
 
 def _row_total(w: np.ndarray) -> int:
-    """The total of at most 2^16 int64 weights, if quantize and net_step
-    accept the row: every weight nonnegative, one positive, total below 2^37."""
+    """The total of 256 int64 weights, if quantize and net_step accept the
+    row: every weight nonnegative, one positive, total below 2^37."""
     # negative iff a weight is, and below 2^37 iff every weight is, so the sum cannot wrap
     bits = int(np.bitwise_or.reduce(w))
     total = int(np.add.reduce(w))
@@ -75,30 +77,27 @@ def _row_total(w: np.ndarray) -> int:
 
 
 def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
-    """Fill cum (m + 1 entries) with the table for m weights."""
+    """Fill cum (257 entries) with the table for 256 weights."""
     weights = _check(weights, "weights")
     cum = _check(cum, "cum", writable=True)
-    m = weights.size
-    if not 2 <= m <= PROB_SCALE:
-        raise ValueError(f"alphabet size outside [2, {PROB_SCALE}]")
-    if cum.size != m + 1:
-        raise ValueError("cum must hold one more entry than weights")
+    if weights.size != ALPHABET:
+        raise ValueError("weights must hold 256 entries")
+    if cum.size != ALPHABET + 1:
+        raise ValueError("cum must hold 257 entries")
     _quantize(weights, _row_total(weights), cum)
 
 
 def _quantize(weights: np.ndarray, total: int, cum: np.ndarray) -> None:
-    """cum <- the table for the m weights _row_total accepted, with their
-    total: one slot per symbol, floors of w * free / total, then the
-    leftover slots to the largest keys (remainder << 16) + (m-1-index),
+    """cum <- the table for the 256 weights _row_total accepted, with their
+    total: one slot per symbol, floors of w * _FREE_SLOTS / total, then the
+    leftover slots to the largest keys (remainder << 16) + (255-index),
     which are distinct."""
-    m = weights.size
-    free = PROB_SCALE - m
-    base, key = np.divmod(weights * free, total)  # key <- remainders < 2^37
-    leftover = free - int(np.add.reduce(base))
+    base, key = np.divmod(weights * _FREE_SLOTS, total)  # key <- remainders < 2^37
+    leftover = _FREE_SLOTS - int(np.add.reduce(base))
     if leftover:
         key <<= 16
-        key += np.arange(m - 1, -1, -1, dtype=np.int64)
-        top = key.argpartition(m - leftover)[m - leftover :]
+        key += _TIE_KEYS
+        top = key.argpartition(ALPHABET - leftover)[ALPHABET - leftover :]
         base[top] += 1
     base += 1
     cum[0] = 0

@@ -19,27 +19,20 @@ from . import kernel
 
 PROB_BITS = 16
 PROB_SCALE = 1 << PROB_BITS  # every quantized table sums to this
-# the one weight dtype the step module's quantize reads: native int64
-# (dtypes compare by byte order too, so a big-endian row is copied)
-_INT64 = np.dtype(np.int64)
 
 
 def quantize_weights(weights: np.ndarray) -> np.ndarray:
-    """A row of integer weights to its cumulative table, a new array.
+    """A predictor's row of 256 weights to its cumulative table, a new array.
 
     A table is the int64 array cum, strictly increasing from cum[0] = 0 to
-    cum[m] = 2^16; symbol s has the width cum[s+1] - cum[s].  A C-contiguous
-    int64 row goes to the step module as it is; a strided row, or a row of
-    another integer dtype, is first copied to int64.  A row that is
-    not of an integer dtype raises TypeError.  A row that is not a
-    distribution (fewer than 2 or more than 2^16 weights, a negative weight,
-    none positive, or a total of 2^37 or more) raises ValueError.
+    cum[256] = 2^16; byte s has the width cum[s+1] - cum[s].  The row goes
+    to the step module as it is, so it must be a one-dimensional,
+    C-contiguous int64 array of 256 weights, each nonnegative, one
+    positive, totalling below 2^37; any other raises the step module's
+    ValueError ("weights must be int64", "weights must hold 256 entries",
+    ...).
     """
-    if weights.dtype != _INT64 or not weights.flags.c_contiguous:
-        if not np.issubdtype(weights.dtype, np.integer):
-            raise TypeError("quantization needs integer weights; rescale first")
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
-    cum = np.empty(weights.size + 1, dtype=np.int64)
+    cum = np.empty(257, dtype=np.int64)
     kernel.load().quantize(weights, cum)
     return cum
 

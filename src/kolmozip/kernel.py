@@ -2,20 +2,12 @@
 
 It holds the whole per-byte step but the loop around it: quantization, the
 range coder's encoder and decoder states, and the states of the neural net
-and of the freq model's count table (uint16 rows in the extension), each of
-which owns its context.  ``keep_table`` binds a net or count table to an
-int64 table of 257 entries, and each later step then quantizes the row it
-leaves into it, so a coding session makes two calls a byte: code, then
-step.  Quantization is exact integer arithmetic.  It and the net's
-gradient divide a row by its total through one routine, in doubles, which
-hold every value exactly for the totals below 2^37 that both accept.  A
-row with few weights other than one (most count rows) takes a grouped path
-in the extension: the ones share one floor and one remainder, so only the
-other weights are divided, and the table is the ones' progression plus
-each other weight's difference.  Any other row, or one whose leftover
-slots do not end among the ones, takes the dense path, which counts the
-remainders above and equal to a pivot.  The twin has only the dense
-arithmetic, and the tests hold both extension paths to it.
+and of the freq model's count table, each of which owns its context.
+``keep_table`` binds a net or count table to an int64 table of 257 entries,
+and each later step then quantizes the row it leaves into it, so a coding
+session makes two calls a byte: code, then step.  The arithmetic, and the
+rules that keep the two modules byte-identical, are stated once, in the
+header comment of ``_kernel.c``.
 
 ``load()`` never returns None: it returns the extension or, when that
 cannot be built, ``_kernel_numpy``, which exports the same functions with

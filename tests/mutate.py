@@ -1,8 +1,10 @@
-"""Mutation check for the tests of the step module and the pipeline.
+"""Mutation check for the tests of the step module, the predictors, the
+pipeline and the CLI.
 
 Each mutant below changes one line of ``src/kolmozip/_kernel.c``,
-``_kernel_numpy.py`` or ``pipeline.py``: a comparison flipped, a bound off
-by one, a check dropped, a clamp removed, a message reworded.  For each
+``_kernel_numpy.py``, ``predictors.py``, ``pipeline.py`` or ``cli.py``: a
+comparison flipped, a bound off by one, a check dropped, a clamp removed, a
+message reworded.  For each
 mutant the script copies ``src/`` into a temporary directory, applies the
 mutant there and runs, with ``pytest -x -q``, the suites that cover its
 file (SUITES) against the copy, one mutant at a time.  A C mutant builds
@@ -15,7 +17,9 @@ build of the unmutated extension.  A mutant is killed when that run fails
 
 The last line printed is the kill set as JSON.  Hypothesis runs with a fixed
 seed, so a second run of the same suite kills the same mutants.  A step
-function added to the module adds its mutants to MUTANTS.
+function added to the module adds its mutants to MUTANTS.  The tier-1 test
+``test_mutate.py`` checks that every mutant still applies (its text occurs
+once in its file) without running any of them.
 """
 
 from __future__ import annotations
@@ -30,13 +34,15 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-C, NP, PIPELINE = "_kernel.c", "_kernel_numpy.py", "pipeline.py"
+C, NP, PREDICTORS, PIPELINE, CLI = "_kernel.c", "_kernel_numpy.py", "predictors.py", "pipeline.py", "cli.py"
 TIMEOUT_S = 300
 # the suites in tests/ that cover each mutated file
 SUITES = {
     C: ["test_kernel.py"],
     NP: ["test_kernel.py"],
+    PREDICTORS: ["test_predictors.py", "test_pipeline.py"],
     PIPELINE: ["test_pipeline.py", "test_cli.py", "test_acceptance.py"],
+    CLI: ["test_cli.py"],
 }
 # the tests that bound wall time, left out: a bound on time tells nothing of a mutant
 TIMED = [
@@ -44,7 +50,8 @@ TIMED = [
     "tests/test_acceptance.py::test_08_phi_budget_curves_and_doubling_witness",
 ]
 
-# name: (file, the text of one line, what replaces it); the text occurs once in the file
+# name: (file, the text of one line, what replaces it); the text occurs once in the
+# file (a line that occurs twice is given with the lines after it)
 MUTANTS = {
     # get_array and the array contract
     "c-ndim-check-dropped": (C, "else if (view->ndim != 1)", "else if (0)"),
@@ -55,18 +62,20 @@ MUTANTS = {
     "c-byte-order-flipped": (C, "*f == (PY_BIG_ENDIAN ? '>' : '<')", "*f == (PY_BIG_ENDIAN ? '<' : '>')"),
     "c-int64-message-changed": (C, 'why = "must be int64";', 'why = "must be an int64";'),
     # quantize
-    "c-alphabet-bound-off-by-one": (C, "if (m < 2 || m > PROB_SCALE) {", "if (m < 2 || m > PROB_SCALE + 1) {"),
-    "c-cum-length-check-loosened": (C, "if (n_cum != m + 1) {", "if (n_cum < m + 1) {"),
+    "c-alphabet-bound-off-by-one": (C, "if (m != ALPHABET)", "if (m != ALPHABET && m != ALPHABET - 1)"),
+    "c-weights-length-check-loosened": (C, "if (m != ALPHABET)", "if (m < ALPHABET)"),
+    "c-cum-length-check-loosened": (C, "else if (n_cum != ALPHABET + 1)", "else if (n_cum < ALPHABET + 1)"),
     "c-total-limit-off-by-one": (
         C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))",
         "if (bits >= 0 && (bits >= TOTAL_LIMIT || total > TOTAL_LIMIT))",
     ),
     "c-zero-total-check-dropped": (C, "if (bits < 0 || total == 0)", "if (bits < 0)"),
     "c-ties-to-higher-index": (
-        C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + i >= threshold;"
+        C, "base[i] += (rem[i] << 16) + (ALPHABET - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + i >= threshold;"
     ),
     "c-leftover-threshold-off-by-one": (
-        C, "base[i] += (rem[i] << 16) + (m - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + (m - 1 - i) > threshold;"
+        C, "base[i] += (rem[i] << 16) + (ALPHABET - 1 - i) >= threshold;",
+        "base[i] += (rem[i] << 16) + (ALPHABET - 1 - i) > threshold;",
     ),
     "c-row-limit-raised": (C, "#define TOTAL_LIMIT (INT64_C(1) << 37)", "#define TOTAL_LIMIT (INT64_C(1) << 38)"),
     "c-exact-quotient-unrounded": (
@@ -78,8 +87,10 @@ MUTANTS = {
     "c-pivot-group-bound-off-by-one": (
         C, "if (above < leftover && leftover <= above + equal) {", "if (above < leftover && leftover < above + equal) {"
     ),
-    "c-pivot-group-cut-one-late": (C, "return (pivot << 16) + (m - 1 - i);", "return (pivot << 16) + (m - 2 - i);"),
-    "c-pivot-group-ties-to-higher-index": (C, "need -= rem[++i] == pivot;", "need -= rem[m - 1 - ++i] == pivot;"),
+    "c-pivot-group-cut-one-late": (
+        C, "return (pivot << 16) + (ALPHABET - 1 - i);", "return (pivot << 16) + (ALPHABET - 2 - i);"
+    ),
+    "c-pivot-group-ties-to-higher-index": (C, "need -= rem[++i] == pivot;", "need -= rem[ALPHABET - 1 - ++i] == pivot;"),
     "c-lower-side-wins-miscounted": (
         C, "wins = upper ? leftover : leftover - above - equal;", "wins = upper ? leftover : leftover - above;"
     ),
@@ -89,7 +100,7 @@ MUTANTS = {
     "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
     # quantize's grouped path for count rows
     "c-grouped-limit-off-by-one": (
-        C, "if (m - ones > GROUPED_LIMIT ||", "if (m - ones > GROUPED_LIMIT + 1 ||"
+        C, "if (ALPHABET - ones > GROUPED_LIMIT ||", "if (ALPHABET - ones > GROUPED_LIMIT + 1 ||"
     ),
     "c-grouped-cut-one-late": (
         C, "int64_t cut = leftover - above - 1;", "int64_t cut = leftover - above;"
@@ -99,7 +110,7 @@ MUTANTS = {
         "if (above < leftover && leftover <= above + ones + equal + 1) {",
     ),
     "c-grouped-ties-to-higher-index": (
-        C, "key[j] = (r[j] << 16) + (m - 1 - at[j]);", "key[j] = (r[j] << 16) + at[j];"
+        C, "key[j] = (r[j] << 16) + (ALPHABET - 1 - at[j]);", "key[j] = (r[j] << 16) + at[j];"
     ),
     "c-grouped-fill-difference-dropped": (
         C, "off += b[j] + (key[j] >= threshold) - b1 - (at[j] < c1);", "off += 0;"
@@ -186,9 +197,16 @@ MUTANTS = {
     "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),
     "np-zero-total-check-dropped": (NP, "    if bits < 0 or total == 0:", "    if bits < 0:"),
     "np-row-limit-raised": (NP, "_TOTAL_LIMIT = 1 << 37", "_TOTAL_LIMIT = 1 << 38"),
-    "np-alphabet-bound-off-by-one": (NP, "    if not 2 <= m <= PROB_SCALE:", "    if not 1 <= m <= PROB_SCALE:"),
+    "np-alphabet-bound-off-by-one": (
+        NP, "    if weights.size != ALPHABET:", "    if weights.size not in (ALPHABET, ALPHABET - 1):"
+    ),
+    "np-weights-length-check-loosened": (NP, "    if weights.size != ALPHABET:", "    if weights.size < ALPHABET:"),
+    "np-cum-length-check-loosened": (
+        NP, "    if cum.size != ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    _quantize(",
+        "    if cum.size < ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    _quantize(",
+    ),
     "np-ties-to-higher-index": (
-        NP, "key += np.arange(m - 1, -1, -1, dtype=np.int64)", "key += np.arange(m, dtype=np.int64)"
+        NP, "_TIE_KEYS = np.arange(ALPHABET - 1, -1, -1, dtype=np.int64)", "_TIE_KEYS = np.arange(ALPHABET, dtype=np.int64)"
     ),
     "np-cache-byte-mask": (NP, "enc.cache = (low >> 24) & 0xFF", "enc.cache = (low >> 24) & 0x7F"),
     "np-target-clamp-off-by-one": (NP, "        target = PROB_SCALE - 1", "        target = PROB_SCALE"),
@@ -202,7 +220,10 @@ MUTANTS = {
     "np-state-unsorted": (NP, "for key in sorted(f.counts):", "for key in f.counts:"),
     "np-freq-row-length-check-loosened": (NP, "if row.size != ALPHABET:", "if row.size < ALPHABET:"),
     "np-softmax-negative-entry-accepted": (NP, "int(softmax.min()) >= 0", "int(softmax.min()) >= -1"),
-    "np-kept-table-length-check-loosened": (NP, "if cum.size != ALPHABET + 1:", "if cum.size < ALPHABET + 1:"),
+    "np-kept-table-length-check-loosened": (
+        NP, "    if cum.size != ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    state.cum",
+        "    if cum.size < ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    state.cum",
+    ),
     "np-freq-table-not-kept": (NP, "    _write_table(f, f.row)", "    pass"),
     "np-no-buffer-message-changed": (
         NP, """raise TypeError(f"a bytes-like object is required, not '{type(a).__name__}'") from None""",
@@ -212,12 +233,34 @@ MUTANTS = {
         NP, '_BAD_WEIGHTS = "weights must be nonnegative with one positive"',
         '_BAD_WEIGHTS = "weights must be non-negative with one positive"',
     ),
+    # the predictors
+    "predictors-freq-position-not-advanced": (
+        PREDICTORS, "self._kernel.freq_step(self._freq, token)",
+        "self._kernel.freq_step(self._freq, token); self.token_position -= 1",
+    ),
+    "predictors-unused-field-check-dropped": (
+        PREDICTORS, "if getattr(self, field) != PredictorConfig.__dataclass_fields__[field].default:", "if False:"
+    ),
+    "predictors-config-size-check-loosened": (
+        PREDICTORS, "if kind is None or len(data) != sizes[kind]:", "if kind is None or len(data) < sizes[kind]:"
+    ),
+    "predictors-root256-seven-roots": (PREDICTORS, "    for _ in range(8):", "    for _ in range(7):"),
     # the pipeline
     "pipeline-audit-skips-first-token": (PIPELINE, "        if audit:", "        if audit and i:"),
     "pipeline-audit-check-dropped": (PIPELINE, "    if audit is not None and not callable(audit):", "    if False:"),
     "pipeline-left-over-check-loosened": (PIPELINE, "    if unread:", "    if unread > 1:"),
     "pipeline-trailing-bytes-check-dropped": (PIPELINE, "    if pos + payload_len < len(blob):", "    if False:"),
     "pipeline-token-cap-off-by-one": (PIPELINE, "if d >= MAX_INPUT or", "if d > MAX_INPUT or"),
+    # the CLI
+    "cli-format-error-exits-1": (CLI, "        return 2\n", "        return 1\n"),
+    "cli-samefile-check-dropped": (
+        CLI, 'if path != "-" and os.path.exists(path) and os.path.samefile(path, outfile):', "if False:"
+    ),
+    "cli-decompress-audit-chain-not-printed": (
+        CLI, "data = decompress(artifact, context, audit=chain.update if chain else None)",
+        "data = decompress(artifact, context, audit=None); chain = None",
+    ),
+    "cli-output-mode-not-set": (CLI, "os.fchmod(fh.fileno(), 0o666 & ~umask)", "pass"),
 }
 
 

@@ -1,5 +1,6 @@
-"""Test oracles the package does not run: exact rational interval
-arithmetic, and kclab's literal program and prefix decoder.
+"""Test oracles the package does not run: largest-remainder quantization
+for any alphabet, exact rational interval arithmetic, and kclab's literal
+program and prefix decoder.
 
 The interval model is that of Witten, Neal & Cleary, *Arithmetic Coding
 for Data Compression* (CACM 1987): each coded symbol narrows a half-open
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kolmozip.coder import PROB_SCALE, quantize_weights
+from kolmozip.coder import PROB_SCALE
 from kolmozip.errors import FormatError
 from kolmozip.kclab import OUT0, OUT1, TinyProgram, _check_bits
 
@@ -45,14 +46,34 @@ class Distribution:
                 raise ValueError("weights must be nonnegative with one positive")
 
 
-def quantize_distribution(dist: Distribution) -> np.ndarray:
-    """Apportion 2^16 across symbols: floor of 1 each, then largest remainder.
+def oracle_largest_remainder(weights) -> list[int]:
+    """Exact apportionment of 2^16 over any alphabet: floor 1 each, then
+    largest remainder, ties to the lower index.  Kept deliberately naive
+    and separate from the production path.  Every quota w*free/total shares
+    the denominator total, so its floor and fractional part are the integer
+    divmod.  Weights that are not integers raise TypeError."""
+    a = np.asarray(weights)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError("quantization needs integer weights; rescale first")
+    weights = a.tolist()  # Python ints: the products below never wrap
+    m = len(weights)
+    total = sum(weights)
+    free = PROB_SCALE - m
+    floors, remainders = zip(*(divmod(w * free, total) for w in weights))
+    widths = [f + 1 for f in floors]
+    # a stable sort keeps equal remainders in index order, reversed or not
+    ranked = sorted(range(m), key=remainders.__getitem__, reverse=True)
+    for i in ranked[: free - sum(floors)]:
+        widths[i] += 1
+    return widths
 
-    Remainder ties go to the lower symbol index.  Pure integer arithmetic,
-    so equal weights always produce equal tables; weights that are not
-    integers raise TypeError.
-    """
-    return quantize_weights(np.asarray(dist.weights))
+
+def quantize_distribution(dist: Distribution) -> np.ndarray:
+    """The cumulative table of dist's integer weights, from
+    oracle_largest_remainder, for any alphabet the range coder takes."""
+    cum = np.zeros(len(dist.weights) + 1, dtype=np.int64)
+    np.cumsum(oracle_largest_remainder(dist.weights), out=cum[1:])
+    return cum
 
 
 # --- exact rational interval arithmetic ---------------------------------

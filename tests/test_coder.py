@@ -1,8 +1,9 @@
 """Coder tests: quantization, range coder round-trips, ideal intervals.
 
-Expected values are produced by the independent oracles at the top of
-this file (exact-rational largest remainder, brute-force shortest dyadic)
-and then frozen as literals where a test needs a fixed constant.
+Expected values are produced by independent oracles (the integer
+largest remainder of oracle.py, and at the top of this file its
+exact-rational form and the brute-force shortest dyadic) and then frozen as
+literals where a test needs a fixed constant.
 """
 
 from __future__ import annotations
@@ -24,28 +25,13 @@ from oracle import (
     Distribution,
     IdealInterval,
     ideal_refine,
+    oracle_largest_remainder,
     quantize_distribution,
     shortest_binary_in_interval,
 )
 
 
 # --- oracles -------------------------------------------------------------
-
-
-def oracle_largest_remainder(weights) -> list[int]:
-    """Exact apportionment of 2^16: floor 1 each, largest remainder, ties to
-    the lower index.  Kept deliberately naive and separate from the
-    production path.  Every quota w*free/total shares the denominator
-    total, so its floor and fractional part are the integer divmod."""
-    m = len(weights)
-    total = sum(weights)
-    free = PROB_SCALE - m
-    floors, remainders = zip(*(divmod(w * free, total) for w in weights))
-    widths = [f + 1 for f in floors]
-    ranked = sorted(range(m), key=lambda i: (-remainders[i], i))
-    for i in ranked[: free - sum(floors)]:
-        widths[i] += 1
-    return widths
 
 
 def oracle_largest_remainder_fractions(weights) -> list[int]:
@@ -63,9 +49,13 @@ def oracle_largest_remainder_fractions(weights) -> list[int]:
 
 
 def twin_quantize(weights) -> np.ndarray:
-    """The numpy twin's table for weights, whichever step module loads."""
+    """The table for weights: the numpy twin's for a row of 256, whichever
+    step module loads, and the oracle's for any other alphabet, which
+    quantize does not take."""
     weights = np.ascontiguousarray(weights, dtype=np.int64)
-    cum = np.empty(weights.size + 1, dtype=np.int64)
+    if weights.size != 256:
+        return quantize_distribution(Distribution(weights))
+    cum = np.empty(257, dtype=np.int64)
     _kernel_numpy.quantize(weights, cum)
     return cum
 
@@ -123,14 +113,16 @@ def roundtrip(tables, symbols):
 
 
 def test_quantize_uniform_256():
-    cum = quantize_distribution(Distribution(np.ones(256, dtype=np.int64)))
+    cum = quantize_weights(np.ones(256, dtype=np.int64))
     assert (np.diff(cum) == 256).all()
     assert cum[0] == 0 and cum[-1] == PROB_SCALE
 
 
 def test_quantize_zero_weights_get_floor():
-    cum = quantize_distribution(Distribution([1, 0, 0]))
-    assert list(np.diff(cum)) == [65534, 1, 1]
+    row = np.zeros(256, dtype=np.int64)
+    row[0] = 1
+    assert list(np.diff(quantize_weights(row))) == [PROB_SCALE - 255] + [1] * 255
+    assert list(np.diff(quantize_distribution(Distribution([1, 0, 0])))) == [65534, 1, 1]
 
 
 def test_quantize_largest_remainder_example():
@@ -142,9 +134,9 @@ def test_quantize_largest_remainder_example():
     assert sum(widths) == PROB_SCALE
 
 
-# up to 300 weights each below 2^37 / 300: every total is one quantize accepts
+# 256 weights each below 2^37 / 256: every total is one quantize accepts
 @given(
-    st.lists(st.integers(min_value=0, max_value=(1 << 37) // 300 - 1), min_size=2, max_size=300).filter(
+    st.lists(st.integers(min_value=0, max_value=(1 << 37) // 256 - 1), min_size=256, max_size=256).filter(
         lambda w: sum(w) > 0
     )
 )
@@ -153,7 +145,7 @@ def test_quantize_matches_oracle(weights):
     # the public path runs the C extension where one loads; its numpy twin
     # is the reference it must equal, and what runs without a compiler
     want = oracle_largest_remainder(weights)
-    got = list(np.diff(quantize_distribution(Distribution(weights))))
+    got = list(np.diff(quantize_weights(np.array(weights, dtype=np.int64))))
     assert got == want
     assert list(np.diff(twin_quantize(weights))) == want
     assert sum(got) == PROB_SCALE
@@ -171,9 +163,8 @@ def test_integer_oracle_matches_the_rational_one(weights):
 
 
 def test_quantize_scale_invariant():
-    a = quantize_distribution(Distribution([3, 3, 2, 1, 2]))
-    b = quantize_distribution(Distribution([6, 6, 4, 2, 4]))
-    assert (a == b).all()
+    row = np.resize(np.array([3, 3, 2, 1, 2], dtype=np.int64), 256)
+    assert (quantize_weights(row) == quantize_weights(row * 2)).all()
 
 
 def test_alphabet_bounds_rejected():
@@ -181,30 +172,27 @@ def test_alphabet_bounds_rejected():
         Distribution([1])
     with pytest.raises(ValueError):
         Distribution(np.ones(PROB_SCALE + 1, dtype=np.int64))
-    # 2^16 symbols is the largest legal alphabet: every width is exactly 1
+    # 2^16 symbols is the largest alphabet the range coder takes: every width is exactly 1
     cum = quantize_distribution(Distribution(np.ones(PROB_SCALE, dtype=np.int64)))
     assert (np.diff(cum) == 1).all()
 
 
 def test_quantize_rejects_non_integer_weights():
-    with pytest.raises(TypeError):
-        quantize_distribution(Distribution([0.5, 0.5]))
     # a row is never truncated to integers: [0.5, 1.9, 2.7] would read as [0, 1, 2]
     non_integer = (
+        [0.5, 0.5],
         np.array([0.5, 1.9, 2.7]),
         np.array([1.0, 2.0]),  # integral values of a float dtype
         np.array([True, False]),
         np.array([1, 2], dtype=object),
     )
-    for row in non_integer:
+    for weights in non_integer:
         with pytest.raises(TypeError):
-            quantize_weights(row)
-    # integer rows of any dtype or layout are copied to int64
-    want = quantize_weights(np.array([3, 1, 2], dtype=np.int64))
-    dtypes = (np.uint8, np.int16, ">i8", ">i4")  # big-endian rows are copied too
-    others = [np.array([3, 1, 2], dtype=dtype) for dtype in dtypes] + [np.array([3, 0, 1, 0, 2])[::2]]
-    for row in others:
-        assert np.array_equal(quantize_weights(row), want)
+            quantize_distribution(Distribution(weights))
+    # the step module reads int64 rows only, and copies none
+    for dtype in (np.float64, np.bool_, np.int32, ">i8"):
+        with pytest.raises(ValueError, match="^weights must be int64$"):
+            quantize_weights(np.ones(256, dtype=dtype))
 
 
 # --- range coder ---------------------------------------------------------

@@ -38,6 +38,9 @@ def test_config_roundtrip_bytes():
     for cfg in configs:
         blob = cfg.to_bytes()
         assert PredictorConfig.from_bytes(blob) == cfg
+        for bad in (blob[:-1], blob + b"\0"):  # a byte short or over
+            with pytest.raises(ValueError, match="^malformed predictor config bytes$"):
+                PredictorConfig.from_bytes(bad)
     # constant size per kind
     assert len(PredictorConfig("uniform").to_bytes()) == 13
     assert len(PredictorConfig("freq", order=1).to_bytes()) == 14
@@ -167,7 +170,7 @@ def test_tokens_outside_the_alphabet_are_rejected_before_any_state_changes(spec)
     for bad in (-1, 256, 1 << 70):
         with pytest.raises(ValueError):
             p.update(bad)
-    assert p.digest() == before
+    assert p.digest() == before and p.token_position == 2
 
 
 @pytest.mark.parametrize("spec", ["uniform", "freq:2", "neural:1,8"])
