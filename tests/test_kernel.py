@@ -841,6 +841,50 @@ def test_quantize_kernel_matches_numpy_on_cases_redrawn_at_256(builds):
     assert t.quantize(too_large) == (ValueError, "weights must be nonnegative with one positive")
 
 
+# the hard rows of other lengths, from when quantize took 2 to 2^16 weights,
+# under the names they had there
+OTHER_LENGTH_ROWS = {
+    "total 2^37-1, one below multiples, m=2": _near_multiples(2, 1, _BIG, 3, 1),
+    "total 2^37-1, one below multiples, m=300": _near_multiples(300, 3, _BIG, 101, 1),
+    "total 2^37, one below multiples, m=2": _near_multiples(2, 1, _LIMIT + 65533, 65533, 1),
+    "total 2^37-2, m=3": np.array([(1 << 36) - 1, (1 << 36) - 2, 1]),
+    "m=2": np.array([1, 3]),
+    "m=2, total 2^37-1": np.array([_BIG - 1, 1]),
+    "m=2^16, all ones": np.ones(PROB_SCALE, dtype=np.int64),
+    "m=2^16, skewed": np.arange(PROB_SCALE, dtype=np.int64) ** 2 >> 10,
+    "total 1, m=300": _spread(300, 1),
+    "total 2^37-1, m=4096": _spread(4096, _BIG),
+    "all equal, m=3": _spread(3, 15),
+    "all equal, m=255": _spread(255, 255 << 29),
+    "all equal, m=257": _spread(257, 257 * 7),
+    "all equal, m=1000": _spread(1000, _BIG - _BIG % 1000),
+    "all equal, m=2, a quotient the reciprocal puts one under": _spread(2, 2 * 21799),
+    "no leftover, m=4": _spread(4, 1 << 36),
+    "no leftover, m=2^15": _spread(1 << 15, 1 << 15),
+    "exact multiples, m=2": _near_multiples(2, 1, _BIG, 65408, 0),
+    "exact multiples, m=300": _near_multiples(300, 3, _BIG, 20960, 0),
+    "one below multiples, m=2": _near_multiples(2, 1, _BIG, 65533, 1),
+    "one below multiples, m=300": _near_multiples(300, 3, _BIG, 21743, 1),
+    "one below multiples, m=5000": _near_multiples(5000, 3, _BIG, 20001, 1),
+    "m=2, total 2^46-1": np.array([(1 << 46) - 2, 1]),
+    "total 2^46-2, m=3": np.array([(1 << 45) - 1, (1 << 45) - 2, 1]),
+    "total 2^46-1, m=4096": _spread(4096, (1 << 46) - 1),
+    "2^46 then negative": np.array([1 << 46, -1]),
+    "sum 2^46 then negative": np.array([1 << 45, 1 << 45, -1]),
+    "sum past 2^46 and negative": np.array([1 << 46, 1 << 46, -1]),
+}
+
+
+# each is refused for its length, on every build as on the twin, and before
+# the row rule: those it took and those it refused alike, the cum untouched
+@needs_kernel
+@pytest.mark.parametrize("name", list(OTHER_LENGTH_ROWS))
+def test_quantize_refuses_the_hard_rows_of_other_lengths(name, builds):
+    row = OTHER_LENGTH_ROWS[name]
+    assert row.dtype == np.int64 and row.size != ALPHABET
+    assert Twins(*builds.values()).quantize(row) == (ValueError, "weights must hold 256 entries")
+
+
 # StepMachine's quantize rule draws from the same rows, about 200 a run
 @needs_kernel
 @given(row=_weight_rows())
