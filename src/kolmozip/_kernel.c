@@ -36,7 +36,7 @@
  *   - every right shift of a signed value is a floor shift (floor_shift), the
  *     semantics of numpy's >> on int64; no `/` or `%` ever sees a negative;
  *   - integer sums are order-independent under wrapping, so loop order is free;
- *   - quantize and net_step accept a row by one rule (row_error): every
+ *   - quantize and net_step accept a row by one rule (row_scan): every
  *     weight nonnegative, one positive, and the total below 2^37; both divide
  *     by that total through one routine (divide_row), in doubles, which hold
  *     every value the division makes exactly there.  No row a predictor
@@ -60,10 +60,15 @@
  *   - a kept table never fails a step that has changed state: net() takes
  *     only softmax tables whose every forward pass quantize's rule accepts,
  *     and a count row always passes it;
- *   - the step's loops (forward, net_grad, quantize_row, quantize_dense,
- *     quantize_grouped, leftover_threshold) are built twice on x86-64
- *     glibc, for AVX2 and for the baseline ISA, and the CPU picks one at
- *     load time (VECTOR_CLONES).
+ *   - one clone rule: clone a loop root, and flatten what it calls.  The
+ *     three functions the entry points call for the step's loops (forward,
+ *     net_grad and quantize_row) are built twice on x86-64 glibc, for AVX2
+ *     and for the baseline ISA, and the CPU picks one at load time
+ *     (VECTOR_CLONES).  Each clone compiles the root's whole call tree as
+ *     one body for its ISA, so no helper beneath a root is a function of
+ *     its own, which would run its baseline build from the AVX2 clone (a
+ *     dense quantize left out of quantize_row's clone that way ran a net's
+ *     rows 1.4x slower).  Nothing else is cloned.
  *     Both clones are compiled from the same code, every value of which is
  *     an exact integer (in doubles too), so the arithmetic, and every byte it
  *     writes, is the same on every CPU.  AVX-512 hosts run the AVX2 clone:
@@ -98,11 +103,12 @@
 #define TOTAL_LIMIT (INT64_C(1) << 37) /* rows divide_row divides: weights and total below */
 #define SOFTMAX_LIMIT (TOTAL_LIMIT / ALPHABET) /* softmax entries below it: 256 of them total below 2^37 */
 
-/* target_clones resolves through an ifunc, which needs x86-64 and glibc;
- * elsewhere the plain functions are built. */
+/* The clone rule of the header: flatten inlines everything a root calls
+ * into each of its clones.  target_clones resolves through an ifunc, which
+ * needs x86-64 and glibc; elsewhere the plain functions are built. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default"), flatten))
 #endif
 #endif
 #ifndef VECTOR_CLONES
@@ -234,35 +240,30 @@ static int64_t select_rank(int64_t *a, int64_t n, int64_t k)
     return a[k];
 }
 
-static const char BAD_WEIGHTS[] = "weights must be nonnegative with one positive";
-
-/* The rule by which quantize and net_step accept a row of 256 weights
- * (_kernel_numpy._row_total), from bits, the OR of the weights, and total,
- * their sum: every weight nonnegative, one positive, and the total below
- * 2^37, which divide_row needs.  bits is negative iff a weight is, and below
- * 2^37 iff every weight is; then 256 weights below 2^37 sum below 2^45, so
- * the sum cannot wrap.  A row whose sum may wrap is reported on bits alone.
- * Returns NULL, or the error message. */
-static inline const char *row_error(int64_t bits, int64_t total)
+/* One pass over the 256 weights w: their sum into *total, the number of
+ * them other than one into *others, and the verdict of the rule by which
+ * quantize and net_step accept a row (_kernel_numpy._row_total): every
+ * weight nonnegative, one positive, and the total below 2^37, which
+ * divide_row needs.  bits, the weights' OR, is negative iff a weight is,
+ * and below 2^37 iff every weight is; then 256 weights below 2^37 sum below
+ * 2^45, so the sum cannot wrap.  A row whose sum may wrap is reported on
+ * bits alone.  Returns NULL, or the error message. */
+static inline const char *row_scan(const int64_t *w, int64_t *total, int64_t *others)
 {
-    if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))
-        return "weight total too large; rescale below 2^37";
-    if (bits < 0 || total == 0)
-        return BAD_WEIGHTS;
-    return NULL;
-}
-
-/* row_error on the 256 weights w; sets *total to their (unsigned) sum */
-static inline const char *row_total(const int64_t *w, int64_t *total)
-{
-    int64_t bits = 0;
+    int64_t bits = 0, ones = 0;
     uint64_t sum = 0;
     for (int64_t i = 0; i < ALPHABET; i++) {
         bits |= w[i];
         sum += (uint64_t)w[i];
+        ones += w[i] == 1;
     }
     *total = (int64_t)sum;
-    return row_error(bits, *total);
+    *others = ALPHABET - ones;
+    if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))
+        return "weight total too large; rescale below 2^37";
+    if (bits < 0 || *total == 0)
+        return "weights must be nonnegative with one positive";
+    return NULL;
 }
 
 #define BIAS 0x1p52                                 /* 2^52: below it, an integer sits in the mantissa */
@@ -294,7 +295,7 @@ static inline int64_t to_int(double x)
  * 2^53, which doubles hold exactly, four lanes under AVX2.  The quotient
  * rounded to the nearest integer, near, is the floor or one above it, so
  * num - near * total + total, exact, lies in [0, 2 * total) and tells
- * which.  Inlined into each caller's clones, so each vectorizes its own. */
+ * which. */
 static inline void divide_row(const int64_t *restrict w, int64_t m, int64_t total, int64_t mult,
                               int64_t *restrict q, int64_t *restrict r)
 {
@@ -319,7 +320,7 @@ static inline void divide_row(const int64_t *restrict w, int64_t m, int64_t tota
  * the pivot: then the winners there are the first by index, and the last
  * of them is found by a scan.  Otherwise the keys on the threshold's side
  * of the pivot are selected from alone. */
-VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t leftover)
+static int64_t leftover_threshold(const int64_t *rem, int64_t leftover)
 {
     const int64_t a = rem[0], b = rem[ALPHABET / 2], c = rem[ALPHABET - 1];
     const int64_t lo = a < b ? a : b, hi = a < b ? b : a;
@@ -347,14 +348,12 @@ VECTOR_CLONES static int64_t leftover_threshold(const int64_t *rem, int64_t left
 
 #define FREE_SLOTS (PROB_SCALE - ALPHABET) /* a table's slots past one per symbol */
 
-/* Write into cum the table of the 256 weights w that row_error accepts,
+/* Write into cum the table of the 256 weights w that row_scan accepts,
  * with their total: _kernel_numpy._quantize.  One slot per symbol up front,
  * floors of w*FREE_SLOTS/total, then the leftover slots to the largest keys
  * (remainder << 16) + (ALPHABET-1-i).  w is read in full before cum is
- * written, so the two may overlap.  Cloned itself: its arrays are too large
- * for the compiler to inline it into quantize_row's clones, and its
- * baseline build ran a net's rows 1.4x slower. */
-VECTOR_CLONES static void quantize_dense(const int64_t *w, int64_t total, int64_t *cum)
+ * written, so the two may overlap. */
+static void quantize_dense(const int64_t *w, int64_t total, int64_t *cum)
 {
     int64_t rem[ALPHABET], base[ALPHABET];
     divide_row(w, ALPHABET, total, FREE_SLOTS, base, rem);
@@ -395,7 +394,7 @@ VECTOR_CLONES static void quantize_dense(const int64_t *w, int64_t total, int64_
  * ones' progression i*(b1+1) + min(i, c1) plus, for each member of S below
  * i, its slots less those a one would have had in its place: the integers
  * quantize_dense sums one by one. */
-VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t total, int64_t k, int64_t *cum)
+static int quantize_grouped(const int64_t *w, int64_t total, int64_t k, int64_t *cum)
 {
     const int64_t ones = ALPHABET - k;
     int64_t at[GROUPED_LIMIT + 1], v[GROUPED_LIMIT + 1], b[GROUPED_LIMIT], r[GROUPED_LIMIT];
@@ -450,25 +449,18 @@ VECTOR_CLONES static int quantize_grouped(const int64_t *w, int64_t total, int64
 }
 
 /* Write into cum (257 entries) the table of the 256 weights w, or return
- * why quantize's rule (row_error) refuses them, writing nothing:
- * _kernel_numpy.quantize.  One pass totals the row and counts its weights
- * other than one; a row with at most GROUPED_LIMIT of those takes
- * quantize_grouped, any other (or one it returns) quantize_dense.  w is
- * read in full before cum is written, so the two may overlap. */
+ * why quantize's rule (row_scan) refuses them, writing nothing:
+ * _kernel_numpy.quantize.  A row with at most GROUPED_LIMIT weights other
+ * than one takes quantize_grouped, any other (or one it returns)
+ * quantize_dense.  w is read in full before cum is written, so the two may
+ * overlap. */
 VECTOR_CLONES static const char *quantize_row(const int64_t *w, int64_t *cum)
 {
-    int64_t bits = 0, ones = 0;
-    uint64_t sum = 0;
-    for (int64_t i = 0; i < ALPHABET; i++) {
-        bits |= w[i];
-        sum += (uint64_t)w[i];
-        ones += w[i] == 1;
-    }
-    const int64_t total = (int64_t)sum;
-    const char *error = row_error(bits, total);
+    int64_t total, others;
+    const char *error = row_scan(w, &total, &others);
     if (error)
         return error;
-    if (ALPHABET - ones > GROUPED_LIMIT || !quantize_grouped(w, total, ALPHABET - ones, cum))
+    if (others > GROUPED_LIMIT || !quantize_grouped(w, total, others, cum))
         quantize_dense(w, total, cum);
     return NULL;
 }
@@ -993,7 +985,7 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
 
 /* The gradient step of net_step on the forward pass held in buf, for the
  * net's context and the coded token; total is the weights' total, which
- * row_total bounds below 2^37. */
+ * row_scan bounds below 2^37. */
 VECTOR_CLONES static void net_grad(kz_net *net, int64_t token, int64_t total)
 {
     const int64_t w = net->w, a = ALPHABET, lr = net->lr, n = net->n;
@@ -1051,8 +1043,8 @@ static PyObject *kz_net_step(PyObject *module, PyObject *const *args, Py_ssize_t
     long long token;
     if (get_int(args[1], 0, ALPHABET, "token %S outside the alphabet [0, %lld)", &token) < 0)
         return NULL;
-    int64_t total;
-    const char *error = row_total(net->buf + 2 * net->w, &total);
+    int64_t total, others;
+    const char *error = row_scan(net->buf + 2 * net->w, &total, &others);
     if (error)
         return PyErr_SetString(PyExc_ValueError, error), NULL;
     net_grad(net, token, total);

@@ -19,10 +19,10 @@ headers into a per-user cache (``$XDG_CACHE_HOME/kolmozip``, else
 flags, include directory, extension suffix and platform, and later calls
 and processes reuse that file; a cached file that will not load is built
 again once.  The key does not depend on the CPU: on x86-64 with glibc the
-step's loops (the net's forward pass and gradient step, and quantize) carry
-an AVX2 clone beside the baseline one, and the running CPU picks one when
-the file loads, so one cached file serves any x86-64 machine, with the same
-bytes out.
+step's loops carry an AVX2 clone beside the baseline one (the clone rule in
+the header of ``_kernel.c``), and the running CPU picks one when the file
+loads, so one cached file serves any x86-64 machine, with the same bytes
+out.
 
 - No ``cc`` on PATH: the twin, without a word.
 - A compiler that fails (for instance without the Python headers), a cache

@@ -1,10 +1,10 @@
-"""Mutation check for the tests of the step module, the predictors, the
-pipeline and the CLI.
+"""Mutation check for the tests of the step module and its loader, the
+predictors, the pipeline and the CLI.
 
 Each mutant below changes one line of ``src/kolmozip/_kernel.c``,
-``_kernel_numpy.py``, ``predictors.py``, ``pipeline.py`` or ``cli.py``: a
-comparison flipped, a bound off by one, a check dropped, a clamp removed, a
-message reworded.  For each
+``_kernel_numpy.py``, ``kernel.py``, ``predictors.py``, ``pipeline.py`` or
+``cli.py``: a comparison flipped, a bound off by one, a check dropped, a
+clamp removed, a message reworded.  For each
 mutant the script copies ``src/`` into a temporary directory, applies the
 mutant there and runs, with ``pytest -x -q``, the suites that cover its
 file (SUITES) against the copy, one mutant at a time.  A C mutant builds
@@ -34,12 +34,14 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-C, NP, PREDICTORS, PIPELINE, CLI = "_kernel.c", "_kernel_numpy.py", "predictors.py", "pipeline.py", "cli.py"
+C, NP, KERNEL = "_kernel.c", "_kernel_numpy.py", "kernel.py"
+PREDICTORS, PIPELINE, CLI = "predictors.py", "pipeline.py", "cli.py"
 TIMEOUT_S = 300
 # the suites in tests/ that cover each mutated file
 SUITES = {
     C: ["test_kernel.py"],
     NP: ["test_kernel.py"],
+    KERNEL: ["test_kernel.py"],
     PREDICTORS: ["test_predictors.py", "test_pipeline.py"],
     PIPELINE: ["test_pipeline.py", "test_cli.py", "test_acceptance.py"],
     CLI: ["test_cli.py"],
@@ -66,10 +68,10 @@ MUTANTS = {
     "c-weights-length-check-loosened": (C, "if (m != ALPHABET)", "if (m < ALPHABET)"),
     "c-cum-length-check-loosened": (C, "else if (n_cum != ALPHABET + 1)", "else if (n_cum < ALPHABET + 1)"),
     "c-total-limit-off-by-one": (
-        C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || total >= TOTAL_LIMIT))",
-        "if (bits >= 0 && (bits >= TOTAL_LIMIT || total > TOTAL_LIMIT))",
+        C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))",
+        "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total > TOTAL_LIMIT))",
     ),
-    "c-zero-total-check-dropped": (C, "if (bits < 0 || total == 0)", "if (bits < 0)"),
+    "c-zero-total-check-dropped": (C, "if (bits < 0 || *total == 0)", "if (bits < 0)"),
     "c-ties-to-higher-index": (
         C, "base[i] += (rem[i] << 16) + (ALPHABET - 1 - i) >= threshold;", "base[i] += (rem[i] << 16) + i >= threshold;"
     ),
@@ -99,9 +101,7 @@ MUTANTS = {
     ),
     "c-select-pivot-not-placed": (C, "        swap_i64(a, store, hi);", "        (void)0;"),
     # quantize's grouped path for count rows
-    "c-grouped-limit-off-by-one": (
-        C, "if (ALPHABET - ones > GROUPED_LIMIT ||", "if (ALPHABET - ones > GROUPED_LIMIT + 1 ||"
-    ),
+    "c-grouped-limit-off-by-one": (C, "if (others > GROUPED_LIMIT ||", "if (others > GROUPED_LIMIT + 1 ||"),
     "c-grouped-cut-one-late": (
         C, "int64_t cut = leftover - above - 1;", "int64_t cut = leftover - above;"
     ),
@@ -114,6 +114,11 @@ MUTANTS = {
     ),
     "c-grouped-fill-difference-dropped": (
         C, "off += b[j] + (key[j] >= threshold) - b1 - (at[j] < c1);", "off += 0;"
+    ),
+    # the clone rule
+    "c-clones-not-flattened": (
+        C, '__attribute__((target_clones("avx2", "default"), flatten))',
+        '__attribute__((target_clones("avx2", "default")))',
     ),
     # range coder
     "c-symbol-bound-off-by-one": (
@@ -192,6 +197,19 @@ MUTANTS = {
     "c-kept-table-length-check-loosened": (C, "if (n != ALPHABET + 1) {", "if (n < ALPHABET + 1) {"),
     "c-kept-table-not-replaced": (C, "    table->cum = view.buf;", "    table->cum = table->cum ? table->cum : view.buf;"),
     "c-kept-table-takes-any-state": (C, "    else if (Py_IS_TYPE(args[0], &freq_type))", "    else if (1)"),
+    # the loader
+    "kernel-unloadable-cache-file-not-rebuilt": (
+        KERNEL, "build it again\n                pass", "build it again\n                raise"
+    ),
+    "kernel-relative-cache-base-taken": (
+        KERNEL, "    if not base.is_absolute():  # a relative HOME", "    if False:  # a relative HOME"
+    ),
+    "kernel-build-copied-into-place": (
+        KERNEL, "        os.replace(tmp, target)", "        shutil.copyfile(tmp, target)"
+    ),
+    "kernel-flags-left-out-of-the-key": (
+        KERNEL, 'build = (" ".join(_FLAGS), *_include_dirs(),', "build = (*_include_dirs(),"
+    ),
     # the twin
     "np-ndim-check-loosened": (NP, "    elif a.ndim != 1:", "    elif a.ndim > 1:"),
     "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),

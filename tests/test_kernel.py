@@ -1577,17 +1577,22 @@ def test_failing_compiler_warns_once_and_falls_back(monkeypatch, tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []  # the temporary file is gone
 
 
-@pytest.mark.parametrize("home", ["unknown", "relative"])
-def test_no_absolute_cache_base_warns_once_and_writes_nothing(home, monkeypatch, tmp_path):
-    # a compiler that would leave its output wherever it is pointed
+def _fake_compiler(tmp_path: Path, output: str) -> str:
+    """A compiler that writes output into the file it is pointed at."""
     fake = tmp_path / "bin" / "cc"
     fake.parent.mkdir()
-    fake.write_text('#!/bin/sh\nfor last; do :; done\necho junk > "$last"\n')
+    fake.write_text(f'#!/bin/sh\nfor last; do :; done\necho {output} > "$last"\n')
     fake.chmod(0o755)
+    return str(fake)
+
+
+@pytest.mark.parametrize("home", ["unknown", "relative"])
+def test_no_absolute_cache_base_warns_once_and_writes_nothing(home, monkeypatch, tmp_path):
+    fake = _fake_compiler(tmp_path, "junk")
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    monkeypatch.setattr(kernel, "_find_compiler", lambda: str(fake))
+    monkeypatch.setattr(kernel, "_find_compiler", lambda: fake)
     monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
     if home == "relative":
         monkeypatch.setenv("HOME", "relhome")
@@ -1640,6 +1645,39 @@ def test_a_cache_file_that_will_not_load_is_built_again(monkeypatch, tmp_path):
     assert target.stat().st_size > 0
 
 
+def test_a_build_replaces_the_file_at_its_key_and_never_writes_into_it(tmp_path):
+    # a process that loaded the old file keeps reading it whole: the build is
+    # written beside it and renamed over it
+    target = tmp_path / "cache" / "kernel-key.so"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    with target.open() as loaded:
+        kernel._compile(_fake_compiler(tmp_path, "new"), b"", target)
+        assert loaded.read() == "old\n"
+    assert target.read_text() == "new\n"
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+def test_the_cache_key_covers_the_source_and_the_flags(monkeypatch, tmp_path):
+    targets = []
+
+    def no_build(compiler, source, target):
+        targets.append(target.name)
+        raise OSError("not built")
+
+    monkeypatch.setattr(kernel, "_find_compiler", lambda: "cc")
+    monkeypatch.setattr(kernel, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(kernel, "_compile", no_build)
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(kernel.SOURCE.read_bytes() + b"\n")
+    for source, flags in ((kernel.SOURCE, kernel._FLAGS), (edited, kernel._FLAGS), (kernel.SOURCE, kernel._FLAGS[1:])):
+        monkeypatch.setattr(kernel, "SOURCE", source)
+        monkeypatch.setattr(kernel, "_FLAGS", flags)
+        with pytest.warns(RuntimeWarning, match="not built"):
+            assert kernel.build_and_load() is None
+    assert len(set(targets)) == 3
+
+
 def _compile_into(tmp_path: Path, source: bytes) -> Path:
     target = tmp_path / f"kernel{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
     kernel._compile(kernel._find_compiler(), source, target)
@@ -1677,14 +1715,22 @@ def test_kernel_compiles_warning_free_with_its_clones(tmp_path, monkeypatch, bui
     # builds compiled the clone-free build warning-free
     monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, *_WARNINGS_AS_ERRORS))
     library = _compile_into(tmp_path, kernel.SOURCE.read_bytes()).read_bytes()
-    # an AVX2 clone of each of the step's loops, next to the baseline one; GCC
-    # names a clone function.target, with every other character of the target
-    # made "_"
+    # an AVX2 clone of each of the step's three loop roots, next to the
+    # baseline one, and a resolver that picks between them; GCC names a clone
+    # function.target, with every other character of the target made "_"
     suffixes = [re.sub(r"\W", "_", target) for target in _clone_targets()]
-    loops = ("forward", "net_grad", "quantize_row", "quantize_dense", "quantize_grouped", "leftover_threshold")
-    clones = [f"{fn}.{suffix}".encode() for fn in loops for suffix in suffixes]
-    assert all(clone in library for clone in clones)
+    if not suffixes:
+        return
+    loops = ("forward", "net_grad", "quantize_row")
+    clones = re.findall(rb"(\w+)\.(avx2|default|resolver)\0", library)
+    assert sorted({(fn.decode(), kind.decode()) for fn, kind in clones}) == sorted(
+        (fn, kind) for fn in loops for kind in (*suffixes, "resolver")
+    )
     assert b"arch_x86_64_v4" not in library
+    # each root's clones are flattened: no helper beneath a root is a function
+    # of its own, whose baseline build the AVX2 clone would call
+    helpers = ("quantize_dense", "quantize_grouped", "leftover_threshold", "select_rank", "divide_row")
+    assert [helper for helper in helpers if helper.encode() in library] == []
 
 
 def _clone_free_build(tmp_path: Path):
