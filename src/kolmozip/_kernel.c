@@ -79,9 +79,10 @@
  *
  * Every array arrives through the buffer protocol as one kind: a
  * one-dimensional, C-contiguous int64 vector, writable where it is written.
- * get_array checks that (the twin's _check, with the same messages in the
- * same order); each function then checks lengths, and raises ValueError
- * (MemoryError when scratch cannot be had) before it touches any state.
+ * get_array checks the kind and, where the function fixes it, the length
+ * (the twin's _check, with the same messages in the same order); every
+ * function raises ValueError (MemoryError when scratch cannot be had) before
+ * it touches any state.
  * The GIL is held throughout, so a net's scratch is never shared by two
  * running calls.
  */
@@ -130,9 +131,11 @@ static inline int64_t clamp(int64_t x, int64_t limit)
 /* --- buffers ----------------------------------------------------------- */
 
 /* Acquire obj as a one-dimensional, C-contiguous vector of native int64,
- * writable if asked; on success *n holds its length.  Returns 0, or -1 with
- * an exception set and no buffer held. */
-static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *name, Py_ssize_t *n)
+ * writable if asked, of length entries where length >= 0; on success *n
+ * holds its length.  Returns 0, or -1 with an exception set and no buffer
+ * held. */
+static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *name, Py_ssize_t length,
+                     Py_ssize_t *n)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
@@ -156,6 +159,11 @@ static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *n
         return -1;
     }
     *n = view->len / view->itemsize;
+    if (length >= 0 && *n != length) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %zd entries", name, length);
+        PyBuffer_Release(view);
+        return -1;
+    }
     return 0;
 }
 
@@ -473,20 +481,14 @@ static PyObject *kz_quantize(PyObject *module, PyObject *const *args, Py_ssize_t
     if (check_nargs("quantize", nargs, 2) < 0)
         return NULL;
     Py_buffer wv, cv;
-    Py_ssize_t m, n_cum;
-    if (get_array(args[0], &wv, 0, "weights", &m) < 0)
+    Py_ssize_t n;
+    if (get_array(args[0], &wv, 0, "weights", ALPHABET, &n) < 0)
         return NULL;
-    if (get_array(args[1], &cv, 1, "cum", &n_cum) < 0) {
+    if (get_array(args[1], &cv, 1, "cum", ALPHABET + 1, &n) < 0) {
         PyBuffer_Release(&wv);
         return NULL;
     }
-    const char *error;
-    if (m != ALPHABET)
-        error = "weights must hold 256 entries";
-    else if (n_cum != ALPHABET + 1)
-        error = "cum must hold 257 entries";
-    else
-        error = quantize_row(wv.buf, cv.buf);
+    const char *error = quantize_row(wv.buf, cv.buf);
     PyBuffer_Release(&cv);
     PyBuffer_Release(&wv);
     if (error) {
@@ -616,12 +618,10 @@ static void shift_low(kz_encoder *enc)
 }
 
 /* encoder() -> a fresh encoder state */
-static PyObject *kz_encoder_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *kz_encoder_new(PyObject *module, PyObject *unused)
 {
     (void)module;
-    (void)args;
-    if (check_nargs("encoder", nargs, 0) < 0)
-        return NULL;
+    (void)unused;
     kz_encoder *enc = (kz_encoder *)PyType_GenericAlloc(&encoder_type, 0); /* zeroed */
     if (!enc)
         return NULL;
@@ -643,7 +643,7 @@ static PyObject *kz_encode(PyObject *module, PyObject *const *args, Py_ssize_t n
         return NULL;
     Py_buffer cv;
     Py_ssize_t n;
-    if (get_array(args[1], &cv, 0, "cum", &n) < 0)
+    if (get_array(args[1], &cv, 0, "cum", -1, &n) < 0)
         return NULL;
     if (enc->finished) {
         PyErr_SetString(PyExc_ValueError, "encoder already finished");
@@ -677,12 +677,10 @@ static PyObject *kz_encode(PyObject *module, PyObject *const *args, Py_ssize_t n
  * 2^16 (inside [low, low + range), as range >= 2^24) and shifts out five
  * bytes; the zero tail drains the pending run, so the payload holds exactly
  * one byte per renormalization plus five.  Later calls return it again. */
-static PyObject *kz_finish(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *kz_finish(PyObject *module, PyObject *arg)
 {
     (void)module;
-    if (check_nargs("finish", nargs, 1) < 0)
-        return NULL;
-    kz_encoder *enc = get_state(args[0], &encoder_type);
+    kz_encoder *enc = get_state(arg, &encoder_type);
     if (!enc)
         return NULL;
     if (!enc->finished) {
@@ -712,16 +710,14 @@ static int next_byte(kz_decoder *dec)
 
 /* decoder(payload) -> a decoder state over a bytes-like payload, with the
  * phantom byte skipped and the next four read into code */
-static PyObject *kz_decoder_new(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *kz_decoder_new(PyObject *module, PyObject *payload)
 {
     (void)module;
-    if (check_nargs("decoder", nargs, 1) < 0)
-        return NULL;
     kz_decoder *dec = (kz_decoder *)PyType_GenericAlloc(&decoder_type, 0); /* zeroed */
     if (!dec)
         return NULL;
     dec->range = UINT32_MAX;
-    if (PyObject_GetBuffer(args[0], &dec->payload, PyBUF_SIMPLE) < 0) {
+    if (PyObject_GetBuffer(payload, &dec->payload, PyBUF_SIMPLE) < 0) {
         Py_DECREF(dec);
         return NULL;
     }
@@ -751,7 +747,7 @@ static PyObject *kz_decode(PyObject *module, PyObject *const *args, Py_ssize_t n
         return NULL;
     Py_buffer cv;
     Py_ssize_t n;
-    if (get_array(args[1], &cv, 0, "cum", &n) < 0)
+    if (get_array(args[1], &cv, 0, "cum", -1, &n) < 0)
         return NULL;
     const int64_t *cum = cv.buf;
     const uint64_t r = dec->range;
@@ -937,7 +933,7 @@ static PyObject *kz_net_new(PyObject *module, PyObject *const *args, Py_ssize_t 
         return NULL;
     Py_ssize_t len[N_ARRAYS];
     for (int i = 0; i < N_ARRAYS; i++) {
-        if (get_array(args[i], &net->views[i], i != SOFTMAX, names[i], &len[i]) < 0) {
+        if (get_array(args[i], &net->views[i], i != SOFTMAX, names[i], -1, &len[i]) < 0) {
             Py_DECREF(net);
             return NULL;
         }
@@ -1249,12 +1245,7 @@ static PyObject *kz_freq_new(PyObject *module, PyObject *const *args, Py_ssize_t
     memset(f->slots, 0xFF, ((size_t)1 << f->bits) * sizeof *f->slots);
 
     Py_ssize_t n;
-    if (get_array(args[1], &f->row_view, 1, "row", &n) < 0) {
-        Py_DECREF(f);
-        return NULL;
-    }
-    if (n != ALPHABET) {
-        PyErr_SetString(PyExc_ValueError, "row must hold 256 entries");
+    if (get_array(args[1], &f->row_view, 1, "row", ALPHABET, &n) < 0) {
         Py_DECREF(f);
         return NULL;
     }
@@ -1311,12 +1302,10 @@ static int cmp_u64(const void *a, const void *b)
 /* freq_state(state) -> bytes: the digest payload of FreqPredictor.  For each
  * context in the order Python sorts its bytes: a u8 length, the bytes oldest
  * first, then the 256 counts as little-endian int32. */
-static PyObject *kz_freq_state(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *kz_freq_state(PyObject *module, PyObject *arg)
 {
     (void)module;
-    if (check_nargs("freq_state", nargs, 1) < 0)
-        return NULL;
-    kz_freq *f = get_state(args[0], &freq_type);
+    kz_freq *f = get_state(arg, &freq_type);
     if (!f)
         return NULL;
     /* (sort key << 32) | row index, one per row */
@@ -1375,13 +1364,8 @@ static PyObject *kz_keep_table(PyObject *module, PyObject *const *args, Py_ssize
                             freq_type.tp_name, Py_TYPE(args[0])->tp_name);
     Py_buffer view;
     Py_ssize_t n;
-    if (get_array(args[1], &view, 1, "cum", &n) < 0)
+    if (get_array(args[1], &view, 1, "cum", ALPHABET + 1, &n) < 0)
         return NULL;
-    if (n != ALPHABET + 1) {
-        PyErr_SetString(PyExc_ValueError, "cum must hold 257 entries");
-        PyBuffer_Release(&view);
-        return NULL;
-    }
     table_release(table);
     table->view = view;
     table->cum = view.buf;
@@ -1397,13 +1381,13 @@ static PyMethodDef kz_methods[] = {
      "net(emb, b1, w2, b2, softmax, buf, lr) -> a net state, its forward pass in buf"},
     {"net_step", (PyCFunction)(void (*)(void))kz_net_step, METH_FASTCALL,
      "net_step(net, token): update on token, then the next context's forward pass"},
-    {"encoder", (PyCFunction)(void (*)(void))kz_encoder_new, METH_FASTCALL,
+    {"encoder", kz_encoder_new, METH_NOARGS,
      "encoder() -> a fresh range encoder state"},
     {"encode", (PyCFunction)(void (*)(void))kz_encode, METH_FASTCALL,
      "encode(enc, cum, sym) -> the width of sym, coded"},
-    {"finish", (PyCFunction)(void (*)(void))kz_finish, METH_FASTCALL,
+    {"finish", kz_finish, METH_O,
      "finish(enc) -> the payload, flushed"},
-    {"decoder", (PyCFunction)(void (*)(void))kz_decoder_new, METH_FASTCALL,
+    {"decoder", kz_decoder_new, METH_O,
      "decoder(payload) -> a range decoder state over payload"},
     {"decode", (PyCFunction)(void (*)(void))kz_decode, METH_FASTCALL,
      "decode(dec, cum) -> the next symbol"},
@@ -1411,7 +1395,7 @@ static PyMethodDef kz_methods[] = {
      "freq(order, row) -> an empty count table, ones in row"},
     {"freq_step", (PyCFunction)(void (*)(void))kz_freq_step, METH_FASTCALL,
      "freq_step(state, token): count token, then the next context's counts into row"},
-    {"freq_state", (PyCFunction)(void (*)(void))kz_freq_state, METH_FASTCALL,
+    {"freq_state", kz_freq_state, METH_O,
      "freq_state(state) -> the counts as FreqPredictor's digest payload"},
     {"keep_table", (PyCFunction)(void (*)(void))kz_keep_table, METH_FASTCALL,
      "keep_table(state, cum): each later step of a net or count table writes its next table into cum"},

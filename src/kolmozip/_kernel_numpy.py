@@ -4,8 +4,9 @@
 the same functions, arguments, results and errors (ValueErrors raised
 before any state is touched, TruncatedStreamError where a payload runs
 out).  Every array argument is a one-dimensional, C-contiguous int64
-vector, writable where it is written, checked by ``_check`` with the
-extension's messages; a payload is bytes-like and C-contiguous.  States are
+vector, writable where it is written and of the length its function fixes,
+checked by ``_check`` with the extension's messages; a payload is
+bytes-like and C-contiguous.  States are
 namespaces where the extension has types; a net's and a count table's hold
 their context, which starts empty: a state is only ever made fresh and
 stepped, never restored.  State arithmetic is on int64, which wraps as the
@@ -39,11 +40,12 @@ _FREE_SLOTS = PROB_SCALE - ALPHABET  # a table's slots past one per symbol
 _TIE_KEYS = np.arange(ALPHABET - 1, -1, -1, dtype=np.int64)  # ties to the lower index
 
 
-def _check(a, name: str, writable: bool = False) -> np.ndarray:
+def _check(a, name: str, writable: bool = False, size: int | None = None) -> np.ndarray:
     """a as an ndarray, which it is or views through the buffer protocol as
     the extension's get_array does (the same TypeError if it has no buffer);
     reject what is not a one-dimensional, C-contiguous int64 vector
-    (writable, if asked), by get_array's rules in its order."""
+    (writable, if asked; of size entries, if given), by get_array's rules in
+    its order."""
     if not isinstance(a, np.ndarray):
         try:
             view = memoryview(a)
@@ -58,6 +60,8 @@ def _check(a, name: str, writable: bool = False) -> np.ndarray:
         why = "must be C-contiguous"
     elif writable and not a.flags.writeable:
         why = "must be writable"
+    elif size is not None and a.size != size:
+        why = f"must hold {size} entries"
     else:
         return a
     raise ValueError(f"{name} {why}")
@@ -78,12 +82,8 @@ def _row_total(w: np.ndarray) -> int:
 
 def quantize(weights: np.ndarray, cum: np.ndarray) -> None:
     """Fill cum (257 entries) with the table for 256 weights."""
-    weights = _check(weights, "weights")
-    cum = _check(cum, "cum", writable=True)
-    if weights.size != ALPHABET:
-        raise ValueError("weights must hold 256 entries")
-    if cum.size != ALPHABET + 1:
-        raise ValueError("cum must hold 257 entries")
+    weights = _check(weights, "weights", size=ALPHABET)
+    cum = _check(cum, "cum", writable=True, size=ALPHABET + 1)
     _quantize(weights, _row_total(weights), cum)
 
 
@@ -292,9 +292,7 @@ def freq(order: int, row: np.ndarray) -> SimpleNamespace:
     with ones."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"freq order {order} outside [0, {MAX_ORDER}]")
-    row = _check(row, "row", writable=True)
-    if row.size != ALPHABET:
-        raise ValueError("row must hold 256 entries")
+    row = _check(row, "row", writable=True, size=ALPHABET)
     row[:] = _ONES
     return SimpleNamespace(order=order, row=row, counts={}, context=b"", cum=None)
 
@@ -334,10 +332,7 @@ def keep_table(state: SimpleNamespace, cum: np.ndarray) -> None:
     """Bind cum (257 entries, writable) to a net or count table, replacing
     any cum bound before; from then on each net_step or freq_step on it ends
     by writing the table of the row it leaves into cum."""
-    cum = _check(cum, "cum", writable=True)
-    if cum.size != ALPHABET + 1:
-        raise ValueError("cum must hold 257 entries")
-    state.cum = cum
+    state.cum = _check(cum, "cum", writable=True, size=ALPHABET + 1)
 
 
 def _write_table(state: SimpleNamespace, row: np.ndarray) -> None:

@@ -68,8 +68,10 @@ def _write_output(path: str, data: bytes) -> None:
         return
     try:
         mode = os.stat(path).st_mode  # through any symlink
-    except FileNotFoundError:
-        mode = stat.S_IFREG
+    except FileNotFoundError:  # a new file: 0666 less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
     if not stat.S_ISREG(mode):  # a FIFO, socket or device (or a directory, which open refuses)
         with open(path, "wb") as fh:
             fh.write(data)
@@ -83,10 +85,8 @@ def _write_output(path: str, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             # mkstemp creates the file 0600; give it the mode a plain
-            # open() would, as cp and gzip do
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            # open() would, as cp and gzip do: an existing file's own
+            os.fchmod(fh.fileno(), stat.S_IMODE(mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

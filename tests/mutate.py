@@ -63,10 +63,12 @@ MUTANTS = {
     "c-writable-check-dropped": (C, "else if (writable && view->readonly)", "else if (0 && view->readonly)"),
     "c-byte-order-flipped": (C, "*f == (PY_BIG_ENDIAN ? '>' : '<')", "*f == (PY_BIG_ENDIAN ? '<' : '>')"),
     "c-int64-message-changed": (C, 'why = "must be int64";', 'why = "must be an int64";'),
+    "c-length-check-loosened": (C, "if (length >= 0 && *n != length) {", "if (length >= 0 && *n < length) {"),
     # quantize
-    "c-alphabet-bound-off-by-one": (C, "if (m != ALPHABET)", "if (m != ALPHABET && m != ALPHABET - 1)"),
-    "c-weights-length-check-loosened": (C, "if (m != ALPHABET)", "if (m < ALPHABET)"),
-    "c-cum-length-check-loosened": (C, "else if (n_cum != ALPHABET + 1)", "else if (n_cum < ALPHABET + 1)"),
+    "c-weights-length-off-by-one": (C, '"weights", ALPHABET, &n)', '"weights", ALPHABET - 1, &n)'),
+    "c-cum-length-off-by-one": (
+        C, 'get_array(args[1], &cv, 1, "cum", ALPHABET + 1, &n)', 'get_array(args[1], &cv, 1, "cum", ALPHABET, &n)'
+    ),
     "c-total-limit-off-by-one": (
         C, "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total >= TOTAL_LIMIT))",
         "if (bits >= 0 && (bits >= TOTAL_LIMIT || *total > TOTAL_LIMIT))",
@@ -182,7 +184,7 @@ MUTANTS = {
     "c-freq-order-bound-off-by-one": (
         C, 'get_int(args[0], 0, MAX_ORDER + 1, "freq order', 'get_int(args[0], 0, MAX_ORDER + 2, "freq order'
     ),
-    "c-freq-row-length-check-loosened": (C, "if (n != ALPHABET) {", "if (n < ALPHABET) {"),
+    "c-freq-row-length-off-by-one": (C, '"row", ALPHABET, &n)', '"row", ALPHABET + 1, &n)'),
     "c-halving-threshold-off-by-one": (C, "if (c >= COUNT_LIMIT) {", "if (c > COUNT_LIMIT) {"),
     "c-halving-floor-removed": (C, "counts[s] = half ? half : 1;", "counts[s] = half;"),
     "c-context-grows-past-order": (
@@ -194,7 +196,10 @@ MUTANTS = {
     "c-state-high-byte-dropped": (C, "p[1] = (unsigned char)(counts[s] >> 8);", "p[1] = 0;"),
     "c-freq-table-not-kept": (C, "    table_write(&f->table, f->row);", "    (void)0;"),
     # keep_table
-    "c-kept-table-length-check-loosened": (C, "if (n != ALPHABET + 1) {", "if (n < ALPHABET + 1) {"),
+    "c-kept-table-length-off-by-one": (
+        C, 'get_array(args[1], &view, 1, "cum", ALPHABET + 1, &n)',
+        'get_array(args[1], &view, 1, "cum", ALPHABET + 2, &n)',
+    ),
     "c-kept-table-not-replaced": (C, "    table->cum = view.buf;", "    table->cum = table->cum ? table->cum : view.buf;"),
     "c-kept-table-takes-any-state": (C, "    else if (Py_IS_TYPE(args[0], &freq_type))", "    else if (1)"),
     # the loader
@@ -213,15 +218,15 @@ MUTANTS = {
     # the twin
     "np-ndim-check-loosened": (NP, "    elif a.ndim != 1:", "    elif a.ndim > 1:"),
     "np-writable-check-dropped": (NP, "    elif writable and not a.flags.writeable:", "    elif False:"),
+    "np-length-check-loosened": (
+        NP, "    elif size is not None and a.size != size:", "    elif size is not None and a.size < size:"
+    ),
     "np-zero-total-check-dropped": (NP, "    if bits < 0 or total == 0:", "    if bits < 0:"),
     "np-row-limit-raised": (NP, "_TOTAL_LIMIT = 1 << 37", "_TOTAL_LIMIT = 1 << 38"),
-    "np-alphabet-bound-off-by-one": (
-        NP, "    if weights.size != ALPHABET:", "    if weights.size not in (ALPHABET, ALPHABET - 1):"
-    ),
-    "np-weights-length-check-loosened": (NP, "    if weights.size != ALPHABET:", "    if weights.size < ALPHABET:"),
-    "np-cum-length-check-loosened": (
-        NP, "    if cum.size != ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    _quantize(",
-        "    if cum.size < ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    _quantize(",
+    "np-weights-length-off-by-one": (NP, '"weights", size=ALPHABET)', '"weights", size=ALPHABET - 1)'),
+    "np-cum-length-off-by-one": (
+        NP, '    cum = _check(cum, "cum", writable=True, size=ALPHABET + 1)\n    _quantize(',
+        '    cum = _check(cum, "cum", writable=True, size=ALPHABET)\n    _quantize(',
     ),
     "np-ties-to-higher-index": (
         NP, "_TIE_KEYS = np.arange(ALPHABET - 1, -1, -1, dtype=np.int64)", "_TIE_KEYS = np.arange(ALPHABET, dtype=np.int64)"
@@ -236,11 +241,13 @@ MUTANTS = {
     ),
     "np-halving-threshold-off-by-one": (NP, "if counts[token] >= COUNT_LIMIT:", "if counts[token] > COUNT_LIMIT:"),
     "np-state-unsorted": (NP, "for key in sorted(f.counts):", "for key in f.counts:"),
-    "np-freq-row-length-check-loosened": (NP, "if row.size != ALPHABET:", "if row.size < ALPHABET:"),
+    "np-freq-row-length-off-by-one": (
+        NP, '"row", writable=True, size=ALPHABET)', '"row", writable=True, size=ALPHABET + 1)'
+    ),
     "np-softmax-negative-entry-accepted": (NP, "int(softmax.min()) >= 0", "int(softmax.min()) >= -1"),
-    "np-kept-table-length-check-loosened": (
-        NP, "    if cum.size != ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    state.cum",
-        "    if cum.size < ALPHABET + 1:\n        raise ValueError(\"cum must hold 257 entries\")\n    state.cum",
+    "np-kept-table-length-off-by-one": (
+        NP, 'state.cum = _check(cum, "cum", writable=True, size=ALPHABET + 1)',
+        'state.cum = _check(cum, "cum", writable=True, size=ALPHABET + 2)',
     ),
     "np-freq-table-not-kept": (NP, "    _write_table(f, f.row)", "    pass"),
     "np-no-buffer-message-changed": (
@@ -278,7 +285,10 @@ MUTANTS = {
         CLI, "data = decompress(artifact, context, audit=chain.update if chain else None)",
         "data = decompress(artifact, context, audit=None); chain = None",
     ),
-    "cli-output-mode-not-set": (CLI, "os.fchmod(fh.fileno(), 0o666 & ~umask)", "pass"),
+    "cli-output-mode-not-set": (CLI, "os.fchmod(fh.fileno(), stat.S_IMODE(mode))", "pass"),
+    "cli-existing-mode-not-kept": (
+        CLI, "mode = os.stat(path).st_mode  # through any symlink", "mode = os.stat(path).st_mode | 0o644"
+    ),
 }
 
 

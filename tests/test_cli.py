@@ -126,6 +126,25 @@ def test_outputs_get_the_umask_default_mode(tmp_path, sample, capsys):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+def test_an_existing_output_keeps_its_mode(tmp_path, sample, capsys, mode):
+    # a private file coded over a private file stays private, as a plain open() leaves it
+    art, cart, out = tmp_path / "s.kz", tmp_path / "c.kz", tmp_path / "s.out"
+    for path in (art, cart, out):
+        path.write_bytes(b"old")
+        path.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        assert run(capsys, "compress", str(sample), str(art), "--model", "uniform")[0] == 0
+        assert run(capsys, "ccompress", str(sample), str(cart), "--context", str(art), "--model", "freq:1")[0] == 0
+        assert run(capsys, "decompress", str(art), str(out))[0] == 0
+    finally:
+        os.umask(old)
+    assert out.read_bytes() == sample.read_bytes()
+    for path in (art, cart, out):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+
 def test_usage_errors_exit_1(tmp_path, sample, capsys):
     art = tmp_path / "x.kz"
     cases = [

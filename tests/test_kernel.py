@@ -100,10 +100,16 @@ def _functions(module) -> set[str]:
     }
 
 
+def _method_table(source: str) -> dict[str, str]:
+    """Each function of the source's method table and its calling
+    convention: FASTCALL, O (one argument) or NOARGS."""
+    return dict(re.findall(r'^\s*\{"(\w+)", [^"{}]*\bMETH_(FASTCALL|O|NOARGS),', source, re.MULTILINE))
+
+
 def test_extension_and_twin_export_the_same_functions():
     # the method table of the source, so a function added to _kernel.c
     # without a twin fails even where the extension cannot be built
-    table = set(re.findall(r'^\s*\{"(\w+)", \(PyCFunction\)', kernel.SOURCE.read_text(), re.MULTILINE))
+    table = set(_method_table(kernel.SOURCE.read_text()))
     exports = {"quantize", "net", "net_step", "encoder", "encode", "finish", "decoder", "decode"}
     exports |= {"freq", "freq_step", "freq_state", "keep_table"}
     assert _functions(_kernel_numpy) == table == exports
@@ -112,23 +118,30 @@ def test_extension_and_twin_export_the_same_functions():
 
 
 def test_extension_and_twin_take_the_same_arguments():
-    # each function's check_nargs in the source (the count it requires)
-    # against the twin's required parameters, so a changed signature on one
-    # side fails even where the extension cannot be built
+    # the count each function of the source requires (none for NOARGS, one
+    # for O, a FASTCALL function's check_nargs) against the twin's required
+    # parameters, so a changed signature on one side fails even where the
+    # extension cannot be built
     source = kernel.SOURCE.read_text()
     (members,) = re.findall(r"^enum \{([^}]*N_ARRAYS)\s*\};", source, re.MULTILINE)
     constants = {name.strip(): i for i, name in enumerate(members.split(","))}
-    required = {
+    checked = {
         fn: eval(count, {}, constants)
         for fn, count in re.findall(r'check_nargs\("(\w+)", nargs, ([^)]+)\)', source)
     }
+    table = _method_table(source)
+    # check_nargs is called by the FASTCALL functions, once each; the interpreter checks the others
+    assert len(checked) == source.count("check_nargs(\"") == sum(flag == "FASTCALL" for flag in table.values())
+    assert {fn for fn, flag in table.items() if flag == "FASTCALL"} == set(checked)
+    required = {fn: {"NOARGS": 0, "O": 1}.get(flag) for fn, flag in table.items()} | checked
     twin = {
         fn: sum(p.default is p.empty for p in inspect.signature(getattr(_kernel_numpy, fn)).parameters.values())
         for fn in _functions(_kernel_numpy)
     }
     assert required == twin
     assert required["net"] == 7 and required["net_step"] == 2 and required["freq"] == 2
-    assert required["keep_table"] == 2
+    assert required["keep_table"] == 2 and required["encoder"] == 0
+    assert required["finish"] == required["decoder"] == required["freq_state"] == 1
 
 
 # a run of adjacent C string literals, which the compiler joins into one
@@ -184,15 +197,18 @@ def test_extension_and_twin_spell_the_same_messages():
     # the twin's ValueError messages inside one of the source's strings, so
     # a message reworded or dropped on one side fails even where the
     # extension cannot be built
-    source = kernel.SOURCE.read_text()
+    source, twin_source = kernel.SOURCE.read_text(), Path(_kernel_numpy.__file__).read_text()
     messages = {_joined(run) for pattern in _C_MESSAGES for run in re.findall(pattern, source)}
     twin = [
         node.value
-        for node in ast.walk(ast.parse(Path(_kernel_numpy.__file__).read_text()))
+        for node in ast.walk(ast.parse(twin_source))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
     assert {"must be int64", "must be one-dimensional", "must be C-contiguous", "must be writable"} <= messages
-    assert "row must hold 256 entries" in messages and any(m.startswith("net arrays disagree: ") for m in messages)
+    assert any(m.startswith("net arrays disagree: ") for m in messages)
+    # the one length rule, spelled once on each side: get_array's format and _check's f-string
+    assert source.count("must hold") == 1 and '"%s must hold %zd entries", name, length' in source
+    assert twin_source.count("must hold") == 1 and 'f"must hold {size} entries"' in twin_source
     assert [m for m in messages if not any(m in t for t in twin)] == []
     literals = [_joined(run) for run in re.findall(_C_STRING, source)]
     parts = _twin_message_parts()
@@ -210,14 +226,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 # ways to pass an array argument: each breaker of the array contract with
-# the reason get_array and _check give (None: a length the function itself
-# rejects), then the buffer wrappers, which view the array and write through
-# (ctypes as format '<q' on little-endian), and a list, which has no buffer
-# (NO_BUFFER)
+# the reason get_array and _check give (empty: for an argument of
+# FIXED_LENGTHS; the function's own rule refuses any other), then the buffer
+# wrappers, which view the array and write through (ctypes as format '<q' on
+# little-endian), and a list, which has no buffer (NO_BUFFER)
 BREAKERS = {
     "int32": "must be int64", "uint64": "must be int64", "float64": "must be int64", ">i8": "must be int64",
     "2-d": "must be one-dimensional", "0-d": "must be one-dimensional", "strided": "must be C-contiguous",
-    "empty": None, "read-only": "must be writable",
+    "empty": "must hold {} entries", "read-only": "must be writable",
+}
+# the array arguments whose length the function fixes, which get_array and _check hold it to
+FIXED_LENGTHS = {
+    ("quantize", "weights"): ALPHABET, ("quantize", "cum"): ALPHABET + 1, ("freq", "row"): ALPHABET,
+    ("keep_table", "cum"): ALPHABET + 1,
 }
 FORMS = {
     **{dtype: lambda a, dtype=dtype: a.astype(dtype) for dtype in ("int32", "uint64", "float64", ">i8")},
@@ -1008,11 +1029,13 @@ def test_array_arguments_are_rejected_as_numpy(fn, position, name, written):
     if fn in STATES:
         STATES[fn](fresh)
     after = fresh.settle()
+    length = FIXED_LENGTHS.get((fn, name))
     for kind, why in BREAKERS.items():
         if kind != "read-only" or written:
             t = Twins(kernel.load())
             error, message = VALID_CALLS[fn](t, (position, kind))
-            assert error is ValueError and (why is None or message == f"{name} {why}"), (kind, message)
+            own_rule = kind == "empty" and length is None  # a length the function's own rule refuses
+            assert error is ValueError and (own_rule or message == f"{name} {why.format(length)}"), (kind, message)
             assert t.settle() == after, kind
 
 
@@ -1485,13 +1508,16 @@ def test_a_bound_step_changes_nothing_but_the_table(kind, step):
     assert np.array_equal(first, kept) and t.sides[0].tables[bound][-1] == PROB_SCALE
 
 
-def test_keep_table_takes_257_entries_as_numpy(step):
-    t = Twins(step)
+def test_keep_table_takes_257_entries_as_numpy(step, builds):
+    t = Twins(*builds.values()) if step is not _kernel_numpy else Twins(step)
     f, net = t.freq(), t.net()
     for size in (256, 258, 0):
         for state in (f, net):
             out = t.call("keep_table", lambda s: [s.states[state][1], np.zeros(size, dtype=np.int64)])
             assert out == (ValueError, "cum must hold 257 entries")
+    # the row a count table is bound to holds 256 entries, by the same rule
+    for size in (255, 257):
+        assert t.freq(size=size) == (ValueError, "row must hold 256 entries")
     assert t.run(f, b"abc")[1:] == t.run(net, b"abc")[1:] == (3, None)  # nothing was bound
     assert all(side.tables == {} for side in t.sides)
 
